@@ -19,7 +19,6 @@ returns whatever the formula gives (usually zero).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,12 +77,12 @@ class ScalarField:
     """A real-valued function on R^n or on the half-space x_n > 0.
 
     ``func`` must accept an (N, n) array and return an (N,) array.
-    Evaluation is pure and deterministic; the optional memoization cache is
-    idempotent, so concurrent evaluation behaves as if it were absent.
+    Evaluation is pure and deterministic and keeps no state, so fields may
+    be evaluated concurrently.
     """
 
     def __init__(self, n: int, func, domain: str = "full", box=None,
-                 section_support=None, decay_radius: float | None = None):
+                 section_support=None):
         if n < 2:
             raise DomainError("fields require n >= 2")
         if domain not in _DOMAINS:
@@ -93,17 +92,6 @@ class ScalarField:
         self._func = func
         self.box = None if box is None else tuple((float(a), float(b)) for a, b in box)
         self.section_support = section_support
-        self._decay_radius = decay_radius
-        self._cache = None
-
-    @property
-    def decay_hint(self) -> float | None:
-        """Radius beyond which the field is treated as numerically zero."""
-        if self._decay_radius is not None:
-            return self._decay_radius
-        if self.box is not None:
-            return math.sqrt(sum(max(abs(a), abs(b)) ** 2 for a, b in self.box))
-        return None
 
     def eval(self, point) -> float:
         return float(self.eval_array(_as_points_array(point, self.n))[0])
@@ -117,25 +105,10 @@ class ScalarField:
             i = int(np.argmin(pts[:, -1]))
             raise DomainError(
                 f"half-space field evaluated at x_n = {pts[i, -1]} <= 0 (point {tuple(pts[i])})")
-        if self._cache is not None:
-            key = pts.tobytes()
-            hit = self._cache.get(key)
-            if hit is not None:
-                return hit.copy()
         vals = np.asarray(self._func(pts), dtype=float)
         if vals.shape != (pts.shape[0],):
             raise DomainError(f"field func returned shape {vals.shape}, expected ({pts.shape[0]},)")
-        if self._cache is not None:
-            if len(self._cache) > 64:
-                self._cache.clear()
-            self._cache[key] = vals.copy()
         return vals
-
-    def with_cache(self) -> "ScalarField":
-        out = ScalarField(self.n, self._func, self.domain, self.box,
-                          self.section_support, self._decay_radius)
-        out._cache = {}
-        return out
 
     # algebra (used by linearity tests); support hints take the union hull
     def _combine(self, other, op):
@@ -146,7 +119,7 @@ class ScalarField:
             return ScalarField(self.n, func, self.domain, _box_union(self.box, other.box))
         c = float(other)
         return ScalarField(self.n, lambda pts: op(self._func(pts), c), self.domain,
-                           self.box, self.section_support, self._decay_radius)
+                           self.box, self.section_support)
 
     def __add__(self, other):
         return self._combine(other, lambda a, b: a + b)
@@ -157,7 +130,7 @@ class ScalarField:
     def __mul__(self, c):
         c = float(c)
         return ScalarField(self.n, lambda pts: c * self._func(pts), self.domain,
-                           self.box, self.section_support, self._decay_radius)
+                           self.box, self.section_support)
 
     __rmul__ = __mul__
 
@@ -177,7 +150,6 @@ class SphereProfile:
         self.xprime_box = (None if xprime_box is None
                            else tuple((float(a), float(b)) for a, b in xprime_box))
         self.r_support = r_support
-        self._cache = None
 
     def eval(self, xprime, r: float) -> float:
         xp = np.atleast_1d(np.asarray(xprime, dtype=float))[None, :]
@@ -190,22 +162,7 @@ class SphereProfile:
             raise DomainError(f"profile expects XP (N,{self.n - 1}) and R (N,)")
         if R.size and np.min(R) <= 0:
             raise DomainError(f"profile evaluated at r = {np.min(R)} <= 0")
-        if self._cache is not None:
-            key = (XP.tobytes(), R.tobytes())
-            hit = self._cache.get(key)
-            if hit is not None:
-                return hit.copy()
-        vals = np.asarray(self._func(XP, R), dtype=float)
-        if self._cache is not None:
-            if len(self._cache) > 64:
-                self._cache.clear()
-            self._cache[key] = vals.copy()
-        return vals
-
-    def with_cache(self) -> "SphereProfile":
-        out = SphereProfile(self.n, self._func, self.xprime_box, self.r_support)
-        out._cache = {}
-        return out
+        return np.asarray(self._func(XP, R), dtype=float)
 
 
 @dataclass(frozen=True)

@@ -162,7 +162,7 @@ def _slope_grid(n: int, spec: QuadratureSpec, stop: float, angular: int):
     """
     core = spec.R_max
     if n == 2:
-        cx, cw = line_rule(-core, core, spec.m, spec.rule)
+        cx, cw = line_rule(-core, core, spec.m)
         pn = max(12, spec.m // 8)
         gx, gw = gauss_rule(pn)
         edges = octave_edges(core, stop)
@@ -174,7 +174,7 @@ def _slope_grid(n: int, spec: QuadratureSpec, stop: float, angular: int):
         W = np.concatenate([cw, pw, pw])
         return Z, W
     if n == 3:
-        rx, rw = line_rule(0.0, core, max(16, spec.m // 2), spec.rule)
+        rx, rw = line_rule(0.0, core, max(16, spec.m // 2))
         gx, gw = gauss_rule(12)
         edges = octave_edges(core, stop)
         a, b = edges[:-1], edges[1:]

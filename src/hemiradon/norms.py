@@ -25,7 +25,8 @@ import numpy as np
 from .errors import DomainError, QuadratureError
 from .fields import ScalarField, SphereProfile
 from .operators import OperatorId, apply
-from .quadrature import QuadratureSpec, eval_chunked, gauss_rule, window_buckets
+from .quadrature import (QuadratureSpec, _windowed_sums, line_rule, tensor_rule,
+                         tier_counts)
 from .transforms import parabolic_field, sonar_profile, transversal_field
 
 _LP_WEIGHTS = (None, "half_space_weight")
@@ -77,21 +78,6 @@ def admissible(p: float, n: int):
     return AdmissibleTriple(q, s, valid)
 
 
-def _outer_tensor(outer_box, m):
-    axes = []
-    for lo, hi in outer_box:
-        gx, gw = gauss_rule(m)
-        half = 0.5 * (hi - lo)
-        axes.append((lo + half * (gx + 1.0), half * gw))
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    XP = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    W = np.ones(XP.shape[0])
-    for g in wgrids:
-        W *= g.ravel()
-    return XP, W
-
-
 def _normalize_outer_box(outer_box, k, default):
     if outer_box is None:
         return default
@@ -107,18 +93,17 @@ def _normalize_outer_box(outer_box, k, default):
 
 def _inner_sums(eval_inner, lo, hi, s_exp, weight_exp, spec, min_nodes):
     """Per-outer-node inner integrals of |data|^s * t^weight_exp."""
-    out = np.zeros(lo.shape[0])
     width_ref = float(np.max(hi - lo, initial=0.0))
     if width_ref <= 0:
-        return out
-    for idx, nodes, w in window_buckets(lo, hi, spec.m, width_ref,
-                                        min_nodes=min_nodes):
-        vals = eval_inner(idx, nodes)
-        integrand = np.abs(vals) ** s_exp
-        if weight_exp != 0.0:
-            integrand = integrand * nodes ** weight_exp
-        out[idx] = (integrand * w).sum(axis=1)
-    return out
+        return np.zeros(lo.shape[0])
+    counts = tier_counts(lo, hi, spec.m, width_ref, min_nodes=min_nodes)
+
+    def integrand(idx, nodes):
+        (t,) = nodes
+        vals = np.abs(eval_inner(idx, t)) ** s_exp
+        return vals * t ** weight_exp if weight_exp != 0.0 else vals
+
+    return _windowed_sums(lo[:, None], hi[:, None], counts[:, None], integrand)
 
 
 def _iterated_power(data, s_exp, weight_exp, spec, outer_box, min_nodes=64):
@@ -130,7 +115,7 @@ def _iterated_power(data, s_exp, weight_exp, spec, outer_box, min_nodes=64):
         default = data.xprime_box if data.xprime_box is not None \
             else tuple((-R, R) for _ in range(k))
         obox = _normalize_outer_box(outer_box, k, default)
-        XP, W = _outer_tensor(obox, spec.m)
+        XP, W = tensor_rule([line_rule(lo, hi, spec.m) for lo, hi in obox])
         if data.r_support is not None:
             lo, hi = data.r_support(XP)
         else:
@@ -147,7 +132,7 @@ def _iterated_power(data, s_exp, weight_exp, spec, outer_box, min_nodes=64):
         default = tuple(data.box[:-1]) if data.box is not None \
             else tuple((-R, R) for _ in range(k))
         obox = _normalize_outer_box(outer_box, k, default)
-        XP, W = _outer_tensor(obox, spec.m)
+        XP, W = tensor_rule([line_rule(lo, hi, spec.m) for lo, hi in obox])
         if data.section_support is not None:
             lo, hi = data.section_support(XP)
         elif data.box is not None:
@@ -163,15 +148,16 @@ def _iterated_power(data, s_exp, weight_exp, spec, outer_box, min_nodes=64):
             b, m = nodes.shape
             pts = np.concatenate([np.repeat(XP[idx], m, axis=0),
                                   nodes.ravel()[:, None]], axis=1)
-            return eval_chunked(data.eval_array, pts).reshape(b, m)
+            return data.eval_array(pts).reshape(b, m)
 
     inner = _inner_sums(eval_inner, lo, hi, s_exp, weight_exp, spec, min_nodes)
     if weight_exp < 0:
         # singular-weight guard: double the nodes where the window nears 0
-        near = lo < 0.05 * np.maximum(hi - lo, 1e-300)
-        if near.any():
-            refined = _inner_sums(eval_inner, lo[near], hi[near], s_exp,
-                                  weight_exp, spec, 2 * min_nodes)
+        near = np.nonzero(lo < 0.05 * np.maximum(hi - lo, 1e-300))[0]
+        if near.size:
+            refined = _inner_sums(lambda idx, t: eval_inner(near[idx], t),
+                                  lo[near], hi[near], s_exp, weight_exp, spec,
+                                  2 * min_nodes)
             base = inner[near]
             scale = float(np.max(np.abs(refined), initial=0.0))
             if scale > 0 and np.max(np.abs(refined - base)) > 1e-4 * scale:

@@ -1,30 +1,33 @@
 """Quadrature engine shared by every transform, norm, and inversion routine.
 
-All integrals in this package reduce to one of three patterns:
+All integrals in this package reduce to one of two patterns:
 
-* a tensor-product rule over a truncated box (``integrate``),
-* a batch of 1-D windowed rules, one interval per evaluation point, used by
-  the transforms to concentrate nodes where the integrand actually lives,
-* panel rules (geometric / octave edges) for slowly decaying integrands.
+* a fixed tensor-product rule, built by ``tensor_rule`` from per-axis
+  (nodes, weights) pairs: ``integrate`` over a truncated box, the classical
+  Radon transform over a hyperplane patch, the outer integral of a mixed norm;
+* a batch of windowed rules, one box of per-axis windows per evaluation
+  point, summed by ``_windowed_sums``: the forward transforms and the inner
+  integral of a mixed norm. Each caller supplies only its geometry (the
+  windows and the map from window coordinates to integrand values).
 
 Node counts for windowed rules scale with the window width relative to a
-reference width, so a thin support slice at an extreme slope still gets an
-adequate node density without paying for it everywhere else.
+reference width (``tier_counts``), so a thin support slice at an extreme
+slope still gets an adequate node density without paying for it everywhere
+else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .errors import QuadratureError
 
-#: Evaluation batches are chunked to roughly this many scalar evaluations.
-CHUNK = 4_000_000
-
-_RULES = ("gauss", "trapezoid")
+#: Most nodes one evaluation batch of ``_windowed_sums`` holds; a group of
+#: rows is split so that its node arrays and integrand values stay bounded.
+_NODE_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -33,41 +36,21 @@ class QuadratureSpec:
 
     Parameters
     ----------
-    rule:
-        ``"gauss"`` (tensor Gauss-Legendre) or ``"trapezoid"``.
     R_max:
         Truncation radius for integrals over unbounded domains when the
         integrand carries no support box of its own.
     m:
         Nodes per axis at the reference width.
-    eps:
-        Inner cutoff for singular-limit integrals.
-    eps_schedule:
-        Strictly decreasing positive cutoffs used to extrapolate the
-        singular limit.
     """
 
-    rule: str = "gauss"
     R_max: float = 8.0
     m: int = 200
-    eps: float = 0.05
-    eps_schedule: tuple = (0.2, 0.1, 0.05, 0.025)
 
     def __post_init__(self):
-        if self.rule not in _RULES:
-            raise QuadratureError(f"unknown rule {self.rule!r}; expected one of {_RULES}")
         if self.m < 2:
             raise QuadratureError("m must be >= 2")
         if not self.R_max > 0:
             raise QuadratureError("R_max must be positive")
-        if not self.eps > 0:
-            raise QuadratureError("eps must be positive")
-        sched = tuple(float(e) for e in self.eps_schedule)
-        if any(e <= 0 for e in sched):
-            raise QuadratureError("eps_schedule entries must be positive")
-        if any(b >= a for a, b in zip(sched, sched[1:])):
-            raise QuadratureError("eps_schedule must be strictly decreasing")
-        object.__setattr__(self, "eps_schedule", sched)
 
     @classmethod
     def for_dimension(cls, n: int, **overrides) -> "QuadratureSpec":
@@ -87,29 +70,11 @@ def gauss_rule(m: int):
     return x, w
 
 
-def line_rule(a: float, b: float, m: int, rule: str = "gauss"):
-    """Nodes and weights integrating over [a, b]."""
-    if rule == "gauss":
-        x, w = gauss_rule(m)
-        half = 0.5 * (b - a)
-        return a + half * (x + 1.0), half * w
-    x = np.linspace(a, b, m)
-    w = np.full(m, (b - a) / (m - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return x, w
-
-
-def panel_rule(edges, nodes_per_panel: int):
-    """Concatenated Gauss-Legendre panels over consecutive ``edges``."""
-    edges = np.asarray(edges, dtype=float)
-    xs, ws = [], []
-    gx, gw = gauss_rule(nodes_per_panel)
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        xs.append(a + half * (gx + 1.0))
-        ws.append(half * gw)
-    return np.concatenate(xs), np.concatenate(ws)
+def line_rule(a: float, b: float, m: int):
+    """Gauss-Legendre nodes and weights integrating over [a, b]."""
+    x, w = gauss_rule(m)
+    half = 0.5 * (b - a)
+    return a + half * (x + 1.0), half * w
 
 
 def octave_edges(start: float, stop: float, factor: float = 2.0):
@@ -123,18 +88,18 @@ def octave_edges(start: float, stop: float, factor: float = 2.0):
     return np.asarray(edges)
 
 
-def eval_chunked(func, pts: np.ndarray) -> np.ndarray:
-    """Apply a batched scalar function to an (N, k) point array in chunks."""
-    n = pts.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    step = max(1, CHUNK // max(1, pts.shape[1] if pts.ndim > 1 else 1))
-    if n <= step:
-        return np.asarray(func(pts), dtype=float)
-    out = np.empty(n)
-    for i in range(0, n, step):
-        out[i:i + step] = func(pts[i:i + step])
-    return out
+def tensor_rule(axes):
+    """Tensor product of per-axis ``(nodes, weights)`` rules.
+
+    Returns nodes of shape (N, k), N the product of the axis sizes, with the
+    first axis varying slowest, and their product weights of shape (N,).
+    """
+    grids = np.meshgrid(*[x for x, _ in axes], indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    weights = np.ones(pts.shape[0])
+    for g in np.meshgrid(*[w for _, w in axes], indexing="ij"):
+        weights *= g.ravel()
+    return pts, weights
 
 
 def integrate(integrand, k: int, spec: QuadratureSpec) -> float:
@@ -148,17 +113,9 @@ def integrate(integrand, k: int, spec: QuadratureSpec) -> float:
         raise QuadratureError("dimension k must be >= 1")
     if spec.m ** k > 2e8:
         raise QuadratureError(f"tensor rule too large: m={spec.m}, k={k}")
-    x, w = line_rule(-spec.R_max, spec.R_max, spec.m, spec.rule)
+    pts, weights = tensor_rule([line_rule(-spec.R_max, spec.R_max, spec.m)] * k)
     if k == 1:
-        pts = x
-        weights = w
-    else:
-        grids = np.meshgrid(*([x] * k), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        wgrids = np.meshgrid(*([w] * k), indexing="ij")
-        weights = np.ones(pts.shape[0])
-        for g in wgrids:
-            weights *= g.ravel()
+        pts = pts[:, 0]
 
     vals = _eval_integrand(integrand, pts, k)
     bad = ~np.isfinite(vals)
@@ -174,7 +131,8 @@ def _eval_integrand(integrand, pts, k):
         vals = np.asarray(integrand(pts), dtype=float)
         if vals.shape == (pts.shape[0],):
             return vals
-    except Exception:
+    except TypeError:
+        # what a scalar callable raises when handed an array
         pass
     # scalar fallback, one point at a time
     if k == 1:
@@ -182,60 +140,26 @@ def _eval_integrand(integrand, pts, k):
     return np.array([float(integrand(np.asarray(p))) for p in pts])
 
 
-def window_buckets(lo, hi, m_ref: int, width_ref: float, min_nodes: int = 44,
-                   max_nodes: int | None = None):
-    """Bucket a batch of intervals by the node count their width warrants.
-
-    Returns a list of ``(idx, nodes, weights)`` with ``nodes``/``weights`` of
-    shape (len(idx), m_bucket). Intervals with hi <= lo are dropped (their
-    contribution is zero). The floor keeps narrow windows resolved: a window
-    cut down by a slab constraint still holds a full feature of the
-    integrand, so its node count must not shrink with its width.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if max_nodes is None:
-        max_nodes = m_ref
-    widths = hi - lo
-    valid = widths > 0
-    if not valid.any():
-        return []
-    want = np.ceil(m_ref * widths / max(width_ref, 1e-300))
-    want = np.clip(want, min_nodes, max_nodes).astype(int)
-    # quantize to min_nodes * 2^j so only a handful of tensor shapes occur
-    tiers = np.ceil(np.log2(np.maximum(want / min_nodes, 1.0))).astype(int)
-    out = []
-    for tier in np.unique(tiers[valid]):
-        m = min(min_nodes * 2 ** int(tier), max_nodes)
-        idx = np.nonzero(valid & (tiers == tier))[0]
-        gx, gw = gauss_rule(m)
-        half = 0.5 * widths[idx]
-        mid = lo[idx] + half
-        nodes = mid[:, None] + half[:, None] * gx[None, :]
-        weights = half[:, None] * gw[None, :]
-        out.append((idx, nodes, weights))
-    return out
-
-
 def tier_counts(lo, hi, m_ref: int, width_ref: float, min_nodes: int = 44,
                 max_nodes: int | None = None):
-    """Quantized per-interval node counts for multi-axis window grouping.
+    """Quantized per-interval node counts for windowed rules.
 
-    Returns (valid, counts): intervals with hi <= lo are invalid; counts are
-    min_nodes * 2^j so that joint (axis1, axis2, ...) tensor shapes collapse
-    to a handful of groups.
+    Counts scale with the width against ``width_ref`` (m_ref nodes at that
+    width), quantized to min_nodes * 2^j and clipped to max_nodes (default
+    m_ref); an empty interval (hi <= lo) gets the floor.
+    The floor keeps narrow windows resolved: a window cut down by a slab
+    constraint still holds a full feature of the integrand, so its node
+    count must not shrink with its width. The quantization lets a batch of
+    windows collapse to a handful of tensor shapes.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if max_nodes is None:
         max_nodes = m_ref
-    widths = hi - lo
-    valid = widths > 0
-    want = np.ceil(m_ref * np.maximum(widths, 0) / max(width_ref, 1e-300))
+    want = np.ceil(m_ref * np.maximum(hi - lo, 0) / max(width_ref, 1e-300))
     want = np.clip(want, min_nodes, max_nodes)
     tiers = np.ceil(np.log2(np.maximum(want / min_nodes, 1.0))).astype(int)
-    counts = np.minimum(min_nodes * 2 ** tiers, max_nodes)
-    return valid, counts
+    return np.minimum(min_nodes * 2 ** tiers, max_nodes)
 
 
 def mapped_rule(lo, hi, m: int):
@@ -246,6 +170,64 @@ def mapped_rule(lo, hi, m: int):
     half = 0.5 * (hi - lo)
     nodes = (lo + half)[:, None] + half[:, None] * gx[None, :]
     return nodes, half[:, None] * gw[None, :]
+
+
+def _midpoint_rule(lo, hi, m: int):
+    """Uniform midpoint nodes/weights on each [lo_i, hi_i] row: (B, m)."""
+    step = (hi - lo) / m
+    nodes = lo[:, None] + (np.arange(m) + 0.5)[None, :] * step[:, None]
+    return nodes, np.repeat(step[:, None], m, axis=1)
+
+
+def _windowed_sums(lo, hi, counts, integrand, periodic=None):
+    """Per-row integrals over the boxes [lo_i1, hi_i1] x ... x [lo_ik, hi_ik].
+
+    ``lo``, ``hi`` and ``counts`` have shape (M, k); ``counts`` holds the
+    node count of every row and axis (see ``tier_counts``). Rows sharing
+    their counts and their ``periodic`` flag form one group, which is split
+    into batches of at most ``_NODE_CAP`` nodes. Axis j of a row gets a
+    Gauss-Legendre rule mapped onto its window, except the last axis of a
+    ``periodic`` row, which spans one full period of the integrand and gets
+    the uniform midpoint rule (spectrally accurate there).
+
+    ``integrand(idx, nodes)`` receives the batch's row indices and one node
+    array per axis, ``nodes[j]`` of shape (b, 1, .., m_j, .., 1) with m_j
+    in slot j + 1, so that expressions in them broadcast to the tensor grid
+    (b, m_1, ..., m_k). It returns the integrand values on that grid,
+    Jacobian included. Rows with an empty window (hi <= lo on some axis)
+    sum to 0.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    M, k = lo.shape
+    if periodic is None:
+        periodic = np.zeros(M, dtype=bool)
+    out = np.zeros(M)
+    rows = np.nonzero(np.all(hi > lo, axis=1))[0]
+    if rows.size == 0:
+        return out
+    # group rows by key with a stable sort, so each group keeps row order
+    keys = np.column_stack([np.asarray(counts, dtype=int), periodic])[rows]
+    order = np.lexsort(keys.T)
+    keys, rows = keys[order], rows[order]
+    starts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
+    for g0, g1 in zip(np.r_[0, starts], np.r_[starts, len(rows)]):
+        ms = [int(m) for m in keys[g0, :k]]
+        step = max(1, _NODE_CAP // int(np.prod(ms)))
+        for s0 in range(g0, g1, step):
+            idx = rows[s0:min(s0 + step, g1)]
+            nodes, weights = [], []
+            for j, m in enumerate(ms):
+                rule = _midpoint_rule if keys[g0, k] and j == k - 1 else mapped_rule
+                x, w = rule(lo[idx, j], hi[idx, j], m)
+                shape = (len(idx),) + tuple(m if a == j else 1 for a in range(k))
+                nodes.append(x.reshape(shape))
+                weights.append(w.reshape(shape))
+            vals = integrand(idx, nodes)
+            # the weight grid is built only now, so it is not held while the
+            # integrand runs
+            out[idx] = (vals * reduce(np.multiply, weights)).reshape(len(idx), -1).sum(axis=1)
+    return out
 
 
 def sphere_nodes(d: int, m: int):

@@ -11,9 +11,13 @@ transversal:  (x', x_n) -> integral over y' of psi(y', x' . y' + x_n),
                            i.e. planes parameterized by slope and intercept.
 classical:    (theta,t) -> integral of f over the hyperplane x . theta = t.
 
-Every transform places quadrature nodes through per-point support windows
-derived from the input field's support box; the node count scales with the
+Every windowed transform is one call of the shared kernel
+``quadrature._windowed_sums``: the transform supplies only its geometry, the
+per-point support windows derived from the input field's support box and the
+map from window coordinates to integrand values. Node counts scale with the
 window width, so the cost tracks the geometry instead of the bounding box.
+The sonar and parabolic transforms are implemented for n in {2, 3}; the
+transversal transform for every n >= 2.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ import numpy as np
 
 from .errors import DomainError
 from .fields import Point, ScalarField, SphereProfile, _as_points_array
-from .quadrature import (QuadratureSpec, eval_chunked, gauss_rule, mapped_rule,
-                         tier_counts, window_buckets)
+from .quadrature import (QuadratureSpec, _windowed_sums, line_rule, tensor_rule,
+                         tier_counts)
 
 _PARABOLIC_VARIANTS = ("full", "restricted", "surface_measure")
 
@@ -47,6 +51,40 @@ def _center_halfwidth(box):
     return c, h
 
 
+def _grid_points(nodes, n):
+    """Uninitialized n-vectors on the tensor grid of the kernel's axis nodes.
+
+    Callers fill one coordinate at a time, so each coordinate's temporary
+    is freed before the field runs."""
+    return np.empty(np.broadcast_shapes(*(x.shape for x in nodes)) + (n,))
+
+
+def _eval_grid(field, pts):
+    """``field`` at every point of ``pts`` (..., n), in the shape (...)."""
+    return field.eval_array(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape[:-1])
+
+
+def _polar_windows(rlo, rhi, r_width, d, circ, m):
+    """Windows of a (radius or polar cosine) x angle chart in the plane.
+
+    The first axis gets [rlo, rhi], with reference width ``r_width``. The
+    angle axis gets the arc of directions from the pole toward the disc of
+    radius ``circ`` centred at offset ``d`` (M, 2) from it, or the full
+    circle [0, 2 pi], flagged periodic, when the pole lies inside the disc.
+    Returns lo, hi and counts of shape (M, 2) and the periodic flags.
+    """
+    dist = np.linalg.norm(d, axis=1)
+    full = dist <= circ
+    alpha = np.arctan2(d[:, 1], d[:, 0])
+    halfang = np.arcsin(np.clip(circ / np.maximum(dist, 1e-300), 0, 1))
+    alo = np.where(full, 0.0, alpha - halfang)
+    ahi = np.where(full, 2 * np.pi, alpha + halfang)
+    cnt_r = tier_counts(rlo, rhi, m, r_width)
+    cnt_a = tier_counts(alo, ahi, 2 * m, 2 * np.pi, min_nodes=16, max_nodes=2 * m)
+    return (np.column_stack([rlo, alo]), np.column_stack([rhi, ahi]),
+            np.column_stack([cnt_r, cnt_a]), full)
+
+
 # ---------------------------------------------------------------------------
 # sonar (hemispherical means)
 # ---------------------------------------------------------------------------
@@ -56,11 +94,10 @@ def sonar_transform(phi: ScalarField, xprime, r: float, spec=None) -> float:
 
     For n = 2 this is the arc integral
         int_0^pi phi(x' + r cos t, r sin t) r dt,
-    and for n >= 3 the spherical chart in the polar cosine c = y_n / r with
-    surface element r^{n-1} (1 - c^2)^{(n-3)/2} dc d(omega).
+    and for n = 3 the spherical chart in the polar cosine c = y_n / r and
+    the azimuth, with surface element r^2 dc d(omega).
     """
-    if phi.domain != "half":
-        raise DomainError("sonar consumes a half-space field")
+    _check_sonar_field(phi)
     spec = _default_spec(phi.n, spec)
     xp = np.atleast_1d(np.asarray(xprime, dtype=float))[None, :]
     if xp.shape[1] != phi.n - 1:
@@ -73,8 +110,7 @@ def sonar_transform(phi: ScalarField, xprime, r: float, spec=None) -> float:
 
 def sonar_profile(phi: ScalarField, spec=None) -> SphereProfile:
     """The sonar transform as a lazily evaluated profile in (x', r)."""
-    if phi.domain != "half":
-        raise DomainError("sonar consumes a half-space field")
+    _check_sonar_field(phi)
     spec = _default_spec(phi.n, spec)
     r_support = None
     if phi.box is not None:
@@ -98,55 +134,51 @@ def sonar_profile(phi: ScalarField, spec=None) -> SphereProfile:
                          xprime_box=None, r_support=r_support)
 
 
+def _check_sonar_field(phi):
+    if phi.domain != "half":
+        raise DomainError("sonar consumes a half-space field")
+    if phi.n not in (2, 3):
+        raise DomainError("sonar transform implemented for n in {2, 3}")
+
+
 def _sonar_batch(phi, XP, R, spec):
     if np.min(R) <= 0:
         raise DomainError("hemisphere radius must be positive")
     if phi.n == 2:
-        return _sonar_batch_2d(phi, XP, R, spec)
-    return _sonar_batch_nd(phi, XP, R, spec)
+        x = XP[:, 0]
+        tlo = np.zeros(len(R))
+        thi = np.full(len(R), np.pi)
+        if phi.box is not None:
+            (b1lo, b1hi), (b2lo, _) = phi.box
+            # cos t = (y1 - x)/r must reach the first-axis support
+            tlo = np.arccos(np.clip((b1hi - x) / R, -1.0, 1.0))
+            thi = np.arccos(np.clip((b1lo - x) / R, -1.0, 1.0))
+            # sin t = y2/r must reach above the lower support edge
+            slo = max(b2lo, 0.0) / R
+            a = np.arcsin(np.clip(slo, 0.0, 1.0))
+            tlo = np.maximum(tlo, a)
+            thi = np.where(slo < 1.0, np.minimum(thi, np.pi - a), tlo)
+        counts = tier_counts(tlo, thi, spec.m, np.pi)
 
+        def arc(idx, nodes):
+            (t,) = nodes
+            r = R[idx, None]
+            pts = _grid_points(nodes, 2)
+            pts[..., 0] = x[idx, None] + r * np.cos(t)
+            pts[..., 1] = r * np.sin(t)
+            return _eval_grid(phi, pts)
 
-def _sonar_batch_2d(phi, XP, R, spec):
-    x = XP[:, 0]
-    M = x.shape[0]
-    if phi.box is not None:
-        (b1lo, b1hi), (b2lo, b2hi) = phi.box
-        # cos t = (y1 - x)/r must reach the first-axis support
-        clo = np.clip((b1lo - x) / R, -1.0, 1.0)
-        chi = np.clip((b1hi - x) / R, -1.0, 1.0)
-        tlo = np.arccos(chi)
-        thi = np.arccos(clo)
-        # sin t = y2/r must reach above the lower support edge
-        slo = max(b2lo, 0.0) / R
-        ok = slo < 1.0
-        a = np.arcsin(np.clip(slo, 0.0, 1.0))
-        tlo = np.maximum(tlo, a)
-        thi = np.where(ok, np.minimum(thi, np.pi - a), tlo)
-    else:
-        tlo = np.zeros(M)
-        thi = np.full(M, np.pi)
-    out = np.zeros(M)
-    for idx, nodes, w in window_buckets(tlo, thi, spec.m, np.pi):
-        b, m = nodes.shape
-        pts = np.empty((b * m, 2))
-        pts[:, 0] = (x[idx, None] + R[idx, None] * np.cos(nodes)).ravel()
-        pts[:, 1] = (R[idx, None] * np.sin(nodes)).ravel()
-        vals = eval_chunked(phi.eval_array, pts).reshape(b, m)
-        out[idx] = (vals * w).sum(axis=1) * R[idx]
-    return out
+        return _windowed_sums(tlo[:, None], thi[:, None], counts[:, None], arc) * R
 
-
-def _sonar_batch_nd(phi, XP, R, spec):
-    n = phi.n
-    M = XP.shape[0]
-    clo = np.zeros(M)
-    chi = np.ones(M)
-    alpha = np.zeros(M)
-    halfang = np.full(M, np.pi)
+    # n = 3: polar cosine c = y_3 / r against the azimuth
+    clo = np.zeros(len(R))
+    chi = np.ones(len(R))
+    d = np.zeros_like(XP)
+    circ = np.inf
     if phi.box is not None:
         b2lo, b2hi = phi.box[-1]
         clo = np.clip(max(b2lo, 0.0) / R, 0.0, 1.0)
-        chi = np.minimum(chi, np.clip(b2hi / R, 0.0, 1.0))
+        chi = np.clip(b2hi / R, 0.0, 1.0)
         c, h = _center_halfwidth(phi.box[:-1])
         circ = float(np.linalg.norm(h))
         d = c[None, :] - XP
@@ -154,61 +186,21 @@ def _sonar_batch_nd(phi, XP, R, spec):
         # lateral reach r sin(theta) must fall inside [dist-circ, dist+circ]
         near = np.clip((dist - circ) / R, 0.0, None)
         farr = np.clip((dist + circ) / R, 0.0, 1.0)
-        feas = near < 1.0
-        chi = np.where(feas, np.minimum(chi, np.sqrt(np.clip(1 - near ** 2, 0, 1))), clo)
+        chi = np.where(near < 1.0, np.minimum(chi, np.sqrt(np.clip(1 - near ** 2, 0, 1))), clo)
         clo = np.maximum(clo, np.sqrt(np.clip(1 - farr ** 2, 0, 1)))
-        if n == 3:
-            alpha = np.arctan2(d[:, 1], d[:, 0])
-            with np.errstate(invalid="ignore"):
-                halfang = np.where(dist <= circ, np.pi,
-                                   np.arcsin(np.clip(circ / np.maximum(dist, 1e-300), 0, 1)))
-    out = np.zeros(M)
-    if n == 3:
-        valid, cnt_c = tier_counts(clo, chi, spec.m, 1.0)
-        _, cnt_a = tier_counts(alpha - halfang, alpha + halfang, 2 * spec.m,
-                               2 * np.pi, min_nodes=16, max_nodes=2 * spec.m)
-        key = cnt_c * 100000 + cnt_a
-        for k in np.unique(key[valid]):
-            idx = np.nonzero(valid & (key == k))[0]
-            mc, ma = int(cnt_c[idx[0]]), int(cnt_a[idx[0]])
-            cn, cw = mapped_rule(clo[idx], chi[idx], mc)          # (b, mc)
-            full = halfang[idx[0]] >= np.pi
-            if full:
-                ang = (np.arange(ma) + 0.5) * (2 * np.pi / ma)
-                an = np.broadcast_to(ang, (len(idx), ma))
-                aw = np.full((len(idx), ma), 2 * np.pi / ma)
-            else:
-                an, aw = mapped_rule(alpha[idx] - halfang[idx],
-                                     alpha[idx] + halfang[idx], ma)
-            sin_pol = np.sqrt(np.clip(1 - cn ** 2, 0, 1))          # (b, mc)
-            rad = R[idx][:, None, None] * sin_pol[:, :, None]      # (b, mc, 1)
-            pts = np.empty((len(idx), mc, ma, 3))
-            pts[..., 0] = XP[idx, 0][:, None, None] + rad * np.cos(an)[:, None, :]
-            pts[..., 1] = XP[idx, 1][:, None, None] + rad * np.sin(an)[:, None, :]
-            pts[..., 2] = (R[idx][:, None] * cn)[:, :, None]
-            vals = eval_chunked(phi.eval_array, pts.reshape(-1, 3)).reshape(len(idx), mc, ma)
-            w = cw[:, :, None] * aw[:, None, :]
-            out[idx] = (vals * w).sum(axis=(1, 2)) * R[idx] ** 2
-        return out
-    # n >= 4: full product chart, no angular windowing
-    from .quadrature import sphere_nodes
-    mc = spec.m
-    omega, womega = sphere_nodes(n - 2, max(16, spec.m // 2))
-    gx, gw = gauss_rule(mc)
-    for i in range(M):
-        if chi[i] <= clo[i]:
-            continue
-        half = 0.5 * (chi[i] - clo[i])
-        cn = clo[i] + half * (gx + 1.0)
-        cw = half * gw
-        sin_pol = np.sqrt(np.clip(1 - cn ** 2, 0, 1))
-        yp = XP[i][None, None, :] + R[i] * sin_pol[:, None, None] * omega[None, :, :]
-        pts = np.concatenate([yp, np.broadcast_to((R[i] * cn)[:, None, None],
-                                                  yp.shape[:2] + (1,))], axis=2)
-        vals = eval_chunked(phi.eval_array, pts.reshape(-1, n)).reshape(mc, -1)
-        jac = (1 - cn ** 2) ** ((n - 3) / 2)
-        out[i] = R[i] ** (n - 1) * np.einsum("c,c,co,o->", cw, jac, vals, womega)
-    return out
+    lo, hi, counts, full = _polar_windows(clo, chi, 1.0, d, circ, spec.m)
+
+    def cap(idx, nodes):
+        cn, an = nodes
+        r = R[idx, None, None]
+        rad = r * np.sqrt(np.clip(1 - cn ** 2, 0, 1))
+        pts = _grid_points(nodes, 3)
+        pts[..., 0] = XP[idx, 0][:, None, None] + rad * np.cos(an)
+        pts[..., 1] = XP[idx, 1][:, None, None] + rad * np.sin(an)
+        pts[..., 2] = r * cn
+        return _eval_grid(phi, pts)
+
+    return _windowed_sums(lo, hi, counts, cap, full) * R ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -263,84 +255,60 @@ def _parabolic_batch(f, X, spec, variant):
         raise DomainError(f"unknown parabolic variant {variant!r}")
     if variant == "restricted" and np.min(X[:, -1]) <= 0:
         raise DomainError("restricted parabolic transform requires x_n > 0")
+    if f.n not in (2, 3):
+        raise DomainError("parabolic transform implemented for n in {2, 3}")
     box = _box_or_default(f, spec)
     xn = X[:, -1]
     b2lo, b2hi = box[-1]
     rhi2 = xn - b2lo
     if variant == "restricted":
         rhi2 = np.minimum(rhi2, xn)
-    rlo2 = np.maximum(xn - b2hi, 0.0)
+    rlo = np.sqrt(np.maximum(xn - b2hi, 0.0))
     rhi = np.sqrt(np.maximum(rhi2, 0.0))
-    rlo = np.sqrt(rlo2)
+    surface = variant == "surface_measure"
+
     if f.n == 2:
-        return _parabolic_batch_2d(f, X, spec, variant, box, rlo, rhi)
-    if f.n == 3:
-        return _parabolic_batch_3d(f, X, spec, variant, box, rlo, rhi)
-    raise DomainError("parabolic transform implemented for n in {2, 3}")
+        x = X[:, 0]
+        (b1lo, b1hi), _ = box
 
+        def line(idx, nodes):
+            (y,) = nodes
+            pts = _grid_points(nodes, 2)
+            pts[..., 0] = x[idx, None] - y
+            pts[..., 1] = xn[idx, None] - y ** 2
+            vals = _eval_grid(f, pts)
+            return vals * np.sqrt(1 + 4 * y ** 2) if surface else vals
 
-def _parabolic_batch_2d(f, X, spec, variant, box, rlo, rhi):
-    x = X[:, 0]
-    xn = X[:, 1]
-    (b1lo, b1hi), _ = box
-    wlo = x - b1hi
-    whi = x - b1lo
-    width_ref = b1hi - b1lo
-    out = np.zeros(X.shape[0])
-    # the support is an annulus in y: handle the two radial sides separately
-    sides = ((np.maximum(rlo, wlo), np.minimum(rhi, whi)),
-             (np.maximum(-rhi, wlo), np.minimum(-rlo, whi)))
-    for lo, hi in sides:
-        for idx, nodes, w in window_buckets(lo, hi, spec.m, width_ref):
-            b, m = nodes.shape
-            pts = np.empty((b * m, 2))
-            pts[:, 0] = (x[idx, None] - nodes).ravel()
-            pts[:, 1] = (xn[idx, None] - nodes ** 2).ravel()
-            vals = eval_chunked(f.eval_array, pts).reshape(b, m)
-            if variant == "surface_measure":
-                vals = vals * np.sqrt(1 + 4 * nodes ** 2)
-            out[idx] += (vals * w).sum(axis=1)
-    return out
+        # the support is an annulus in y: integrate its two radial sides apart
+        out = 0.0
+        for lo, hi in ((np.maximum(rlo, x - b1hi), np.minimum(rhi, x - b1lo)),
+                       (np.maximum(-rhi, x - b1hi), np.minimum(-rlo, x - b1lo))):
+            counts = tier_counts(lo, hi, spec.m, b1hi - b1lo)
+            out = out + _windowed_sums(lo[:, None], hi[:, None], counts[:, None], line)
+        return out
 
-
-def _parabolic_batch_3d(f, X, spec, variant, box, rlo, rhi):
+    # n = 3: polar coordinates in y', centred on the support disc at x' - c
     xp = X[:, :2]
-    xn = X[:, 2]
     c, h = _center_halfwidth(box[:-1])
     circ = float(np.linalg.norm(h))
-    d = xp - c[None, :]                       # y' window is centered at x' - c
+    d = xp - c[None, :]
     dist = np.linalg.norm(d, axis=1)
     rlo = np.maximum(rlo, np.maximum(dist - circ, 0.0))
     rhi = np.minimum(rhi, dist + circ)
-    with np.errstate(invalid="ignore"):
-        halfang = np.where(dist <= circ, np.pi,
-                           np.arcsin(np.clip(circ / np.maximum(dist, 1e-300), 0, 1)))
-    alpha = np.arctan2(d[:, 1], d[:, 0])
-    valid, cnt_r = tier_counts(rlo, rhi, spec.m, 2 * circ)
-    _, cnt_a = tier_counts(alpha - halfang, alpha + halfang, 2 * spec.m,
-                           2 * np.pi, min_nodes=16, max_nodes=2 * spec.m)
-    out = np.zeros(X.shape[0])
-    key = cnt_r * 100000 + cnt_a
-    for k in np.unique(key[valid]):
-        idx = np.nonzero(valid & (key == k))[0]
-        mr, ma = int(cnt_r[idx[0]]), int(cnt_a[idx[0]])
-        rn, rw = mapped_rule(rlo[idx], rhi[idx], mr)
-        if halfang[idx[0]] >= np.pi:
-            ang = (np.arange(ma) + 0.5) * (2 * np.pi / ma)
-            an = np.broadcast_to(ang, (len(idx), ma))
-            aw = np.full((len(idx), ma), 2 * np.pi / ma)
-        else:
-            an, aw = mapped_rule(alpha[idx] - halfang[idx], alpha[idx] + halfang[idx], ma)
-        pts = np.empty((len(idx), mr, ma, 3))
-        pts[..., 0] = xp[idx, 0][:, None, None] - rn[:, :, None] * np.cos(an)[:, None, :]
-        pts[..., 1] = xp[idx, 1][:, None, None] - rn[:, :, None] * np.sin(an)[:, None, :]
-        pts[..., 2] = xn[idx][:, None, None] - (rn ** 2)[:, :, None]
-        vals = eval_chunked(f.eval_array, pts.reshape(-1, 3)).reshape(len(idx), mr, ma)
-        if variant == "surface_measure":
-            vals = vals * np.sqrt(1 + 4 * rn ** 2)[:, :, None]
-        w = (rn * rw)[:, :, None] * aw[:, None, :]
-        out[idx] += (vals * w).sum(axis=(1, 2))
-    return out
+    lo, hi, counts, full = _polar_windows(rlo, rhi, 2 * circ, d, circ, spec.m)
+
+    def disc(idx, nodes):
+        rn, an = nodes
+        pts = _grid_points(nodes, 3)
+        pts[..., 0] = xp[idx, 0][:, None, None] - rn * np.cos(an)
+        pts[..., 1] = xp[idx, 1][:, None, None] - rn * np.sin(an)
+        pts[..., 2] = xn[idx][:, None, None] - rn ** 2
+        vals = _eval_grid(f, pts)
+        if surface:
+            vals = vals * np.sqrt(1 + 4 * rn ** 2)
+        return vals * rn
+
+    return _windowed_sums(lo, hi, counts, disc, full)
 
 
 # ---------------------------------------------------------------------------
@@ -377,41 +345,6 @@ def transversal_field(psi: ScalarField, spec=None) -> ScalarField:
 
 
 def _transversal_batch(psi, X, spec):
-    if psi.n == 2:
-        return _transversal_batch_2d(psi, X, spec)
-    return _transversal_batch_nd(psi, X, spec)
-
-
-def _transversal_batch_2d(psi, X, spec):
-    sig = X[:, 0]
-    tau = X[:, 1]
-    box = _box_or_default(psi, spec)
-    (b1lo, b1hi), (b2lo, b2hi) = box
-    lo = np.full(X.shape[0], b1lo)
-    hi = np.full(X.shape[0], b1hi)
-    live = np.abs(sig) > 1e-300
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e1 = (b2lo - tau) / sig
-        e2 = (b2hi - tau) / sig
-    slab_lo = np.minimum(e1, e2)
-    slab_hi = np.maximum(e1, e2)
-    lo = np.where(live, np.maximum(lo, slab_lo), lo)
-    hi = np.where(live, np.minimum(hi, slab_hi), hi)
-    # slope 0: the second slot is constant tau; support check only
-    flat_dead = (~live) & ((tau < b2lo) | (tau > b2hi))
-    hi = np.where(flat_dead, lo, hi)
-    out = np.zeros(X.shape[0])
-    for idx, nodes, w in window_buckets(lo, hi, spec.m, b1hi - b1lo):
-        b, m = nodes.shape
-        pts = np.empty((b * m, 2))
-        pts[:, 0] = nodes.ravel()
-        pts[:, 1] = (sig[idx, None] * nodes + tau[idx, None]).ravel()
-        vals = eval_chunked(psi.eval_array, pts).reshape(b, m)
-        out[idx] = (vals * w).sum(axis=1)
-    return out
-
-
-def _transversal_batch_nd(psi, X, spec):
     """Rotated-frame evaluation: the first frame axis is the slope direction,
     so the hyperplane constraint becomes a 1-D slab in that coordinate."""
     n = psi.n
@@ -442,50 +375,28 @@ def _transversal_batch_nd(psi, X, spec):
         e2 = (b2hi - tau) / smag
     lo[live, 0] = np.maximum(lo[live, 0], np.minimum(e1, e2)[live])
     hi[live, 0] = np.minimum(hi[live, 0], np.maximum(e1, e2)[live])
+    # slope 0: the last slot is constant tau; support check only
     flat_dead = (~live) & ((tau < b2lo) | (tau > b2hi))
     hi[flat_dead, 0] = lo[flat_dead, 0]
 
     width_ref = 2 * float(np.max(h)) if np.max(h) > 0 else 1.0
-    valid = np.ones(M, dtype=bool)
-    cnts = np.empty((M, k), dtype=int)
-    for j in range(k):
-        vj, cj = tier_counts(lo[:, j], hi[:, j], spec.m, width_ref)
-        valid &= vj
-        cnts[:, j] = cj
-    out = np.zeros(M)
-    if not valid.any():
-        return out
-    keys, inverse = np.unique(cnts[valid], axis=0, return_inverse=True)
-    vidx = np.nonzero(valid)[0]
-    for g in range(keys.shape[0]):
-        gidx = vidx[inverse == g]
-        ms = [int(v) for v in keys[g]]
-        nodes_per_pt = int(np.prod(ms))
-        # bound the tensor-product temporaries, not just the field eval
-        sub = max(1, 2_000_000 // nodes_per_pt)
-        for s0 in range(0, len(gidx), sub):
-            idx = gidx[s0:s0 + sub]
-            axis_nodes, axis_w = [], []
-            for j, m in enumerate(ms):
-                nj, wj = mapped_rule(lo[idx, j], hi[idx, j], m)
-                axis_nodes.append(nj)
-                axis_w.append(wj)
-            # tensor product in the rotated frame, then rotate back
-            shape = (len(idx),) + tuple(ms)
-            coords = np.empty(shape + (k,))
-            wts = np.ones(shape)
-            for j in range(k):
-                sl = (slice(None),) + tuple(
-                    None if a != j else slice(None) for a in range(k))
-                coords[..., j] = axis_nodes[j][sl]
-                wts = wts * axis_w[j][sl]
-            flat = coords.reshape(len(idx), -1, k)
-            yp = np.einsum("bik,bkj->bij", flat, basis[idx])
-            second = smag[idx][:, None] * flat[..., 0] + tau[idx][:, None]
-            pts = np.concatenate([yp, second[..., None]], axis=2).reshape(-1, n)
-            vals = eval_chunked(psi.eval_array, pts).reshape(len(idx), -1)
-            out[idx] = (vals * wts.reshape(len(idx), -1)).sum(axis=1)
-    return out
+    counts = tier_counts(lo, hi, spec.m, width_ref)
+
+    def plane(idx, u):
+        def rows(a):
+            return a[idx].reshape((-1,) + (1,) * k)
+
+        # y' = sum_j u_j basis_j: the frame rotated back to the original axes
+        pts = _grid_points(u, n)
+        for i in range(k):
+            yi = u[0] * rows(basis[:, 0, i])
+            for j in range(1, k):
+                yi = yi + u[j] * rows(basis[:, j, i])
+            pts[..., i] = yi
+        pts[..., k] = rows(smag) * u[0] + rows(tau)
+        return _eval_grid(psi, pts)
+
+    return _windowed_sums(lo, hi, counts, plane)
 
 
 # ---------------------------------------------------------------------------
@@ -547,18 +458,10 @@ def classical_radon(f: ScalarField, plane: RadonPlane, spec=None) -> float:
         if hi <= lo:
             return 0.0
         m = int(np.clip(np.ceil(spec.m * (hi - lo) / width_ref), 24, spec.m))
-        gx, gw = gauss_rule(m)
-        half = 0.5 * (hi - lo)
-        axes.append((lo + half * (gx + 1.0), half * gw))
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    U = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    W = np.ones(U.shape[0])
-    for g in wgrids:
-        W *= g.ravel()
+        axes.append(line_rule(lo, hi, m))
+    U, W = tensor_rule(axes)
     pts = plane.t * theta[None, :] + U @ B.T
-    vals = eval_chunked(f.eval_array, pts)
-    return float(np.dot(vals, W))
+    return float(np.dot(f.eval_array(pts), W))
 
 
 def slope_intercept_relation(f: ScalarField, plane: RadonPlane, spec=None):

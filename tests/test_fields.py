@@ -78,29 +78,6 @@ def test_field_algebra_and_box_union():
         a + make_test_field("gaussian", 3, (0.0, 0.0, 0.0), 1.0)
 
 
-def test_field_cache_is_transparent():
-    calls = []
-
-    def func(pts):
-        calls.append(len(pts))
-        return np.zeros(len(pts))
-
-    f = ScalarField(2, func).with_cache()
-    pts = np.array([[0.0, 1.0], [2.0, 3.0]])
-    f.eval_array(pts)
-    f.eval_array(pts)
-    assert calls == [2]
-
-
-def test_decay_hint():
-    f = make_test_field("gaussian", 2, (1.0, 0.0), 1.0)
-    # box corner radius: sqrt(9^2 + 8^2)
-    assert f.decay_hint == pytest.approx(math.hypot(9.0, 8.0))
-    g = ScalarField(2, lambda pts: np.zeros(len(pts)), decay_radius=3.0)
-    assert g.decay_hint == 3.0
-    assert ScalarField(2, lambda pts: np.zeros(len(pts))).decay_hint is None
-
-
 def test_gaussian_phantom_values():
     f = make_test_field("gaussian", 2, (0.5, -0.5), 2.0)
     assert f.eval((0.5, -0.5)) == 1.0
@@ -146,20 +123,6 @@ def test_sphere_profile_eval():
         prof.eval((1.0,), 0.0)
     with pytest.raises(DomainError):
         prof.eval_array(np.array([[1.0, 2.0]]), np.array([1.0]))
-
-
-def test_sphere_profile_cache():
-    calls = []
-
-    def func(XP, R):
-        calls.append(len(R))
-        return np.zeros(len(R))
-
-    prof = SphereProfile(2, func).with_cache()
-    XP, R = np.array([[0.0]]), np.array([1.0])
-    prof.eval_array(XP, R)
-    prof.eval_array(XP, R)
-    assert calls == [1]
 
 
 def test_grid_and_sampling():

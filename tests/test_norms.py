@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hemiradon import QuadratureSpec, make_test_field
+from hemiradon import QuadratureSpec, make_test_field, sonar_profile
 from hemiradon.errors import DomainError
 from hemiradon.fields import ScalarField, SphereProfile
 from hemiradon.norms import (
@@ -106,6 +106,18 @@ def test_mixed_norm_validation():
         mixed_norm(f, 3.0, 3.0, "profile_weight")  # needs a profile
     with pytest.raises(DomainError):
         mixed_norm(f, 3.0, 3.0, outer_box=((0.0, 1.0), (0.0, 1.0)))
+
+
+def test_singular_weight_refinement_reads_its_own_rows():
+    """Outer nodes past the support get r-windows away from r = 0, so only
+    some rows are refined under node doubling; each must read its own node."""
+    gh = make_test_field("gaussian", 2, (0.0, 0.0), 1.0, domain="half")
+    vals = []
+    for m in (64, 96):
+        spec = QuadratureSpec(m=m)
+        vals.append(mixed_norm(sonar_profile(gh, spec), 3, 3, "profile_weight", spec,
+                               outer_box=((-12.0, 12.0),)))
+    assert vals[0] == pytest.approx(vals[1], rel=1e-5)
 
 
 def test_outer_box_truncation_is_exact_for_supported_fields():

@@ -1,23 +1,22 @@
-"""Quadrature engine tests: rules, panels, windows, and the tensor integrator."""
+"""Quadrature engine tests: rules, windowed sums, and the tensor integrator."""
 
 import math
 
 import numpy as np
 import pytest
 
-from hemiradon.errors import QuadratureError
+import hemiradon.quadrature as q
+from hemiradon.errors import DomainError, QuadratureError
 from hemiradon.quadrature import (
     QuadratureSpec,
-    eval_chunked,
+    _windowed_sums,
     gauss_rule,
     integrate,
     line_rule,
     mapped_rule,
     octave_edges,
-    panel_rule,
     sphere_nodes,
     tier_counts,
-    window_buckets,
 )
 
 
@@ -42,21 +41,6 @@ def test_line_rule_gauss_cubic():
     assert np.dot(w, x ** 3) == pytest.approx(4.0, abs=1e-13)
 
 
-def test_line_rule_trapezoid_weights():
-    x, w = line_rule(-1.0, 3.0, 9, rule="trapezoid")
-    assert x[0] == -1.0 and x[-1] == 3.0
-    assert w.sum() == pytest.approx(4.0)
-    assert w[0] == pytest.approx(w[4] / 2)
-
-
-def test_panel_rule_log_integrand():
-    # 1/x over [1, 4] panel by panel; exact value log 4
-    edges = octave_edges(1.0, 4.0)
-    x, w = panel_rule(edges, 16)
-    assert np.dot(w, 1.0 / x) == pytest.approx(math.log(4.0), abs=1e-14)
-    assert w.sum() == pytest.approx(3.0)
-
-
 def test_octave_edges_structure():
     np.testing.assert_allclose(octave_edges(1.0, 10.0), [1.0, 2.0, 4.0, 8.0, 10.0])
     np.testing.assert_allclose(octave_edges(3.0, 4.0), [3.0, 4.0])
@@ -64,20 +48,6 @@ def test_octave_edges_structure():
         octave_edges(0.0, 5.0)
     with pytest.raises(QuadratureError):
         octave_edges(5.0, 5.0)
-
-
-def test_eval_chunked_matches_direct(monkeypatch):
-    import hemiradon.quadrature as q
-
-    pts = np.linspace(-1, 1, 101)[:, None]
-    direct = (pts[:, 0] ** 2).copy()
-    monkeypatch.setattr(q, "CHUNK", 17)
-    out = q.eval_chunked(lambda p: p[:, 0] ** 2, pts)
-    np.testing.assert_allclose(out, direct)
-
-
-def test_eval_chunked_empty():
-    assert eval_chunked(lambda p: p[:, 0], np.zeros((0, 2))).shape == (0,)
 
 
 def test_integrate_gaussian_2d():
@@ -101,6 +71,20 @@ def test_integrate_scalar_fallback():
     assert got == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("error", [DomainError, ZeroDivisionError])
+def test_integrate_raising_integrand_called_once(error):
+    # a batched integrand that raises is not retried one node at a time
+    calls = []
+
+    def integrand(p):
+        calls.append(len(p))
+        raise error("integrand failed")
+
+    with pytest.raises(error):
+        integrate(integrand, 2, QuadratureSpec(R_max=1.0, m=40))
+    assert calls == [1600]
+
+
 def test_integrate_rejects_nonfinite():
     spec = QuadratureSpec(R_max=1.0, m=40)
     with pytest.raises(QuadratureError):
@@ -115,17 +99,9 @@ def test_integrate_rejects_huge_tensor():
 
 def test_spec_validation():
     with pytest.raises(QuadratureError):
-        QuadratureSpec(rule="simpson")
-    with pytest.raises(QuadratureError):
         QuadratureSpec(m=1)
     with pytest.raises(QuadratureError):
         QuadratureSpec(R_max=0.0)
-    with pytest.raises(QuadratureError):
-        QuadratureSpec(eps=-0.1)
-    with pytest.raises(QuadratureError):
-        QuadratureSpec(eps_schedule=(0.1, 0.2))
-    with pytest.raises(QuadratureError):
-        QuadratureSpec(eps_schedule=(0.1, -0.05))
 
 
 def test_spec_for_dimension_defaults():
@@ -136,39 +112,116 @@ def test_spec_for_dimension_defaults():
     assert spec.R_max == 4.0 and spec.m == 200
 
 
-def test_window_buckets_integrates_per_row():
-    """Each bucket's mapped rows integrate their own window."""
-    lo = np.array([0.0, -1.0, 2.0, 5.0])
-    hi = np.array([1.0, 1.0, 2.0, 15.0])
-    total = np.zeros(4)
-    for idx, nodes, w in window_buckets(lo, hi, 64, 10.0):
-        total[idx] = (nodes ** 2 * w).sum(axis=1)
-    exact = (hi ** 3 - lo ** 3) / 3.0
-    # the hi <= lo row is dropped, so its slot stays zero
-    np.testing.assert_allclose(total[[0, 1, 3]], exact[[0, 1, 3]], rtol=1e-12)
-    assert total[2] == 0.0
+def test_windowed_sums_polynomial_exactness():
+    """Each row integrates its own window, in one and in two dimensions."""
+    lo = np.array([[0.0], [-1.0], [2.0], [5.0]])
+    hi = np.array([[1.0], [1.0], [2.0], [15.0]])
+    got = _windowed_sums(lo, hi, tier_counts(lo, hi, 64, 10.0),
+                         lambda idx, x: x[0] ** 5 + 1.0)
+    exact = (hi[:, 0] ** 6 - lo[:, 0] ** 6) / 6.0 + (hi[:, 0] - lo[:, 0])
+    np.testing.assert_allclose(got[[0, 1, 3]], exact[[0, 1, 3]], rtol=1e-12)
+    # the hi <= lo row sums to zero
+    assert got[2] == 0.0
+
+    lo = np.array([[0.0, -1.0], [-2.0, 0.5], [1.0, 1.0], [0.0, 0.0]])
+    hi = np.array([[1.0, 2.0], [6.0, 9.5], [3.0, 1.0], [0.0, 4.0]])
+    counts = tier_counts(lo, hi, 64, 10.0, min_nodes=8)
+    assert len({tuple(c) for c in counts[:2]}) == 2      # two groups
+    got = _windowed_sums(lo, hi, counts, lambda idx, x: x[0] ** 2 * x[1] ** 3)
+    exact = (hi[:, 0] ** 3 - lo[:, 0] ** 3) / 3.0 * (hi[:, 1] ** 4 - lo[:, 1] ** 4) / 4.0
+    np.testing.assert_allclose(got[:2], exact[:2], rtol=1e-12)
+    assert list(got[2:]) == [0.0, 0.0]
+
+
+def test_windowed_sums_empty_windows():
+    def never(idx, x):
+        raise AssertionError("no row to integrate")
+
+    lo = np.array([[1.0, 0.0], [0.0, 0.0]])
+    hi = np.array([[1.0, 1.0], [1.0, -1.0]])
+    out = _windowed_sums(lo, hi, tier_counts(lo, hi, 64, 10.0), never)
+    assert list(out) == [0.0, 0.0]
+    assert _windowed_sums(np.zeros((0, 1)), np.zeros((0, 1)),
+                          np.zeros((0, 1), dtype=int), never).shape == (0,)
+
+
+def test_windowed_sums_periodic_axis_uses_midpoint_rule():
+    # cos(m t) at the m midpoints (j + 1/2) 2 pi / m reads -1 everywhere, so
+    # the midpoint rule returns -2 pi; Gauss-Legendre, used for the same
+    # counts on the non-periodic row, does not
+    m = 16
+    lo = np.array([[0.0, 0.0], [0.0, 0.0]])
+    hi = np.array([[1.0, 2 * np.pi], [1.0, 2 * np.pi]])
+    counts = np.array([[8, m], [8, m]])
+    seen = {}
+
+    def integrand(idx, x):
+        seen.update((int(i), x[1][r].ravel()) for r, i in enumerate(idx))
+        return np.cos(m * x[1]) * np.ones_like(x[0])
+
+    got = _windowed_sums(lo, hi, counts, integrand, np.array([True, False]))
+    assert got[0] == pytest.approx(-2 * np.pi, rel=1e-12)
+    assert abs(got[1] + 2 * np.pi) > 1.0
+    np.testing.assert_allclose(seen[0], (np.arange(m) + 0.5) * (2 * np.pi / m), rtol=1e-15)
+
+
+def test_windowed_sums_node_cap_is_transparent(monkeypatch):
+    rng = np.random.default_rng(3)
+    lo = rng.uniform(-2.0, 0.0, size=(40, 2))
+    hi = lo + rng.uniform(0.1, 10.0, size=(40, 2))
+    counts = tier_counts(lo, hi, 32, 10.0, min_nodes=4)
+    batches = []
+
+    def integrand(idx, x):
+        batches.append((len(idx), x[0].shape[1] * x[1].shape[2]))
+        return np.exp(-x[0] ** 2) * np.cos(x[1])
+
+    direct = _windowed_sums(lo, hi, counts, integrand)
+    assert max(b * per_row for b, per_row in batches) > 64
+    batches.clear()
+    monkeypatch.setattr(q, "_NODE_CAP", 64)
+    capped = _windowed_sums(lo, hi, counts, integrand)
+    np.testing.assert_array_equal(capped, direct)
+    # a batch exceeds the cap only when one row alone does
+    assert all(b * per_row <= 64 or b == 1 for b, per_row in batches)
+    assert sum(b for b, _ in batches) == 40
+
+
+def _window_sizes(lo, hi, counts):
+    """Node count the windowed kernel gives each row it integrates."""
+    sizes = {}
+
+    def integrand(idx, x):
+        for i in idx:
+            sizes[int(i)] = x[0].shape[1]
+        return np.ones_like(x[0])
+
+    _windowed_sums(lo[:, None], hi[:, None], counts[:, None], integrand)
+    return sizes
 
 
 def test_window_buckets_tier_quantization():
     lo = np.zeros(3)
     hi = np.array([0.1, 5.0, 10.0])
-    sizes = {}
-    for idx, nodes, _ in window_buckets(lo, hi, 64, 10.0, min_nodes=8, max_nodes=64):
-        for i in idx:
-            sizes[int(i)] = nodes.shape[1]
+    sizes = _window_sizes(lo, hi, tier_counts(lo, hi, 64, 10.0, min_nodes=8, max_nodes=64))
     # narrow window floors at min_nodes, counts grow as min_nodes * 2^j
     assert sizes[0] == 8
     assert sizes[1] in (32, 64)
     assert sizes[2] == 64
+    # and stop at max_nodes (m_ref by default)
+    assert list(tier_counts(lo, hi, 64, 10.0, min_nodes=8)) == [8, 32, 64]
+    assert list(tier_counts(lo, hi, 64, 10.0, min_nodes=8, max_nodes=16)) == [8, 16, 16]
 
 
 def test_tier_counts_matches_window_buckets_policy():
     lo = np.array([0.0, 0.0, 3.0])
     hi = np.array([10.0, 0.5, 3.0])
-    valid, counts = tier_counts(lo, hi, 64, 10.0, min_nodes=8)
-    assert list(valid) == [True, True, False]
+    counts = tier_counts(lo, hi, 64, 10.0, min_nodes=8)
     assert counts[0] == 64
     assert counts[1] == 8
+    # an empty window gets the floor, and the kernel drops its row
+    assert counts[2] == 8
+    assert _window_sizes(lo, hi, counts) == {0: 64, 1: 8}
 
 
 def test_mapped_rule_rows():

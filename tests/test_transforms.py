@@ -92,6 +92,38 @@ def test_sonar_domain_checks():
         sonar_transform(phi, (0.0, 0.0), 1.0)
 
 
+def test_sonar_rejects_n4():
+    phi = make_test_field("bump", 4, (0.0, 0.0, 0.0, 1.0), 0.5, domain="half")
+    with pytest.raises(DomainError):
+        sonar_transform(phi, (0.0, 0.0, 0.0), 1.0)
+    with pytest.raises(DomainError):
+        sonar_profile(phi)
+
+
+@pytest.mark.parametrize("m", [6, 8, 80])
+def test_polar_rows_batch_like_single_rows(m):
+    """A full-circle row and a partial-arc row evaluated together each get
+    their own angular rule; at m <= 8 both have 16 angular nodes."""
+    spec = QuadratureSpec(m=m)
+    bump3d_half = make_test_field("bump", 3, (0.0, 0.0, 1.0), 0.5, domain="half")
+    prof = sonar_profile(bump3d_half, spec)
+    # x' = 0 sees the whole circle of the support; x' = (2, 0.3) an arc
+    XP = np.array([[0.0, 0.1], [2.0, 0.3]])
+    R = np.array([1.0, 2.2])
+    both = prof.eval_array(XP, R)
+    for i in range(2):
+        alone = prof.eval_array(XP[i:i + 1], R[i:i + 1])[0]
+        assert both[i] == pytest.approx(alone, rel=1e-13)
+
+    bump3d = make_test_field("bump", 3, (0.0, 0.0, 1.0), 0.5)
+    field = parabolic_field(bump3d, spec)
+    X = np.array([[0.1, 0.0, 1.5], [2.0, 0.3, 5.0]])
+    both = field.eval_array(X)
+    for i in range(2):
+        alone = field.eval_array(X[i:i + 1])[0]
+        assert both[i] == pytest.approx(alone, rel=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # parabolic
 # ---------------------------------------------------------------------------
@@ -255,7 +287,7 @@ def test_point_input_accepted():
 
 def test_spec_override_changes_rule():
     f = make_test_field("gaussian", 2, (0.0, 0.0), 1.0)
-    coarse = QuadratureSpec(m=24, rule="trapezoid")
+    coarse = QuadratureSpec(m=24)
     got = transversal_transform(f, (0.4, 0.2), coarse)
     exact = transversal_gaussian_exact((0.4,), 0.2)
     assert got == pytest.approx(exact, rel=0.05)
