@@ -223,7 +223,7 @@ def _resolve_recon_cfg(p: Params, n: int, spec: QuadratureSpec):
         stencil_h=cfg.stencil_h,
         y_radius=cfg.y_radius,
         bp_stop=cfg.bp_stop,
-        bp_core_nodes=cfg.g_spec.m if cfg.g_spec is not None else "",
+        bp_direction_nodes=cfg.g_spec.m if cfg.g_spec is not None else "",
     )
     return cfg
 
@@ -497,7 +497,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--stencil-h", dest="stencil_h", help="Laplacian stencil spacing")
     sp.add_argument("--exponent", help="hypersingular kernel power")
     sp.add_argument("--y-radius", dest="y_radius", help="hypersingular outer radius")
-    sp.add_argument("--bp-stop", dest="bp_stop", help="backprojection outer radius")
+    sp.add_argument("--bp-stop", dest="bp_stop",
+                    help="backprojection slope cutoff; default none")
 
     sp = sub.add_parser("verify", help="check an operator identity")
     common(sp)

@@ -2,8 +2,13 @@
 
 Each forward transform is inverted through the same intermediate field g: a
 kernel-weighted backprojection of the data over all slopes (or paraboloid
-centers). The target function is then recovered from g by a power of the
-negative Laplacian, realized two ways:
+centers). Under the slope-intercept relation u = tan(theta) the slope
+integral is the classical backprojection over the half circle (n = 2) or
+hemisphere (n = 3) of directions, where the integrand is smooth and
+bounded; the slope nodes are therefore a Gauss rule in the polar angle
+times a uniform azimuth rule, weighted by the exact Jacobian, with no
+truncation unless a slope cutoff is asked for. The target function is then
+recovered from g by a power of the negative Laplacian, realized two ways:
 
 * ``hypersingular``: the eps-limit integral of the ell-th finite difference
   of g against |y|^(-exponent), extrapolated in eps and normalized by
@@ -64,14 +69,17 @@ class ReconstructionConfig:
         Gauss nodes per radial panel and base angular count of that
         integral.
     bp_stop:
-        Outer truncation radius of the backprojection slope grid (the grid
-        runs in octave panels from the core radius g_spec.R_max out to
-        bp_stop; transversal data uses the doubled grid).
+        Slope cutoff of the backprojection: only slopes |z| <= bp_stop
+        (|u| <= 2 bp_stop for transversal data) enter, the polar angle
+        running up to arctan(2 bp_stop). The default, infinity, integrates
+        over every direction with no truncation.
     bp_angular_nodes:
-        Angular nodes of the polar slope grid in n = 3.
+        Azimuths of the direction grid in n = 3 (uniform on the circle).
     g_spec:
-        QuadratureSpec sizing the core of the slope grid; None defers to
-        the per-dimension default.
+        QuadratureSpec whose ``m`` is the number of Gauss nodes in the polar
+        angle of the direction grid: the m directions of the half circle
+        for n = 2, m polar cosines times bp_angular_nodes azimuths for
+        n = 3. None defers to the caller's forward spec.
     """
 
     ell: int = 1
@@ -81,7 +89,7 @@ class ReconstructionConfig:
     y_radius: float = 8.0
     hyper_radial_nodes: int = 10
     hyper_angular_nodes: int = 20
-    bp_stop: float = 8192.0
+    bp_stop: float = math.inf
     bp_angular_nodes: int = 24
     g_spec: QuadratureSpec | None = None
 
@@ -111,20 +119,16 @@ class ReconstructionConfig:
         """Defaults per dimension: ell = n-1 for even n, ell = n for odd n."""
         params = {
             "ell": n - 1 if n % 2 == 0 else n,
-            # the slope grid needs far fewer core nodes than the forward
-            # transforms; windowed data evaluation dominates the cost
-            "g_spec": QuadratureSpec.for_dimension(n).with_(m=96 if n == 2 else 64),
-            # the n = 3 kernel tail decays one power slower, so the slope
-            # integral needs a wider cutoff to push truncation bias below
-            # the stencil error of the Laplacian route
-            "bp_stop": 8192.0 if n == 2 else float(2 ** 18),
+            # polar nodes of the direction grid: doubling them moves each
+            # kind's reconstruction by less than a tenth of its error
+            "g_spec": QuadratureSpec.for_dimension(n).with_(m=96 if n == 2 else 48),
         }
         params.update(overrides)
         return cls(**params)
 
     def refined(self) -> "ReconstructionConfig":
-        """A uniformly sharper configuration: halved eps cutoffs, doubled core
-        grid, and wider/denser outer panels."""
+        """A uniformly sharper configuration: halved eps cutoffs, doubled
+        polar direction nodes, and a wider, denser hypersingular integral."""
         g = self.g_spec
         if g is not None:
             g = g.with_(m=g.m * 2)
@@ -154,41 +158,39 @@ def _resolve_cfg(n: int, cfg, spec) -> ReconstructionConfig:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=16)
-def _slope_grid(n: int, spec: QuadratureSpec, stop: float, angular: int):
-    """x-independent slope-space nodes/weights: core rule plus octave panels.
+def _slope_grid(n: int, m: int, stop: float, azimuths: int):
+    """x-independent slope nodes/weights: a rule over the directions of the
+    upper half circle (n = 2) or hemisphere (n = 3).
+
+    The direction at polar angle theta from the last axis, with azimuth
+    omega on the circle for n = 3, is the slope z = tan(theta)/2 (n = 2,
+    theta signed) or z = tan(theta)/2 * omega (n = 3), so that |z| <= stop
+    means |theta| <= arctan(2 stop). The polar rule is ``m`` Gauss nodes in
+    the variable s with ds = sin^(n-2)(theta) dtheta, the polar part of the
+    surface measure: theta on the whole half circle for n = 2, cos(theta)
+    for n = 3, where the azimuths get the uniform ``azimuths``-point rule.
+    The weights carry the exact Jacobian dz = 2^(1-n) cos^(-n)(theta) ds
+    domega: against the kernel (1+4|z|^2)^(-(n-1)/2) = cos^(n-1)(theta) and
+    data that decays like cos(theta), the integrand is the bounded classical
+    backprojection over directions.
 
     Returns (Z, W) with Z of shape (N, n-1). The grid is shared by all
     backprojection kinds; transversal data reads it scaled by 2.
     """
-    core = spec.R_max
+    top = math.atan(2.0 * stop)
     if n == 2:
-        cx, cw = line_rule(-core, core, spec.m)
-        pn = max(12, spec.m // 8)
-        gx, gw = gauss_rule(pn)
-        edges = octave_edges(core, stop)
-        a, b = edges[:-1], edges[1:]
-        half = 0.5 * (b - a)
-        px = ((a + half)[:, None] + half[:, None] * gx[None, :]).ravel()
-        pw = (half[:, None] * gw[None, :]).ravel()
-        Z = np.concatenate([cx, px, -px])[:, None]
-        W = np.concatenate([cw, pw, pw])
-        return Z, W
-    if n == 3:
-        rx, rw = line_rule(0.0, core, max(16, spec.m // 2))
-        gx, gw = gauss_rule(12)
-        edges = octave_edges(core, stop)
-        a, b = edges[:-1], edges[1:]
-        half = 0.5 * (b - a)
-        px = ((a + half)[:, None] + half[:, None] * gx[None, :]).ravel()
-        pw = (half[:, None] * gw[None, :]).ravel()
-        rho = np.concatenate([rx, px])
-        wr = np.concatenate([rw, pw]) * rho          # polar Jacobian
-        ang = (np.arange(angular) + 0.5) * (2 * np.pi / angular)
-        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        Z = (rho[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
-        W = np.repeat(wr * (2 * np.pi / angular), angular)
-        return Z, W
-    raise DomainError("backprojection implemented for n in {2, 3}")
+        omega, aw = np.ones((1, 1)), np.ones(1)
+        theta, ws = line_rule(-top, top, m)
+    elif n == 3:
+        omega, aw = sphere_nodes(1, azimuths)
+        c, ws = line_rule(math.cos(top), 1.0, m)
+        theta = np.arccos(c)
+    else:
+        raise DomainError("backprojection implemented for n in {2, 3}")
+    wz = ws / (2.0 ** (n - 1) * np.cos(theta) ** n)
+    Z = (0.5 * np.tan(theta)[:, None, None] * omega[None, :, :]).reshape(-1, n - 1)
+    W = (wz[:, None] * aw[None, :]).ravel()
+    return Z, W
 
 
 def _check_bp_data(kind, data, n):
@@ -209,7 +211,7 @@ def _check_bp_data(kind, data, n):
 def _bp_batch(kind, data, X, cfg) -> np.ndarray:
     """Backprojection values at an (M, n) batch of output points."""
     n = X.shape[1]
-    Z, W = _slope_grid(n, cfg.g_spec, cfg.bp_stop, cfg.bp_angular_nodes)
+    Z, W = _slope_grid(n, cfg.g_spec.m, cfg.bp_stop, cfg.bp_angular_nodes)
     if kind == "transversal":
         U = 2.0 * Z
         Wn = 2.0 ** (n - 1) * W
@@ -251,6 +253,13 @@ def _bp_batch(kind, data, X, cfg) -> np.ndarray:
                 r = np.sqrt(arg[good])
                 ZP = np.broadcast_to(U, (B, N, n - 1)).reshape(-1, n - 1)[good]
                 vals[good] = data.eval_array(ZP, r) / r
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            b, j = divmod(int(np.argmax(bad)), N)
+            slope = tuple(float(v) for v in U[j])
+            raise QuadratureError(
+                f"non-finite {kind} data at slope {slope} backprojecting "
+                f"to point {tuple(float(v) for v in Xc[b])}", node=slope)
         out[i0:i0 + step] = pref * (vals.reshape(B, N) @ Wk)
     return out
 

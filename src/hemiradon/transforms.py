@@ -146,19 +146,20 @@ def _sonar_batch(phi, XP, R, spec):
         raise DomainError("hemisphere radius must be positive")
     if phi.n == 2:
         x = XP[:, 0]
-        tlo = np.zeros(len(R))
-        thi = np.full(len(R), np.pi)
+        windows = [(np.zeros(len(R)), np.full(len(R), np.pi))]
         if phi.box is not None:
-            (b1lo, b1hi), (b2lo, _) = phi.box
+            (b1lo, b1hi), (b2lo, b2hi) = phi.box
             # cos t = (y1 - x)/r must reach the first-axis support
             tlo = np.arccos(np.clip((b1hi - x) / R, -1.0, 1.0))
             thi = np.arccos(np.clip((b1lo - x) / R, -1.0, 1.0))
-            # sin t = y2/r must reach above the lower support edge
-            slo = max(b2lo, 0.0) / R
-            a = np.arcsin(np.clip(slo, 0.0, 1.0))
-            tlo = np.maximum(tlo, a)
-            thi = np.where(slo < 1.0, np.minimum(thi, np.pi - a), tlo)
-        counts = tier_counts(tlo, thi, spec.m, np.pi)
+            # sin t = y2/r must fall in [b2lo, b2hi]: t in [a, b] on the arc
+            # and its mirror [pi - b, pi - a], one window while b2hi >= r
+            a = np.arcsin(np.clip(max(b2lo, 0.0) / R, 0.0, 1.0))
+            top = b2hi < R
+            b = np.where(top, np.arcsin(np.clip(b2hi / R, 0.0, 1.0)), np.pi - a)
+            mirror = np.maximum(tlo, np.pi - b)
+            windows = [(np.maximum(tlo, a), np.minimum(thi, b)),
+                       (mirror, np.where(top, np.minimum(thi, np.pi - a), mirror))]
 
         def arc(idx, nodes):
             (t,) = nodes
@@ -168,7 +169,11 @@ def _sonar_batch(phi, XP, R, spec):
             pts[..., 1] = r * np.sin(t)
             return _eval_grid(phi, pts)
 
-        return _windowed_sums(tlo[:, None], thi[:, None], counts[:, None], arc) * R
+        out = 0.0
+        for lo, hi in windows:
+            counts = tier_counts(lo, hi, spec.m, np.pi)
+            out = out + _windowed_sums(lo[:, None], hi[:, None], counts[:, None], arc)
+        return out * R
 
     # n = 3: polar cosine c = y_3 / r against the azimuth
     clo = np.zeros(len(R))

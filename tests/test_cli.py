@@ -191,6 +191,20 @@ class TestConstants:
             -3.2876650489104358, rel=1e-12)
 
 
+class TestInvert:
+    def test_manifest_names_direction_grid_and_reruns_identically(self, tmp_path):
+        argv = ["invert", "--kind", "transversal", "--m", "40",
+                "--points", "0.3,-0.1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        first = (read(tmp_path / "result.csv"), read(tmp_path / "manifest.txt"))
+        m = manifest_dict(tmp_path / "manifest.txt")
+        assert m["bp_direction_nodes"] == "96"
+        assert m["bp_stop"] == "inf"
+        assert "bp_core_nodes" not in m
+        assert main(argv) == 0
+        assert (read(tmp_path / "result.csv"), read(tmp_path / "manifest.txt")) == first
+
+
 class TestFailurePaths:
     def test_numerical_failure_appends_to_manifest(self, tmp_path, capsys):
         # a sonar reconstruction target on the boundary is a domain error

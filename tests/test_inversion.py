@@ -1,20 +1,22 @@
 """Tests for backprojection and the two inversion routes.
 
 Frozen backprojection references were computed with scipy.integrate.quad on
-the explicit kernel integrals, truncating the slope variable at the same
-radius as the default configuration (the integrands decay like 1/|z|^2, so
-the reference must share the cutoff). Inner integrals track the moving
-support window explicitly; quad error estimates were below 1e-10 throughout.
+the explicit kernel integrals, truncating the slope variable at |z| = 8192
+(the integrands decay like 1/|z|^2, so the tests that read them pass the
+same cutoff as ``bp_stop``). Inner integrals track the moving support
+window explicitly; quad error estimates were below 1e-10 throughout.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.special import erf, i0e
 
 import hemiradon as hr
-from hemiradon.errors import (ConfigError, DomainError, ExtrapolationError)
-from hemiradon.inversion import _extrapolate
+from hemiradon.errors import (ConfigError, DomainError, ExtrapolationError,
+                              QuadratureError)
+from hemiradon.inversion import _extrapolate, _slope_grid
 
 EPS = (0.2, 0.1, 0.05, 0.025)
 
@@ -31,12 +33,13 @@ class TestReconstructionConfig:
     def test_defaults_by_dimension(self):
         c2 = hr.ReconstructionConfig.for_dimension(2)
         assert c2.ell == 1
-        assert c2.bp_stop == 8192.0
+        assert c2.bp_stop == math.inf
         assert c2.g_spec.m == 96
         c3 = hr.ReconstructionConfig.for_dimension(3)
         assert c3.ell == 3
-        assert c3.bp_stop == float(2 ** 18)
-        assert c3.g_spec.m == 64
+        assert c3.bp_stop == math.inf
+        assert c3.g_spec.m == 48
+        assert c3.bp_angular_nodes == 24
 
     def test_refined_sharpens_each_control(self):
         c = hr.ReconstructionConfig.for_dimension(2)
@@ -78,15 +81,15 @@ class TestReconstructionConfig:
 
 class TestBackprojection:
     def test_transversal_gaussian_origin(self):
-        # closed form sqrt(pi)/2; the residual is the 1/|u|^2 slope tail
-        # beyond the default cutoff plus data-evaluation error
+        # closed form sqrt(pi)/2: the direction grid runs over every slope
         data = hr.transversal_field(gaussian_field(2))
         got = hr.backprojection("transversal", data, (0.0, 0.0))
-        assert got == pytest.approx(math.sqrt(math.pi) / 2, rel=2e-4)
+        assert got == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-10)
 
     def test_parabolic_gaussian_origin(self):
         data = hr.parabolic_field(gaussian_field(2))
-        got = hr.backprojection("parabolic", data, (0.0, 0.0))
+        cfg = hr.ReconstructionConfig.for_dimension(2).with_(bp_stop=8192.0)
+        got = hr.backprojection("parabolic", data, (0.0, 0.0), cfg=cfg)
         assert got == pytest.approx(0.8557128103225363, rel=1e-5)
 
     def test_sonar_bump_focus_point(self):
@@ -94,8 +97,46 @@ class TestBackprojection:
         # point, so the whole grid contributes
         bump = hr.make_test_field("bump", 2, (0.0, 1.0), 0.4, domain="half")
         prof = hr.sonar_profile(bump)
-        got = hr.backprojection("sonar", prof, (0.0, 1.0))
+        cfg = hr.ReconstructionConfig.for_dimension(2).with_(bp_stop=8192.0)
+        got = hr.backprojection("sonar", prof, (0.0, 1.0), cfg=cfg)
         assert got == pytest.approx(0.12213036964454264, rel=1e-5)
+
+    def test_gaussian_closed_form_2d(self):
+        # g = (sqrt(pi)/2) exp(-|x|^2/2) I0(|x|^2/2) out to the radius the
+        # hypersingular integral reads
+        data = hr.transversal_field(gaussian_field(2))
+        g = hr.backprojection_field("transversal", data)
+        rng = np.random.default_rng(7)
+        ang = rng.uniform(0.0, 2 * np.pi, 24)
+        X = np.linspace(0.0, 9.0, 24)[:, None] * np.column_stack(
+            [np.cos(ang), np.sin(ang)])
+        want = math.sqrt(math.pi) / 2 * i0e(np.sum(X * X, axis=1) / 2)
+        np.testing.assert_allclose(g.eval_array(X), want, rtol=1e-10, atol=0)
+
+    def test_gaussian_closed_form_3d(self):
+        # g = (sqrt(pi)/4) erf(|x|)/|x|
+        data = hr.transversal_field(gaussian_field(3))
+        g = hr.backprojection_field("transversal", data)
+        rng = np.random.default_rng(8)
+        d = rng.standard_normal((6, 3))
+        X = np.linspace(0.5, 3.0, 6)[:, None] * d / np.linalg.norm(
+            d, axis=1)[:, None]
+        r = np.linalg.norm(X, axis=1)
+        want = math.sqrt(math.pi) / 4 * erf(r) / r
+        np.testing.assert_allclose(g.eval_array(X), want, rtol=1e-7, atol=0)
+
+    def test_non_finite_data_names_slope_and_point(self):
+        Z, _ = _slope_grid(2, 96, math.inf, 24)
+        u0 = 2.0 * float(Z[5, 0])                   # transversal reads 2Z
+
+        def psi(p):
+            vals = np.exp(-p[:, 1] ** 2)
+            return np.where(p[:, 0] == u0, np.nan, vals)
+
+        data = hr.ScalarField(2, psi)
+        with pytest.raises(QuadratureError, match="0.3, -0.1") as ei:
+            hr.backprojection("transversal", data, (0.3, -0.1))
+        assert ei.value.node == (u0,)
 
     def test_transversal_3d_origin(self):
         # (2 pi)^(-2) * pi * integral (1+|u|^2)^(-3/2) du = 1/2

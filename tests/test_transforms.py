@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from hemiradon import (
     QuadratureSpec,
@@ -57,6 +58,23 @@ def test_sonar_bump_frozen_3d():
     phi = make_test_field("bump", 3, (0.0, 0.0, 1.0), 0.5, domain="half")
     got = sonar_transform(phi, (0.0, 0.0), 1.0)
     assert got == pytest.approx(0.116628098294582, rel=1e-6)
+
+
+@pytest.mark.parametrize("xp", [-591.0, -306.0, -57.0])
+def test_sonar_large_radius_arc_window(xp):
+    # a circle centred far out on the x'-axis, through the bump centre: the
+    # arc window must stop at the support's upper edge, or only a couple of
+    # its nodes land on the bump
+    phi = make_test_field("bump", 2, (0.0, 1.0), 0.4, domain="half")
+    r = math.hypot(1.0, xp)
+    t0 = math.atan2(1.0, -xp)
+
+    def along(s):                     # arc length s from the bump centre
+        t = t0 + s / r
+        return float(phi.eval_array(np.array([[xp + r * math.cos(t), r * math.sin(t)]]))[0])
+
+    want, _ = quad(along, -0.6, 0.6, epsabs=1e-15, epsrel=1e-13, limit=400)
+    assert sonar_transform(phi, (xp,), r) == pytest.approx(want, rel=1e-8)
 
 
 def test_sonar_linearity():
