@@ -18,7 +18,6 @@ from .errors import (
     ChainError,
     ConfigError,
     DomainError,
-    ExtrapolationError,
     HemiradonError,
     QuadratureError,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "HemiradonError",
     "DomainError",
     "QuadratureError",
-    "ExtrapolationError",
     "ChainError",
     "ConfigError",
     "Point",

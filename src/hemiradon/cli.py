@@ -30,8 +30,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .errors import (ChainError, ConfigError, DomainError, ExtrapolationError,
-                     HemiradonError, QuadratureError)
+from .errors import (ChainError, ConfigError, DomainError, HemiradonError,
+                     QuadratureError)
 from .fields import ScalarField, make_test_field
 from .inversion import (ReconstructionConfig, hypersingular_constant, invert,
                         reconstruct, sqrt_laplacian_constant)
@@ -209,9 +209,6 @@ def _resolve_recon_cfg(p: Params, n: int, spec: QuadratureSpec):
     ell = p.get("ell", int)
     if ell is not None:
         cfg = cfg.with_(ell=ell)
-    sched = p.get("eps_schedule", _floats)
-    if sched is not None:
-        cfg = cfg.with_(eps_schedule=sched)
     for key, cast in (("stencil_h", float), ("exponent", float),
                       ("y_radius", float), ("bp_stop", float)):
         val = p.get(key, cast)
@@ -219,7 +216,6 @@ def _resolve_recon_cfg(p: Params, n: int, spec: QuadratureSpec):
             cfg = cfg.with_(**{key: val})
     p.resolved.update(
         ell=cfg.ell,
-        eps_schedule=",".join(_fmt(e) for e in cfg.eps_schedule),
         stencil_h=cfg.stencil_h,
         y_radius=cfg.y_radius,
         bp_stop=cfg.bp_stop,
@@ -326,7 +322,7 @@ def _run_invert(p: Params):
         from .transforms import transversal_field
         data = transversal_field(field, spec)
 
-    recon = reconstruct(kind, data, pts, method, cfg, spec)
+    recon = reconstruct(kind, data, pts, method, cfg)
     ref = field.eval_array(np.asarray(pts, dtype=float))
     scale = float(np.max(np.abs(ref))) or 1.0
     rows = []
@@ -492,8 +488,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", help="transversal | parabolic | sonar")
     sp.add_argument("--method", help="hypersingular | laplacian_power")
     sp.add_argument("--ell", help="finite-difference order")
-    sp.add_argument("--eps-schedule", dest="eps_schedule",
-                    help="comma-separated decreasing cutoffs")
     sp.add_argument("--stencil-h", dest="stencil_h", help="Laplacian stencil spacing")
     sp.add_argument("--exponent", help="hypersingular kernel power")
     sp.add_argument("--y-radius", dest="y_radius", help="hypersingular outer radius")
@@ -546,11 +540,7 @@ def main(argv=None) -> int:
         return 2
     except HemiradonError as exc:
         _write_manifest(manifest_path, p.resolved)
-        lines = [f"error = {exc}"]
-        if isinstance(exc, ExtrapolationError) and getattr(exc, "table", None):
-            for eps, val in exc.table:
-                lines.append(f"eps_table {_fmt(float(eps))} = {_fmt(float(val))}")
-        _append_manifest(manifest_path, lines)
+        _append_manifest(manifest_path, [f"error = {exc}"])
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

@@ -37,18 +37,6 @@ class QuadratureError(HemiradonError, ValueError):
         self.node = node
 
 
-class ExtrapolationError(HemiradonError, ArithmeticError):
-    """Richardson extrapolation of a divergent-integral truncation failed.
-
-    Carries the epsilon table that was being extrapolated so callers can
-    inspect why the sequence did not behave like a power law.
-    """
-
-    def __init__(self, message: str, table: tuple | None = None):
-        super().__init__(message)
-        self.table = table
-
-
 class ChainError(HemiradonError, ValueError):
     """An operator chain is malformed (unknown tag, wrong arity, bad domain)."""
 

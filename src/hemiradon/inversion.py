@@ -11,8 +11,12 @@ truncation unless a slope cutoff is asked for. The target function is then
 recovered from g by a power of the negative Laplacian, realized two ways:
 
 * ``hypersingular``: the eps-limit integral of the ell-th finite difference
-  of g against |y|^(-exponent), extrapolated in eps and normalized by
-  ``hypersingular_constant``;
+  of g against |y|^(-exponent), normalized by ``hypersingular_constant``.
+  Averaged over y and -y the difference loses its odd Taylor terms, so the
+  limit is an absolutely convergent integral, taken by Gauss panels from 0
+  over the half circle or hemisphere of directions; beyond the outer radius
+  it is closed form, from g ~ M/|x| with M = integral of f / sigma_n fitted
+  to sphere means of g;
 * ``laplacian_power``: for odd n an integer power of the Laplacian by
   iterated central-difference stencils; for even n the leftover half power
   is the same hypersingular integral with exponent n+1, first difference,
@@ -36,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gamma, jv
 
-from .errors import ConfigError, DomainError, ExtrapolationError, QuadratureError
+from .errors import ConfigError, DomainError, QuadratureError
 from .fields import Point, ScalarField, SphereProfile, _as_points_array
 from .quadrature import (QuadratureSpec, gauss_rule, line_rule, octave_edges,
                          sphere_nodes)
@@ -54,20 +58,21 @@ class ReconstructionConfig:
     ell:
         Finite-difference order of the hypersingular integral. Recovery
         requires ell = n-1 for even n and any ell > n-1 for odd n.
-    eps_schedule:
-        Strictly decreasing inner cutoffs; the singular limit is Richardson-
-        extrapolated from the integral values at these cutoffs.
     stencil_h:
         Spacing of the central-difference Laplacian stencil.
     exponent:
         |y|-power of the hypersingular kernel; None selects 2n-1 (the full
         reconstruction power) when used through ``invert``.
     y_radius:
-        Outer truncation radius of the hypersingular y-integral; the tail
-        beyond it is added in closed form.
+        Outer radius of the quadrature of the hypersingular y-integral; the
+        tail beyond it is added in closed form from a far-field model of g
+        fitted to its means over spheres of radius 8 to 16 about x, so
+        y_radius should be at least 8.
     hyper_radial_nodes / hyper_angular_nodes:
-        Gauss nodes per radial panel and base angular count of that
-        integral.
+        Gauss nodes per radial panel of that integral (panels on the octave
+        edges 0, 0.25, 0.5, ..., y_radius), and its directions on the upper
+        half circle (n = 2); for n = 3 the hemisphere rule takes that many
+        polar cosines times twice as many azimuths.
     bp_stop:
         Slope cutoff of the backprojection: only slopes |z| <= bp_stop
         (|u| <= 2 bp_stop for transversal data) enter, the polar angle
@@ -79,16 +84,15 @@ class ReconstructionConfig:
         QuadratureSpec whose ``m`` is the number of Gauss nodes in the polar
         angle of the direction grid: the m directions of the half circle
         for n = 2, m polar cosines times bp_angular_nodes azimuths for
-        n = 3. None defers to the caller's forward spec.
+        n = 3. None takes the ``for_dimension`` grid.
     """
 
     ell: int = 1
-    eps_schedule: tuple = (0.2, 0.1, 0.05, 0.025)
     stencil_h: float = 0.02
     exponent: float | None = None
     y_radius: float = 8.0
-    hyper_radial_nodes: int = 10
-    hyper_angular_nodes: int = 20
+    hyper_radial_nodes: int = 8
+    hyper_angular_nodes: int = 8
     bp_stop: float = math.inf
     bp_angular_nodes: int = 24
     g_spec: QuadratureSpec | None = None
@@ -96,18 +100,12 @@ class ReconstructionConfig:
     def __post_init__(self):
         if not isinstance(self.ell, (int, np.integer)) or self.ell < 1:
             raise ConfigError("ell must be an integer >= 1")
-        sched = tuple(float(e) for e in self.eps_schedule)
-        if not sched or any(e <= 0 for e in sched):
-            raise ConfigError("eps_schedule entries must be positive")
-        if any(b >= a for a, b in zip(sched, sched[1:])):
-            raise ConfigError("eps_schedule must be strictly decreasing")
-        object.__setattr__(self, "eps_schedule", sched)
         if not self.stencil_h > 0:
             raise ConfigError("stencil_h must be positive")
         if self.exponent is not None and not self.exponent > 0:
             raise ConfigError("exponent must be positive when given")
-        if not self.y_radius > sched[0]:
-            raise ConfigError("y_radius must exceed the largest eps cutoff")
+        if not self.y_radius > _FIRST_EDGE:
+            raise ConfigError(f"y_radius must exceed {_FIRST_EDGE}")
         if min(self.hyper_radial_nodes, self.hyper_angular_nodes,
                self.bp_angular_nodes) < 4:
             raise ConfigError("node counts must be >= 4")
@@ -116,9 +114,14 @@ class ReconstructionConfig:
 
     @classmethod
     def for_dimension(cls, n: int, **overrides) -> "ReconstructionConfig":
-        """Defaults per dimension: ell = n-1 for even n, ell = n for odd n."""
+        """Defaults per dimension: ell = n-1 for even n, ell = n for odd n,
+        and the direction counts of the hypersingular and backprojection
+        rules."""
         params = {
             "ell": n - 1 if n % 2 == 0 else n,
+            # 8 half-circle directions; 4 polar cosines times 8 azimuths on
+            # the hemisphere
+            "hyper_angular_nodes": 8 if n == 2 else 4,
             # polar nodes of the direction grid: doubling them moves each
             # kind's reconstruction by less than a tenth of its error
             "g_spec": QuadratureSpec.for_dimension(n).with_(m=96 if n == 2 else 48),
@@ -127,14 +130,13 @@ class ReconstructionConfig:
         return cls(**params)
 
     def refined(self) -> "ReconstructionConfig":
-        """A uniformly sharper configuration: halved eps cutoffs, doubled
-        polar direction nodes, and a wider, denser hypersingular integral."""
+        """A uniformly sharper configuration: doubled polar direction nodes
+        and a wider, denser hypersingular integral."""
         g = self.g_spec
         if g is not None:
             g = g.with_(m=g.m * 2)
         return replace(
             self,
-            eps_schedule=tuple(e / 2 for e in self.eps_schedule),
             hyper_radial_nodes=self.hyper_radial_nodes * 3 // 2,
             y_radius=2 * self.y_radius,
             g_spec=g,
@@ -144,12 +146,13 @@ class ReconstructionConfig:
         return replace(self, **overrides)
 
 
-def _resolve_cfg(n: int, cfg, spec) -> ReconstructionConfig:
+def _resolve_cfg(n: int, cfg) -> ReconstructionConfig:
+    """cfg, or the dimension's defaults; an unset g_spec takes the
+    dimension's direction grid."""
     if cfg is None:
-        cfg = ReconstructionConfig.for_dimension(n)
+        return ReconstructionConfig.for_dimension(n)
     if cfg.g_spec is None:
-        cfg = cfg.with_(g_spec=spec if spec is not None
-                        else QuadratureSpec.for_dimension(n))
+        cfg = cfg.with_(g_spec=ReconstructionConfig.for_dimension(n).g_spec)
     return cfg
 
 
@@ -264,7 +267,7 @@ def _bp_batch(kind, data, X, cfg) -> np.ndarray:
     return out
 
 
-def backprojection(kind: str, data, x, spec=None, *, cfg=None) -> float:
+def backprojection(kind: str, data, x, *, cfg=None) -> float:
     """Kernel-weighted slope integral of the data, evaluated at one point.
 
     kind "transversal": (2 pi)^(1-n) * integral of
@@ -276,16 +279,16 @@ def backprojection(kind: str, data, x, spec=None, *, cfg=None) -> float:
     """
     n = data.n
     _check_bp_data(kind, data, n)
-    cfg = _resolve_cfg(n, cfg, spec)
+    cfg = _resolve_cfg(n, cfg)
     X = _as_points_array(x, n)
     return float(_bp_batch(kind, data, X, cfg)[0])
 
 
-def backprojection_field(kind: str, data, spec=None, cfg=None) -> ScalarField:
+def backprojection_field(kind: str, data, cfg=None) -> ScalarField:
     """The backprojection as a lazily evaluated field on R^n."""
     n = data.n
     _check_bp_data(kind, data, n)
-    cfg = _resolve_cfg(n, cfg, spec)
+    cfg = _resolve_cfg(n, cfg)
     return ScalarField(n, lambda pts: _bp_batch(kind, data, pts, cfg),
                        domain="full", box=None)
 
@@ -351,113 +354,111 @@ def _stencil_power_field(g: ScalarField, k: int, h: float) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# the hypersingular integral and its extrapolated eps-limit
+# the hypersingular integral
 # ---------------------------------------------------------------------------
+
+#: Radii of the ring (n = 2) or sphere (n = 3) means of g about x that fit
+#: its far field M/rho + B/rho^3. The backprojection of the unit Gaussian is
+#: at most 1e-6 off at radius 16, which moves the fitted M by 1e-7, but 5e-3
+#: off at 32. In 2-D the first omitted order, 9 M mu_4 / (64 rho^5) with
+#: mu_4 the mean fourth power of the source's distance from x, moves the
+#: fitted M by 9 mu_4 / (64 * 8^2 * 16^2) relative: 1.7e-5 for the unit
+#: Gaussian about 0.
+_FIT_RADII = np.array([8.0, 16.0])
+#: Directions per ring (n = 2) or polar cosines and azimuths per sphere
+#: (n = 3) of those means.
+_FIT_NODES = 16
+#: Outer edge of the first radial panel of the hypersingular integral.
+_FIRST_EDGE = 0.25
+
 
 def _sphere_area(n: int) -> float:
     return 2 * math.pi ** (n / 2) / gamma(n / 2)
 
 
 def _hyper_nodes(n: int, cfg, exponent: float):
-    """All y-nodes/weights between the smallest cutoff and y_radius,
-    panel-labelled so cumulative integrals from each cutoff are exact."""
-    inner = sorted(cfg.eps_schedule)
-    edges = np.concatenate([np.asarray(inner),
-                            octave_edges(inner[-1], cfg.y_radius)[1:]])
-    mr = cfg.hyper_radial_nodes
-    base = cfg.hyper_angular_nodes
-    Ys, Ws, pid = [], [], []
-    for p, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-        rn, rw = line_rule(a, b, mr)
-        if n == 2:
-            ma = base * min(3, max(1, int(np.ceil(b / 2.0))))
-            ang = (np.arange(ma) + 0.5) * (2 * np.pi / ma)
-            dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-            aw = np.full(ma, 2 * np.pi / ma)
-        else:
-            dirs, aw = sphere_nodes(n - 1, max(8, base // 3))
-        Y = rn[:, None, None] * dirs[None, :, :]
-        radial = rw * rn ** (n - 1 - exponent)
-        Wp = radial[:, None] * aw[None, :]
-        Ys.append(Y.reshape(-1, n))
-        Ws.append(Wp.ravel())
-        pid.append(np.full(Wp.size, p, dtype=int))
-    return (np.concatenate(Ys), np.concatenate(Ws), np.concatenate(pid),
-            edges)
+    """Offsets y over the upper half circle (n = 2) or hemisphere (n = 3) and
+    weights of |y|^(-exponent) dy over the whole ball |y| < y_radius.
 
-
-def _extrapolate(eps, vals):
-    """Limit of vals(eps) as eps -> 0 assuming a leading power-law error.
-
-    eps must be decreasing. Fits the power from the last three values and
-    cross-checks against the previous triple when one exists.
+    The radial rule is Gauss panels on the octave edges 0, 0.25, 0.5, ...,
+    y_radius; the directions are the upper half of sphere_nodes(n-1, 2k),
+    k = hyper_angular_nodes, a rule that maps onto itself under y -> -y, so
+    the weights integrate an even function of y over the whole ball.
     """
-    S = np.asarray(vals, dtype=float)
-    table = tuple((float(e), float(v)) for e, v in zip(eps, S))
-    if len(S) == 1:
-        return float(S[0])
-    d = np.diff(S)
-    scale = max(1.0, float(np.max(np.abs(S))))
-    if abs(d[-1]) <= 1e-13 * scale:
-        return float(S[-1])
-    if len(S) == 2:
-        r = eps[1] / eps[0]
-        return float(S[-1] + d[-1] * r / (1 - r))
+    edges = np.concatenate([[0.0], octave_edges(_FIRST_EDGE, cfg.y_radius)])
+    rules = [line_rule(a, b, cfg.hyper_radial_nodes)
+             for a, b in zip(edges[:-1], edges[1:])]
+    rn = np.concatenate([r for r, _ in rules])
+    rw = np.concatenate([w for _, w in rules])
+    dirs, aw = sphere_nodes(n - 1, 2 * cfg.hyper_angular_nodes)
+    up = dirs[:, -1] > 0
+    Y = (rn[:, None, None] * dirs[up][None, :, :]).reshape(-1, n)
+    W = ((rw * rn ** (n - 1 - exponent))[:, None] * (2.0 * aw[up])[None, :]).ravel()
+    return Y, W
 
-    def one(Sv, dv, k):
-        # triple (k-2, k-1, k): ratio of successive cutoffs
-        r = eps[k] / eps[k - 1]
-        ratio = dv[k - 1] / dv[k - 2]
-        if not 0 < ratio < 1:
-            raise ExtrapolationError(
-                f"eps-differences do not contract (ratio {ratio:.3g})", table=table)
-        a = math.log(ratio) / math.log(r)
-        if not 0.05 <= a <= 8.0:
-            raise ExtrapolationError(
-                f"implausible convergence power {a:.3g}", table=table)
-        return float(Sv[k] + dv[k - 1] * r ** a / (1 - r ** a))
 
-    L = one(S, d, len(S) - 1)
-    if len(S) >= 4:
-        L_prev = one(S, d, len(S) - 2)
-        if abs(L - L_prev) > 0.05 * max(abs(L), 1e-12):
-            raise ExtrapolationError(
-                f"successive extrapolants disagree: {L_prev:.6g} vs {L:.6g}",
-                table=table)
-    return L
+def _read(g: ScalarField, x0, offsets) -> np.ndarray:
+    """g at x0 + offsets, raising QuadratureError at the first non-finite read."""
+    vals = g.eval_array(x0[None, :] + offsets)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        y = tuple(float(v) for v in offsets[int(np.argmax(bad))])
+        raise QuadratureError(
+            f"non-finite g at offset {y} from point "
+            f"{tuple(float(v) for v in x0)}", node=y)
+    return vals
+
+
+def _far_field(g: ScalarField, x0) -> np.ndarray:
+    """Coefficients c_k of the far-field model A(rho) = sum_k c_k rho^(-1-2k)
+    of the mean of g over the sphere |z - x0| = rho.
+
+    The backprojection is g = (f * |.|^(-1)) / sigma_n, so A(rho) = M / rho
+    plus even powers of the support's extent over rho, with M = integral of
+    f / sigma_n = c_0; for n = 3 the model is exact once the sphere encloses
+    the support (Newton's theorem). The coefficients interpolate rho A(rho)
+    as a polynomial in rho^(-2) at the radii _FIT_RADII.
+    """
+    n = g.n
+    dirs, w = sphere_nodes(n - 1, _FIT_NODES)
+    rho = _FIT_RADII
+    offs = (rho[:, None, None] * dirs[None, :, :]).reshape(-1, n)
+    means = _read(g, x0, offs).reshape(rho.size, -1) @ w / _sphere_area(n)
+    return np.linalg.solve(np.vander(rho ** -2.0, rho.size, increasing=True),
+                           rho * means)
 
 
 def hypersingular_apply(g: ScalarField, x, cfg: ReconstructionConfig) -> float:
     """lim_{eps->0} integral over |y| > eps of (Delta^ell_y g)(x) |y|^(-exponent).
 
-    Evaluated at every cutoff in cfg.eps_schedule (sharing one node set whose
-    panel edges are the cutoffs) plus the closed-form tail beyond
-    cfg.y_radius, then extrapolated. Raises ExtrapolationError with the
-    (eps, value) table when the cutoff values do not converge.
+    The kernel is even, so the integrand may be averaged over y and -y: the
+    odd Taylor terms of the difference cancel and the limit is the absolutely
+    convergent integral over |y| < y_radius of
+    sum_j C(ell,j) (-1)^j (g(x - jy) + g(x + jy)) / 2 |y|^(-exponent),
+    taken on the rule of ``_hyper_nodes``. Beyond y_radius the j = 0 term is
+    exact and every j >= 1 term reads the far-field model of ``_far_field``.
+    Raises QuadratureError when g is not finite at a read.
     """
     n = g.n
     e = cfg.exponent if cfg.exponent is not None else 2.0 * n - 1.0
     if not e > n:
         raise ConfigError("hypersingular exponent must exceed n for the tail")
-    ell = cfg.ell
     x0 = _as_points_array(x, n)[0]
-    Y, W, pid, edges = _hyper_nodes(n, cfg, e)
-    gx = float(g.eval_array(x0[None, :])[0])
-    diff = np.full(Y.shape[0], gx)
-    for j in range(1, ell + 1):
-        diff += ((-1.0) ** j * math.comb(ell, j)) * g.eval_array(x0[None, :] - j * Y)
-    psums = np.bincount(pid, weights=W * diff, minlength=len(edges) - 1)
-    # tail: only the j = 0 term survives at infinity for decaying g
+    Y, W = _hyper_nodes(n, cfg, e)
+    j = np.arange(1, cfg.ell + 1.0)
+    coef = np.array([(-1.0) ** i * math.comb(cfg.ell, i) for i in range(1, cfg.ell + 1)])
+    jY = (j[:, None, None] * Y[None, :, :]).reshape(-1, n)
+    vals = _read(g, x0, np.concatenate([np.zeros((1, n)), -jY, jY]))
+    gx = vals[0]
+    pairs = vals[1:].reshape(2, cfg.ell, -1).sum(axis=0)
+    body = W @ (gx + 0.5 * (coef @ pairs))
+    # beyond R: the j = 0 term, and each j >= 1 term integrated against the
+    # model of the sphere means of g about x, A(j|y|)
     R = cfg.y_radius
-    tail = gx * _sphere_area(n) * R ** (n - e) / (e - n)
-    sched = cfg.eps_schedule          # decreasing
-    cum = np.concatenate([[0.0], np.cumsum(psums)])
-    total = cum[-1]
-    vals = []
-    for eps_k in sched:
-        i = int(np.argmin(np.abs(edges - eps_k)))
-        vals.append(total - cum[i] + tail)
-    return _extrapolate(sched, vals)
+    k = np.arange(_FIT_RADII.size)
+    tail = _far_field(g, x0) * R ** (n - 1 - 2 * k - e) / (e - n + 1 + 2 * k)
+    far = tail @ (coef @ j[:, None] ** (-1.0 - 2 * k))
+    return float(body + _sphere_area(n) * (gx * R ** (n - e) / (e - n) + far))
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +604,7 @@ def _invert_with_g(kind: str, g: ScalarField, x_out: Point, method: str,
 
 
 def invert(kind: str, data, x_out, method: str = "hypersingular",
-           cfg=None, spec=None) -> float:
+           cfg=None) -> float:
     """Reconstruct the original function at one point from its transform.
 
     kind "transversal" applies the chosen Laplacian-power realization to the
@@ -613,19 +614,19 @@ def invert(kind: str, data, x_out, method: str = "hypersingular",
     """
     n = data.n
     _check_bp_data(kind, data, n)
-    cfg = _resolve_cfg(n, cfg, spec)
+    cfg = _resolve_cfg(n, cfg)
     x_out = _as_point(x_out, n)
-    g = backprojection_field(kind, data, spec, cfg)
+    g = backprojection_field(kind, data, cfg)
     return _invert_with_g(kind, g, x_out, method, cfg)
 
 
 def reconstruct(kind: str, data, points, method: str = "hypersingular",
-                cfg=None, spec=None) -> np.ndarray:
+                cfg=None) -> np.ndarray:
     """Reconstructed values at many points, sharing one backprojection field."""
     n = data.n
     _check_bp_data(kind, data, n)
-    cfg = _resolve_cfg(n, cfg, spec)
-    g = backprojection_field(kind, data, spec, cfg)
+    cfg = _resolve_cfg(n, cfg)
+    g = backprojection_field(kind, data, cfg)
     out = []
     for p in points:
         out.append(_invert_with_g(kind, g, _as_point(p, n), method, cfg))

@@ -204,6 +204,20 @@ class TestInvert:
         assert main(argv) == 0
         assert (read(tmp_path / "result.csv"), read(tmp_path / "manifest.txt")) == first
 
+    def test_no_cutoff_schedule(self, tmp_path, capsys):
+        # the hypersingular integral has no eps cutoffs to configure
+        argv = ["invert", "--kind", "transversal", "--m", "40",
+                "--points", "0.3,-0.1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        first = (read(tmp_path / "result.csv"), read(tmp_path / "manifest.txt"))
+        assert "eps_schedule" not in manifest_dict(tmp_path / "manifest.txt")
+        with pytest.raises(SystemExit) as ei:
+            main(argv + ["--eps-schedule", "0.2,0.1"])
+        assert ei.value.code == 2
+        assert "--eps-schedule" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert (read(tmp_path / "result.csv"), read(tmp_path / "manifest.txt")) == first
+
 
 class TestFailurePaths:
     def test_numerical_failure_appends_to_manifest(self, tmp_path, capsys):

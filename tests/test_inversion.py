@@ -11,18 +11,37 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf, i0e
 
 import hemiradon as hr
-from hemiradon.errors import (ConfigError, DomainError, ExtrapolationError,
-                              QuadratureError)
-from hemiradon.inversion import _extrapolate, _slope_grid
-
-EPS = (0.2, 0.1, 0.05, 0.025)
+from hemiradon.errors import ConfigError, DomainError, QuadratureError
+from hemiradon.inversion import _far_field, _slope_grid
 
 
 def gaussian_field(n):
     return hr.ScalarField(n, lambda p: np.exp(-np.sum(p * p, axis=1)))
+
+
+def gaussian_backprojection(n, center=None, scale=1.0):
+    """Closed-form backprojection g of exp(-|x - c|^2 / s^2), which is
+    s^(n-1) g_1((x - c) / s) with g_1 that of the unit Gaussian:
+    (sqrt(pi)/2) exp(-r^2/2) I0(r^2/2) for n = 2, (sqrt(pi)/4) erf(r)/r for
+    n = 3."""
+    c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
+
+    def g(p):
+        r2 = np.sum(((p - c) / scale) ** 2, axis=1)
+        if n == 2:
+            return scale * math.sqrt(math.pi) / 2 * i0e(r2 / 2)
+        r = np.sqrt(r2)
+        ratio = np.full(r.shape, 2 / math.sqrt(math.pi))   # erf(r)/r at 0
+        big = r > 1e-8
+        ratio[big] = erf(r[big]) / r[big]
+        return scale ** 2 * math.sqrt(math.pi) / 4 * ratio
+
+    return hr.ScalarField(n, g)
 
 
 # ---------------------------------------------------------------------------
@@ -35,19 +54,36 @@ class TestReconstructionConfig:
         assert c2.ell == 1
         assert c2.bp_stop == math.inf
         assert c2.g_spec.m == 96
+        assert c2.hyper_angular_nodes == 8
         c3 = hr.ReconstructionConfig.for_dimension(3)
         assert c3.ell == 3
         assert c3.bp_stop == math.inf
         assert c3.g_spec.m == 48
         assert c3.bp_angular_nodes == 24
+        assert c3.hyper_angular_nodes == 4
 
     def test_refined_sharpens_each_control(self):
         c = hr.ReconstructionConfig.for_dimension(2)
         r = c.refined()
-        assert r.eps_schedule == tuple(e / 2 for e in c.eps_schedule)
         assert r.hyper_radial_nodes == c.hyper_radial_nodes * 3 // 2
         assert r.y_radius == 2 * c.y_radius
         assert r.g_spec.m == 2 * c.g_spec.m
+
+    @pytest.mark.parametrize("n,ell,directions", [(2, 1, 96), (3, 3, 48 * 24)])
+    def test_unset_grid_takes_dimension_default(self, n, ell, directions):
+        # a config without g_spec reads the data at the for_dimension
+        # direction grid, not at the forward spec's m
+        reads = []
+
+        def psi(p):
+            reads.append(p.shape[0])
+            a = 1.0 + np.sum(p[:, :-1] ** 2, axis=1)
+            return a ** -0.5 * np.exp(-p[:, -1] ** 2 / a)
+
+        data = hr.ScalarField(n, psi)
+        cfg = hr.ReconstructionConfig(ell=ell)
+        hr.backprojection("transversal", data, (0.1,) * n, cfg=cfg)
+        assert sum(reads) == directions
 
     def test_refined_keeps_unset_grid_unset(self):
         r = hr.ReconstructionConfig().refined()
@@ -60,9 +96,9 @@ class TestReconstructionConfig:
 
     @pytest.mark.parametrize("kw", [
         {"ell": 0},
-        {"eps_schedule": ()},
-        {"eps_schedule": (0.1, -0.05)},
-        {"eps_schedule": (0.05, 0.1)},
+        {"ell": 1.5},
+        {"y_radius": 0.25},
+        {"hyper_angular_nodes": 3},
         {"stencil_h": 0.0},
         {"exponent": 0.0},
         {"y_radius": 0.1},
@@ -234,39 +270,6 @@ class TestDifferences:
 
 
 # ---------------------------------------------------------------------------
-# cutoff extrapolation
-# ---------------------------------------------------------------------------
-
-class TestExtrapolate:
-    @pytest.mark.parametrize("a", [1.0, 1.7])
-    def test_recovers_power_law_limit(self, a):
-        vals = [2.5 + 0.3 * e ** a for e in EPS]
-        assert _extrapolate(EPS, vals) == pytest.approx(2.5, abs=1e-10)
-
-    def test_short_sequences(self):
-        assert _extrapolate((0.1,), [3.25]) == 3.25
-        two = [2.5 + 0.3 * e for e in EPS[:2]]
-        assert _extrapolate(EPS[:2], two) == pytest.approx(2.5, rel=1e-12)
-
-    def test_plateau_short_circuits(self):
-        assert _extrapolate(EPS, [1.0, 1.0, 1.0, 1.0]) == 1.0
-
-    def test_rejects_growing_differences(self):
-        with pytest.raises(ExtrapolationError, match="do not contract") as ei:
-            _extrapolate(EPS, [1.0, 1.1, 1.3, 1.7])
-        assert ei.value.table[0] == (0.2, 1.0)
-
-    def test_rejects_implausible_power(self):
-        vals = [1.0, 1.0 + 1e-2, 1.0 + 1e-2 + 1e-6, 1.0 + 1e-2 + 1e-6 + 1e-10]
-        with pytest.raises(ExtrapolationError, match="implausible"):
-            _extrapolate(EPS, vals)
-
-    def test_rejects_drifting_limit(self):
-        with pytest.raises(ExtrapolationError, match="disagree"):
-            _extrapolate(EPS, [2.0, 1.0, 0.8, 0.72])
-
-
-# ---------------------------------------------------------------------------
 # the singular integral and its constants
 # ---------------------------------------------------------------------------
 
@@ -278,7 +281,7 @@ class TestHypersingular:
         cfg = hr.ReconstructionConfig.for_dimension(2).with_(exponent=3.0)
         val = hr.hypersingular_apply(gaussian_field(2), (0.0, 0.0), cfg)
         got = val / hr.hypersingular_constant(2, 1)
-        assert got == pytest.approx(math.sqrt(math.pi), rel=2e-4)
+        assert got == pytest.approx(math.sqrt(math.pi), rel=1e-10)
 
     @pytest.mark.parametrize("ell,tol", [(3, 5e-4), (4, 2e-3)])
     def test_full_power_3d_both_orders(self, ell, tol):
@@ -290,6 +293,64 @@ class TestHypersingular:
         val = hr.hypersingular_apply(gaussian_field(3), (0.0, 0.0, 0.0), cfg)
         got = val / hr.hypersingular_constant(3, ell)
         assert got == pytest.approx(6.0, rel=tol)
+
+    def test_closed_form_backprojection_2d(self):
+        # g ~ M/|x| with M = 1/2 far out: the modelled tail leaves the layer
+        # exact to 1e-6 at criterion 9's points
+        g = gaussian_backprojection(2)
+        cfg = hr.ReconstructionConfig.for_dimension(2)
+        for x in [(a, b) for a in (-0.5, 0.0, 0.5) for b in (-0.5, 0.0, 0.5)]:
+            got = hr.hypersingular_apply(g, x, cfg) / hr.hypersingular_constant(2, 1)
+            assert got == pytest.approx(math.exp(-x[0] ** 2 - x[1] ** 2), rel=1e-6)
+
+    def test_closed_form_backprojection_3d(self):
+        # the full power (exponent 5, ell = 3) of the 3-D g at criterion
+        # 10's points
+        g = gaussian_backprojection(3)
+        cfg = hr.ReconstructionConfig.for_dimension(3)
+        for x in [(0.0, 0.0, 0.0), (0.3, 0.0, 0.0), (0.0, -0.4, 0.2),
+                  (0.25, 0.25, -0.25), (-0.2, 0.1, 0.4)]:
+            got = hr.hypersingular_apply(g, x, cfg) / hr.hypersingular_constant(3, 3)
+            assert got == pytest.approx(math.exp(-sum(v * v for v in x)), rel=1e-6)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi), st.floats(0.0, math.pi),
+           st.floats(0.5, 1.5))
+    def test_far_field_moment_3d(self, radius, azimuth, polar, scale):
+        # sphere means of the 3-D g are exactly M/rho (Newton's theorem), so
+        # the fitted M is the integral of f over sigma_3 = 4 pi
+        c = radius * np.array([math.sin(polar) * math.cos(azimuth),
+                               math.sin(polar) * math.sin(azimuth), math.cos(polar)])
+        fit = _far_field(gaussian_backprojection(3, c, scale), np.zeros(3))
+        assert fit[0] == pytest.approx(scale ** 3 * math.sqrt(math.pi) / 4, rel=1e-6)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi), st.floats(0.5, 1.5))
+    def test_far_field_moment_2d(self, radius, angle, scale):
+        # ring means of the 2-D g are (M/rho)(1 + mu_2/(4 rho^2)
+        # + 9 mu_4/(64 rho^4) + ...), mu_k the k-th moment of |a - x| over
+        # the source; a two-radius fit at 8 and 16 leaves the first omitted
+        # order, M_fit / M - 1 = -(9/64) mu_4 / (8^2 16^2), within 25 %
+        c = radius * np.array([math.cos(angle), math.sin(angle)])
+        fit = _far_field(gaussian_backprojection(2, c, scale), np.zeros(2))
+        M = scale ** 2 / 2
+        mu4 = radius ** 4 + 4 * radius ** 2 * scale ** 2 + 2 * scale ** 4
+        first = -9 / 64 * mu4 / (64 * 256)
+        assert (fit[0] / M - 1) / first == pytest.approx(1.0, abs=0.25)
+
+    @pytest.mark.parametrize("radius", [5.0, 12.0])
+    def test_non_finite_g_names_offset_and_point(self, radius):
+        # a NaN inside y_radius stops the integral itself, one between 8
+        # and 16 the far-field fit
+        def g(p):
+            return np.where(np.hypot(p[:, 0], p[:, 1]) > radius, np.nan,
+                            np.exp(-np.sum(p * p, axis=1)))
+
+        cfg = hr.ReconstructionConfig.for_dimension(2)
+        x = (0.3, -0.1)
+        with pytest.raises(QuadratureError, match=r"point \(0\.3, -0\.1\)") as ei:
+            hr.hypersingular_apply(hr.ScalarField(2, g), x, cfg)
+        assert np.hypot(*np.add(x, ei.value.node)) > radius
 
     def test_exponent_must_exceed_dimension(self):
         cfg = hr.ReconstructionConfig.for_dimension(2).with_(exponent=2.0)
