@@ -204,7 +204,7 @@ def _resolve_phantom(p: Params, n: int, kind_needs_half: bool):
     return field
 
 
-def _resolve_recon_cfg(p: Params, n: int, spec: QuadratureSpec):
+def _resolve_recon_cfg(p: Params, n: int):
     cfg = ReconstructionConfig.for_dimension(n)
     ell = p.get("ell", int)
     if ell is not None:
@@ -297,7 +297,7 @@ def _run_invert(p: Params):
     if method not in ("hypersingular", "laplacian_power"):
         raise ConfigError("key 'method': expected hypersingular or laplacian_power")
     spec = _resolve_spec(p, n)
-    cfg = _resolve_recon_cfg(p, n, spec)
+    cfg = _resolve_recon_cfg(p, n)
     field = _resolve_phantom(p, n, kind == "sonar")
 
     if kind == "sonar":
@@ -488,7 +488,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", help="transversal | parabolic | sonar")
     sp.add_argument("--method", help="hypersingular | laplacian_power")
     sp.add_argument("--ell", help="finite-difference order")
-    sp.add_argument("--stencil-h", dest="stencil_h", help="Laplacian stencil spacing")
+    sp.add_argument("--stencil-h", dest="stencil_h",
+                    help="spacing of the odd-n Laplacian difference in the data intercept")
     sp.add_argument("--exponent", help="hypersingular kernel power")
     sp.add_argument("--y-radius", dest="y_radius", help="hypersingular outer radius")
     sp.add_argument("--bp-stop", dest="bp_stop",

@@ -17,10 +17,16 @@ recovered from g by a power of the negative Laplacian, realized two ways:
   over the half circle or hemisphere of directions; beyond the outer radius
   it is closed form, from g ~ M/|x| with M = integral of f / sigma_n fitted
   to sphere means of g;
-* ``laplacian_power``: for odd n an integer power of the Laplacian by
-  iterated central-difference stencils; for even n the leftover half power
-  is the same hypersingular integral with exponent n+1, first difference,
-  and prefactor ``sqrt_laplacian_constant``.
+* ``laplacian_power``: for odd n the integer power (-Delta)^((n-1)/2),
+  taken inside the backprojection: every direction's term depends on x only
+  through the data's intercept s, with |grad s|^2 = 1 + 4|z|^2, so the
+  power is (1 + 4|z|^2)^k times a central difference of the data in s of
+  spacing ``stencil_h`` (the filtered backprojection; Natterer, *The
+  Mathematics of Computerized Tomography*, 1986, ch. II), 2k+1 reads per
+  direction; for even n the leftover half power is the same hypersingular
+  integral with exponent n+1, first difference, and prefactor
+  ``sqrt_laplacian_constant``. ``laplacian_power`` itself applies k-fold
+  central-difference stencils to a given field.
 
 The parabolic and hemispherical kernels are the transversal kernel after
 the slope substitution y' = 2z'; the backprojection grid for transversal
@@ -59,7 +65,9 @@ class ReconstructionConfig:
         Finite-difference order of the hypersingular integral. Recovery
         requires ell = n-1 for even n and any ell > n-1 for odd n.
     stencil_h:
-        Spacing of the central-difference Laplacian stencil.
+        Spacing, in the data's intercept variable, of the central difference
+        that the odd-n ``laplacian_power`` route applies to the data inside
+        the backprojection.
     exponent:
         |y|-power of the hypersingular kernel; None selects 2n-1 (the full
         reconstruction power) when used through ``invert``.
@@ -211,8 +219,22 @@ def _check_bp_data(kind, data, n):
         raise DomainError("backprojection implemented for n in {2, 3}")
 
 
-def _bp_batch(kind, data, X, cfg) -> np.ndarray:
-    """Backprojection values at an (M, n) batch of output points."""
+def _difference_weights(k: int, h: float) -> np.ndarray:
+    """Weights of (-d^2/ds^2)^k at the offsets j h, j = -k..k: the central
+    difference (-1)^j C(2k, k+j) / h^(2k); k = 0 is the single weight 1."""
+    return np.array([(-1.0) ** j * math.comb(2 * k, k + j)
+                     for j in range(-k, k + 1)]) / h ** (2 * k)
+
+
+def _bp_batch(kind, data, X, cfg, k: int = 0) -> np.ndarray:
+    """(-Delta)^k of the backprojection at an (M, n) batch of output points.
+
+    Each direction's term depends on x only through the data's intercept s
+    (r^2 for sonar data), which is linear in x with |grad s|^2 = 1 + 4|z|^2, so (-Delta)^k passes
+    inside the integral as (1 + 4|z|^2)^k (-d^2/ds^2)^k: the data is read at
+    s + j stencil_h, j = -k..k, and combined by ``_difference_weights``.
+    k = 0 is the backprojection itself.
+    """
     n = X.shape[1]
     Z, W = _slope_grid(n, cfg.g_spec.m, cfg.bp_stop, cfg.bp_angular_nodes)
     if kind == "transversal":
@@ -224,46 +246,43 @@ def _bp_batch(kind, data, X, cfg) -> np.ndarray:
         Wn = W
         pref = np.pi ** (1 - n)
     zsq = np.sum(Z * Z, axis=1)
-    kernel = (1.0 + 4.0 * zsq) ** (-(n - 1) / 2.0)
-    Wk = Wn * kernel
+    # the kernel (1 + 4|z|^2)^(-(n-1)/2) times |grad s|^(2k)
+    kernel = (1.0 + 4.0 * zsq) ** (k - (n - 1) / 2.0)
+    Wk = (_difference_weights(k, cfg.stencil_h)[:, None] * (Wn * kernel)[None, :]).ravel()
+    shifts = cfg.stencil_h * np.arange(-k, k + 1.0)[None, :, None]
     N = Z.shape[0]
+    R = N * (2 * k + 1)                               # data reads per point
     out = np.empty(X.shape[0])
     # Each data eval fans out into a windowed quadrature whose node count
     # grows with n - 1, so the eval-batch budget shrinks accordingly.
     budget = 200_000 if n == 2 else 40_000
-    step = max(1, budget // N)
+    step = max(1, budget // R)
     for i0 in range(0, X.shape[0], step):
         Xc = X[i0:i0 + step]
         B = Xc.shape[0]
         dots = Xc[:, :-1] @ U.T                       # (B, N)
         if kind == "transversal":
             sec = Xc[:, -1][:, None] - dots
-            pts = np.concatenate(
-                [np.broadcast_to(U, (B, N, n - 1)).reshape(-1, n - 1),
-                 sec.reshape(-1, 1)], axis=1)
-            vals = data.eval_array(pts)
-        elif kind == "parabolic":
-            sec = (Xc[:, -1][:, None] - 2.0 * dots) + zsq[None, :]
-            pts = np.concatenate(
-                [np.broadcast_to(U, (B, N, n - 1)).reshape(-1, n - 1),
-                 sec.reshape(-1, 1)], axis=1)
-            vals = data.eval_array(pts)
         else:
-            arg = ((Xc[:, -1][:, None] - 2.0 * dots) + zsq[None, :]).ravel()
-            vals = np.zeros(B * N)
-            good = arg > 0
+            sec = (Xc[:, -1][:, None] - 2.0 * dots) + zsq[None, :]
+        sec = (sec[:, None, :] + shifts).ravel()      # (B, 2k+1, N)
+        ZP = np.broadcast_to(U, (B * (2 * k + 1), N, n - 1)).reshape(-1, n - 1)
+        if kind == "sonar":
+            vals = np.zeros(B * R)
+            good = sec > 0
             if good.any():
-                r = np.sqrt(arg[good])
-                ZP = np.broadcast_to(U, (B, N, n - 1)).reshape(-1, n - 1)[good]
-                vals[good] = data.eval_array(ZP, r) / r
+                r = np.sqrt(sec[good])
+                vals[good] = data.eval_array(ZP[good], r) / r
+        else:
+            vals = data.eval_array(np.concatenate([ZP, sec[:, None]], axis=1))
         bad = ~np.isfinite(vals)
         if bad.any():
-            b, j = divmod(int(np.argmax(bad)), N)
-            slope = tuple(float(v) for v in U[j])
+            b, j = divmod(int(np.argmax(bad)), R)
+            slope = tuple(float(v) for v in U[j % N])
             raise QuadratureError(
                 f"non-finite {kind} data at slope {slope} backprojecting "
                 f"to point {tuple(float(v) for v in Xc[b])}", node=slope)
-        out[i0:i0 + step] = pref * (vals.reshape(B, N) @ Wk)
+        out[i0:i0 + step] = pref * (vals.reshape(B, R) @ Wk)
     return out
 
 
@@ -338,19 +357,6 @@ def laplacian_power(g: ScalarField, x, k: int, h: float) -> float:
         return float(g.eval_array(x0[None, :])[0])
     steps, coefs = _stencil_offsets(g.n, k, h)
     return float(g.eval_array(x0[None, :] + h * steps) @ coefs)
-
-
-def _stencil_power_field(g: ScalarField, k: int, h: float) -> ScalarField:
-    if k == 0:
-        return g
-    steps, coefs = _stencil_offsets(g.n, k, h)
-
-    def func(pts):
-        shifted = pts[:, None, :] + h * steps[None, :, :]
-        vals = g.eval_array(shifted.reshape(-1, g.n)).reshape(pts.shape[0], -1)
-        return vals @ coefs
-
-    return ScalarField(g.n, func, g.domain, None)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +494,7 @@ def _difference_moment(ell: int, two_k: int) -> float:
 _DNL_CACHE: dict = {}
 
 
-def hypersingular_constant(n: int, ell: int, spec=None) -> float:
+def hypersingular_constant(n: int, ell: int) -> float:
     """Normalizer of the hypersingular inversion: the real value of
     integral over R^n of (1 - e^(i y_1))^ell |y|^(1-2n) dy.
 
@@ -568,9 +574,9 @@ def _as_point(x, n: int) -> Point:
     return Point.of(_as_points_array(x, n)[0])
 
 
-def _invert_with_g(kind: str, g: ScalarField, x_out: Point, method: str,
-                   cfg: ReconstructionConfig) -> float:
-    n = g.n
+def _invert_at(kind: str, data, x_out: Point, method: str,
+               cfg: ReconstructionConfig) -> float:
+    n = data.n
     if kind == "sonar":
         yn = x_out.xn
         if yn <= 0:
@@ -589,15 +595,17 @@ def _invert_with_g(kind: str, g: ScalarField, x_out: Point, method: str,
     if method == "hypersingular":
         _check_ell(n, cfg.ell)
         e = cfg.exponent if cfg.exponent is not None else 2.0 * n - 1.0
+        g = backprojection_field(kind, data, cfg)
         val = hypersingular_apply(g, z, cfg.with_(exponent=float(e)))
         val /= hypersingular_constant(n, cfg.ell)
     elif method == "laplacian_power":
         if n % 2 == 1:
-            val = laplacian_power(g, z, (n - 1) // 2, cfg.stencil_h)
+            val = float(_bp_batch(kind, data, z.as_array()[None, :], cfg, (n - 1) // 2)[0])
         else:
-            base = _stencil_power_field(g, (n - 2) // 2, cfg.stencil_h)
+            # n = 2: no integer power is left, only the half power
+            g = backprojection_field(kind, data, cfg)
             half_cfg = cfg.with_(ell=1, exponent=float(n + 1))
-            val = sqrt_laplacian_constant(n) * hypersingular_apply(base, z, half_cfg)
+            val = sqrt_laplacian_constant(n) * hypersingular_apply(g, z, half_cfg)
     else:
         raise ConfigError(f"unknown inversion method {method!r}")
     return mult * val
@@ -615,19 +623,14 @@ def invert(kind: str, data, x_out, method: str = "hypersingular",
     n = data.n
     _check_bp_data(kind, data, n)
     cfg = _resolve_cfg(n, cfg)
-    x_out = _as_point(x_out, n)
-    g = backprojection_field(kind, data, cfg)
-    return _invert_with_g(kind, g, x_out, method, cfg)
+    return _invert_at(kind, data, _as_point(x_out, n), method, cfg)
 
 
 def reconstruct(kind: str, data, points, method: str = "hypersingular",
                 cfg=None) -> np.ndarray:
-    """Reconstructed values at many points, sharing one backprojection field."""
+    """Reconstructed values at many points, as ``invert`` at each."""
     n = data.n
     _check_bp_data(kind, data, n)
     cfg = _resolve_cfg(n, cfg)
-    g = backprojection_field(kind, data, cfg)
-    out = []
-    for p in points:
-        out.append(_invert_with_g(kind, g, _as_point(p, n), method, cfg))
-    return np.asarray(out)
+    return np.asarray([_invert_at(kind, data, _as_point(p, n), method, cfg)
+                       for p in points])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, QuadratureError
 from .fields import Point, ScalarField, SphereProfile, _as_points_array
 from .quadrature import (QuadratureSpec, _windowed_sums, line_rule, tensor_rule,
                          tier_counts)
@@ -62,6 +62,17 @@ def _grid_points(nodes, n):
 def _eval_grid(field, pts):
     """``field`` at every point of ``pts`` (..., n), in the shape (...)."""
     return field.eval_array(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape[:-1])
+
+
+def _finite(kind, vals, points):
+    """``vals``, the transform's values at the rows of ``points``; raises
+    QuadratureError naming the first point whose value is not finite (a
+    phantom that is NaN or inf inside its support)."""
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        node = tuple(float(v) for v in points[int(np.argmax(bad))])
+        raise QuadratureError(f"non-finite {kind} transform at {node}", node=node)
+    return vals
 
 
 def _polar_windows(rlo, rhi, r_width, d, circ, m):
@@ -173,7 +184,7 @@ def _sonar_batch(phi, XP, R, spec):
         for lo, hi in windows:
             counts = tier_counts(lo, hi, spec.m, np.pi)
             out = out + _windowed_sums(lo[:, None], hi[:, None], counts[:, None], arc)
-        return out * R
+        return _finite("sonar", out * R, np.column_stack([XP, R]))
 
     # n = 3: polar cosine c = y_3 / r against the azimuth
     clo = np.zeros(len(R))
@@ -205,7 +216,8 @@ def _sonar_batch(phi, XP, R, spec):
         pts[..., 2] = r * cn
         return _eval_grid(phi, pts)
 
-    return _windowed_sums(lo, hi, counts, cap, full) * R ** 2
+    return _finite("sonar", _windowed_sums(lo, hi, counts, cap, full) * R ** 2,
+                   np.column_stack([XP, R]))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +302,7 @@ def _parabolic_batch(f, X, spec, variant):
                        (np.maximum(-rhi, x - b1hi), np.minimum(-rlo, x - b1lo))):
             counts = tier_counts(lo, hi, spec.m, b1hi - b1lo)
             out = out + _windowed_sums(lo[:, None], hi[:, None], counts[:, None], line)
-        return out
+        return _finite("parabolic", out, X)
 
     # n = 3: polar coordinates in y', centred on the support disc at x' - c
     xp = X[:, :2]
@@ -313,7 +325,7 @@ def _parabolic_batch(f, X, spec, variant):
             vals = vals * np.sqrt(1 + 4 * rn ** 2)
         return vals * rn
 
-    return _windowed_sums(lo, hi, counts, disc, full)
+    return _finite("parabolic", _windowed_sums(lo, hi, counts, disc, full), X)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +413,7 @@ def _transversal_batch(psi, X, spec):
         pts[..., k] = rows(smag) * u[0] + rows(tau)
         return _eval_grid(psi, pts)
 
-    return _windowed_sums(lo, hi, counts, plane)
+    return _finite("transversal", _windowed_sums(lo, hi, counts, plane), X)
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,58 @@ class TestDifferences:
 
 
 # ---------------------------------------------------------------------------
+# the odd-n Laplacian inside the backprojection
+# ---------------------------------------------------------------------------
+
+def transversal_gaussian_3d(p):
+    """Closed-form transversal data of the 3-D unit Gaussian:
+    pi (1+|u|^2)^(-1/2) exp(-t^2/(1+|u|^2))."""
+    a = 1.0 + np.sum(p[:, :-1] ** 2, axis=1)
+    return math.pi * a ** -0.5 * np.exp(-p[:, -1] ** 2 / a)
+
+
+class TestLaplacianInBackprojection:
+    @pytest.mark.parametrize("kind", ["transversal", "parabolic", "sonar"])
+    def test_three_reads_per_direction(self, kind):
+        # (-Delta) g is a second difference of the data in its intercept:
+        # 3 reads for each of the 48 x 24 directions, not a 7-point stencil
+        # of 1152-direction backprojections (8064 reads)
+        reads = []
+        if kind == "sonar":
+            def prof(XP, R):
+                reads.append(R.size)
+                return np.exp(-R ** 2)
+
+            data = hr.SphereProfile(3, prof)
+        else:
+            def psi(p):
+                reads.append(p.shape[0])
+                return transversal_gaussian_3d(p)
+
+            data = hr.ScalarField(3, psi)
+        hr.invert(kind, data, (0.05, -0.02, 1.0), "laplacian_power")
+        assert sum(reads) == 3 * 48 * 24
+
+    def test_closed_form_data_3d(self):
+        # with exact data only the backprojection rule and the difference in
+        # s are left: error h^2/12 of the fourth derivative, so halving h
+        # divides it by 4; criterion 10's points
+        pts = [(0.0, 0.0, 0.0), (0.3, 0.0, 0.0), (0.0, -0.4, 0.2),
+               (0.25, 0.25, -0.25), (-0.2, 0.1, 0.4)]
+        data = hr.ScalarField(3, transversal_gaussian_3d)
+        want = np.exp(-np.sum(np.asarray(pts) ** 2, axis=1))
+        base = hr.ReconstructionConfig.for_dimension(3)
+        errs = []
+        for h in (0.02, 0.01):
+            got = hr.reconstruct("transversal", data, pts,
+                                 method="laplacian_power",
+                                 cfg=base.with_(stencil_h=h))
+            errs.append(float(np.max(np.abs(got - want) / want)))
+        assert errs[0] <= 1e-4
+        assert 3.9 <= errs[0] / errs[1] <= 4.1
+
+
+# ---------------------------------------------------------------------------
 # the singular integral and its constants
 # ---------------------------------------------------------------------------
 

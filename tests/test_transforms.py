@@ -23,7 +23,7 @@ from hemiradon import (
     transversal_field,
     transversal_transform,
 )
-from hemiradon.errors import DomainError
+from hemiradon.errors import DomainError, QuadratureError
 from hemiradon.fields import Point, ScalarField
 from hemiradon.transforms import RadonPlane
 
@@ -310,3 +310,33 @@ def test_spec_override_changes_rule():
     exact = transversal_gaussian_exact((0.4,), 0.2)
     assert got == pytest.approx(exact, rel=0.05)
     assert abs(got - exact) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# non-finite phantoms
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["transversal", "parabolic", "sonar"])
+def test_non_finite_phantom_names_transform_point(kind, n):
+    # NaN inside the support box about (0, .., 0, 1): the first point's
+    # plane, paraboloid or hemisphere misses the box, the second's meets it
+    # at its centre, and the error names the second point: x, or (x', r)
+    centre = np.array([0.0] * (n - 1) + [1.0])
+    box = [(c - 0.5, c + 0.5) for c in centre]
+
+    def f(p):
+        return np.where(np.all(np.abs(p - centre) < 0.5, axis=1), np.nan, 0.0)
+
+    if kind == "sonar":
+        field = sonar_profile(ScalarField(n, f, domain="half", box=box))
+        with pytest.raises(QuadratureError, match="sonar") as ei:
+            field.eval_array(np.zeros((2, n - 1)), np.array([5.0, 1.0]))
+    else:
+        build = transversal_field if kind == "transversal" else parabolic_field
+        field = build(ScalarField(n, f, box=box))
+        pts = np.zeros((2, n))
+        pts[:, -1] = (5.0, 1.0) if kind == "transversal" else (-5.0, 1.0)
+        with pytest.raises(QuadratureError, match=kind) as ei:
+            field.eval_array(pts)
+    assert ei.value.node == (0.0,) * (n - 1) + (1.0,)
