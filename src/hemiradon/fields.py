@@ -67,6 +67,44 @@ def _as_points_array(pts, n: int) -> np.ndarray:
     return arr
 
 
+def _coordinate_major(shape):
+    """Uninitialized float array of ``shape`` (..., n) whose last index is its
+    slowest: each coordinate is one contiguous run of memory, so filling or
+    reading one coordinate at a time never strides, and reshaping the
+    leading axes into one stays a view."""
+    return np.moveaxis(np.empty(shape[-1:] + tuple(shape[:-1])), 0, -1)
+
+
+def _stack_last(lead, last):
+    """Coordinate-major points with leading coordinates ``lead`` (..., n-1)
+    and last coordinate ``last`` (...)."""
+    pts = _coordinate_major(lead.shape[:-1] + (lead.shape[-1] + 1,))
+    pts[..., :-1] = lead
+    pts[..., -1] = last
+    return pts
+
+
+def _sum_sq(pts, c=None):
+    """Row sums of (pts - c)^2 over the n columns of ``pts`` (c = 0 when
+    None), added up one coordinate at a time: a few elementwise passes over
+    columns instead of a reduction over rows of length n, which costs
+    several times more per point. For n < 8 this adds in the order of
+    ``np.sum(..., axis=1)``, so the bits are the same; from n = 8 on numpy
+    sums rows pairwise and the last bits may differ."""
+    total = None
+    for i in range(pts.shape[1]):
+        if c is None:
+            d = np.square(pts[:, i])
+        else:
+            d = pts[:, i] - c[i]
+            np.square(d, out=d)
+        if total is None:
+            total = d
+        else:
+            total += d
+    return total
+
+
 def _box_union(a, b):
     if a is None or b is None:
         return None
@@ -76,9 +114,13 @@ def _box_union(a, b):
 class ScalarField:
     """A real-valued function on R^n or on the half-space x_n > 0.
 
-    ``func`` must accept an (N, n) array and return an (N,) array.
-    Evaluation is pure and deterministic and keeps no state, so fields may
-    be evaluated concurrently.
+    ``func`` must accept a float (N, n) array and return an (N,) array.
+    The array may be coordinate-major (Fortran-ordered: each column one
+    contiguous run, as the transform kernels build it), so ``func`` must not
+    assume C-contiguity; index it by column (``pts[:, i]``) or with numpy
+    operations, which accept either layout. Evaluation is pure and
+    deterministic and keeps no state, so fields may be evaluated
+    concurrently.
     """
 
     def __init__(self, n: int, func, domain: str = "full", box=None,
@@ -221,15 +263,23 @@ def make_test_field(kind: str, n: int, center, scale: float,
         raise ConfigError(f"center must have {n} coordinates, got {c.shape}")
     s = float(scale)
 
+    # each formula works in place on the fresh array of squared distances;
+    # the operations and their order are those of exp(-|y - c|^2 / s^2)
+    def gaussian(u):
+        np.negative(u, out=u)
+        u /= s ** 2
+        return np.exp(u, out=u)
+
     if kind == "gaussian":
-        func = lambda pts: np.exp(-np.sum((pts - c) ** 2, axis=1) / s ** 2)
+        func = lambda pts: gaussian(_sum_sq(pts, c))
         box = tuple((ci - 8 * s, ci + 8 * s) for ci in c)
     elif kind == "bump":
         if domain == "half" and not c[-1] - s > 0:
             raise DomainError("bump support must lie strictly inside the half-space")
 
         def func(pts):
-            u = np.sum((pts - c) ** 2, axis=1) / s ** 2
+            u = _sum_sq(pts, c)
+            u /= s ** 2
             out = np.zeros(pts.shape[0])
             inside = u < 1.0
             out[inside] = np.exp(-1.0 / (1.0 - u[inside]))
@@ -237,7 +287,7 @@ def make_test_field(kind: str, n: int, center, scale: float,
 
         box = tuple((ci - s, ci + s) for ci in c)
     elif kind == "monomial_times_gaussian":
-        func = lambda pts: pts[:, -1] * np.exp(-np.sum(pts ** 2, axis=1) / s ** 2)
+        func = lambda pts: pts[:, -1] * gaussian(_sum_sq(pts))
         box = tuple((-8 * s, 8 * s) for _ in range(n))
     else:
         raise ConfigError(f"unknown phantom kind {kind!r}")

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureError
-from .fields import ScalarField, SphereProfile
+from .fields import ScalarField, SphereProfile, _stack_last
 from .operators import OperatorId, apply
-from .quadrature import (QuadratureSpec, _windowed_sums, line_rule, tensor_rule,
-                         tier_counts)
+from .quadrature import (QuadratureSpec, _finite, _windowed_sums, line_rule,
+                         tensor_rule, tier_counts)
 from .transforms import parabolic_field, sonar_profile, transversal_field
 
 _LP_WEIGHTS = (None, "half_space_weight")
@@ -107,7 +107,10 @@ def _inner_sums(eval_inner, lo, hi, s_exp, weight_exp, spec, min_nodes):
 
 
 def _iterated_power(data, s_exp, weight_exp, spec, outer_box, min_nodes=64):
-    """Outer nodes XP, outer weights W, and inner integrals at each XP."""
+    """Outer nodes XP, outer weights W, and inner integrals at each XP.
+
+    Raises QuadratureError naming the outer node whose inner integral is not
+    finite (data that is NaN or inf inside its support)."""
     n = data.n
     k = n - 1
     R = spec.R_max
@@ -145,10 +148,9 @@ def _iterated_power(data, s_exp, weight_exp, spec, outer_box, min_nodes=64):
             lo = np.maximum(lo, 1e-12)
 
         def eval_inner(idx, nodes):
-            b, m = nodes.shape
-            pts = np.concatenate([np.repeat(XP[idx], m, axis=0),
-                                  nodes.ravel()[:, None]], axis=1)
-            return data.eval_array(pts).reshape(b, m)
+            lead = np.broadcast_to(XP[idx, None, :], nodes.shape + (k,))
+            pts = _stack_last(lead, nodes).reshape(-1, n)
+            return data.eval_array(pts).reshape(nodes.shape)
 
     inner = _inner_sums(eval_inner, lo, hi, s_exp, weight_exp, spec, min_nodes)
     if weight_exp < 0:
@@ -165,7 +167,7 @@ def _iterated_power(data, s_exp, weight_exp, spec, outer_box, min_nodes=64):
                     "inner integral near the singular weight did not converge "
                     "under node doubling")
             inner[near] = refined
-    return XP, W, inner
+    return XP, W, _finite("norm inner integral", inner, XP)
 
 
 def lp_norm(field: ScalarField, p: float, weight=None, spec=None, *,

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChainError, DomainError
-from .fields import Point, ScalarField, SphereProfile, _as_points_array
+from .fields import (Point, ScalarField, SphereProfile, _as_points_array,
+                     _coordinate_major, _stack_last, _sum_sq)
 from .transforms import parabolic_field, sonar_profile, transversal_field
 
 _PLAIN_TAGS = frozenset({
@@ -92,8 +93,11 @@ class IdentityReport:
         return self.max_rel_err <= self.tol
 
 
-def _sumsq(XP):
-    return np.sum(np.asarray(XP, dtype=float) ** 2, axis=1)
+def _dilated(pts, lead, last):
+    """The points (lead x', last x_n), coordinate-major."""
+    scale = np.full(pts.shape[1], lead)
+    scale[-1] = last
+    return np.multiply(pts, scale, out=_coordinate_major(pts.shape))
 
 
 def _minmax_sq(box_prime):
@@ -111,7 +115,7 @@ def _shifted_section(inner_section, inner_box_last, xp_scale, shift_sign, shift_
 
     def section(XP):
         XP = np.asarray(XP, dtype=float)
-        ssq = shift_scale * _sumsq(XP)
+        ssq = shift_scale * _sum_sq(XP)
         if inner_section is not None:
             lo, hi = inner_section(xp_scale * XP)
         else:
@@ -147,9 +151,8 @@ def apply(op: OperatorId, field):
         need("half")
 
         def func(pts):
-            zn = pts[:, -1]
-            inner = np.concatenate([pts[:, :-1], np.sqrt(zn)[:, None]], axis=1)
-            return field.eval_array(inner) / np.sqrt(zn)
+            root = np.sqrt(pts[:, -1])
+            return field.eval_array(_stack_last(pts[:, :-1], root)) / root
 
         nbox = None
         if box is not None:
@@ -162,8 +165,7 @@ def apply(op: OperatorId, field):
 
         def func(pts):
             xn = pts[:, -1]
-            inner = np.concatenate([pts[:, :-1], (xn ** 2)[:, None]], axis=1)
-            return xn * field.eval_array(inner)
+            return xn * field.eval_array(_stack_last(pts[:, :-1], xn ** 2))
 
         nbox = None
         if box is not None:
@@ -176,9 +178,8 @@ def apply(op: OperatorId, field):
         scale = 2.0 if tag == "parabolic_shear_scaled" else 1.0
 
         def func(pts):
-            ssq = _sumsq(pts[:, :-1])
-            inner = np.concatenate([scale * pts[:, :-1], (pts[:, -1] - ssq)[:, None]], axis=1)
-            return field.eval_array(inner)
+            ssq = _sum_sq(pts[:, :-1])
+            return field.eval_array(_stack_last(scale * pts[:, :-1], pts[:, -1] - ssq))
 
         nbox = None
         section = None
@@ -193,9 +194,8 @@ def apply(op: OperatorId, field):
         need("full")
 
         def func(pts):
-            ssq = _sumsq(pts[:, :-1])
-            inner = np.concatenate([pts[:, :-1], (pts[:, -1] + ssq)[:, None]], axis=1)
-            return field.eval_array(inner)
+            ssq = _sum_sq(pts[:, :-1])
+            return field.eval_array(_stack_last(pts[:, :-1], pts[:, -1] + ssq))
 
         nbox = None
         section = None
@@ -209,9 +209,8 @@ def apply(op: OperatorId, field):
         need("full")
 
         def func(pts):
-            ssq = _sumsq(pts[:, :-1])
-            inner = np.concatenate([pts[:, :-1] / 2, (pts[:, -1] + ssq / 4)[:, None]], axis=1)
-            return field.eval_array(inner)
+            ssq = _sum_sq(pts[:, :-1])
+            return field.eval_array(_stack_last(pts[:, :-1] / 2, pts[:, -1] + ssq / 4))
 
         nbox = None
         section = None
@@ -226,12 +225,12 @@ def apply(op: OperatorId, field):
         need("half")
 
         def func(pts):
-            arg = pts[:, -1] - _sumsq(pts[:, :-1])
+            arg = pts[:, -1] - _sum_sq(pts[:, :-1])
             out = np.zeros(pts.shape[0])
             good = arg > 0
             if good.any():
-                inner = np.concatenate([pts[good, :-1], np.sqrt(arg[good])[:, None]], axis=1)
-                out[good] = field.eval_array(inner) / np.sqrt(arg[good])
+                root = np.sqrt(arg[good])
+                out[good] = field.eval_array(_stack_last(pts[good, :-1], root)) / root
             return out
 
         nbox = None
@@ -249,9 +248,8 @@ def apply(op: OperatorId, field):
 
         def func(pts):
             yn = pts[:, -1]
-            ssq = _sumsq(pts[:, :-1])
-            inner = np.concatenate([pts[:, :-1], (yn ** 2 + ssq)[:, None]], axis=1)
-            return yn * field.eval_array(inner)
+            ssq = _sum_sq(pts[:, :-1])
+            return yn * field.eval_array(_stack_last(pts[:, :-1], yn ** 2 + ssq))
 
         nbox = None
         section = None
@@ -263,7 +261,7 @@ def apply(op: OperatorId, field):
 
             def section(XP):
                 XP = np.asarray(XP, dtype=float)
-                ssq = _sumsq(XP)
+                ssq = _sum_sq(XP)
                 if inner_sec is not None:
                     lo, hi = inner_sec(XP)
                 else:
@@ -278,8 +276,7 @@ def apply(op: OperatorId, field):
         need("full")
 
         def pfunc(XP, R):
-            inner = np.concatenate([2 * XP, (R ** 2 - _sumsq(XP))[:, None]], axis=1)
-            return R * field.eval_array(inner)
+            return R * field.eval_array(_stack_last(2 * XP, R ** 2 - _sum_sq(XP)))
 
         r_support = None
         xprime_box = None
@@ -290,7 +287,7 @@ def apply(op: OperatorId, field):
 
             def r_support(XP):
                 XP = np.asarray(XP, dtype=float)
-                ssq = _sumsq(XP)
+                ssq = _sum_sq(XP)
                 if inner_sec is not None:
                     lo, hi = inner_sec(2 * XP)
                 else:
@@ -334,8 +331,7 @@ def apply(op: OperatorId, field):
         l1, l2 = op.lam
 
         def func(pts):
-            inner = np.concatenate([l1 * pts[:, :-1], (l2 * pts[:, -1])[:, None]], axis=1)
-            return field.eval_array(inner)
+            return field.eval_array(_dilated(pts, l1, l2))
 
         nbox = None
         if box is not None:
@@ -355,8 +351,7 @@ def apply(op: OperatorId, field):
         pref = l1 ** (1 - n)
 
         def func(pts):
-            inner = np.concatenate([(l2 / l1) * pts[:, :-1], (l2 * pts[:, -1])[:, None]], axis=1)
-            return pref * field.eval_array(inner)
+            return pref * field.eval_array(_dilated(pts, l2 / l1, l2))
 
         nbox = None
         if box is not None:
@@ -377,7 +372,7 @@ def _profile_to_field(profile: SphereProfile) -> ScalarField:
     n = profile.n
 
     def func(pts):
-        ssq = _sumsq(pts[:, :-1])
+        ssq = _sum_sq(pts[:, :-1])
         arg = pts[:, -1] + ssq / 4
         out = np.zeros(pts.shape[0])
         good = arg > 0
@@ -393,7 +388,7 @@ def _profile_to_field(profile: SphereProfile) -> ScalarField:
         def section(XP):
             XP = np.asarray(XP, dtype=float)
             rlo, rhi = rsup(XP / 2)
-            ssq = _sumsq(XP)
+            ssq = _sum_sq(XP)
             return rlo ** 2 - ssq / 4, rhi ** 2 - ssq / 4
 
     return ScalarField(n, func, "full", None, section_support=section)

@@ -126,6 +126,17 @@ def integrate(integrand, k: int, spec: QuadratureSpec) -> float:
     return float(np.dot(vals, weights))
 
 
+def _finite(what, vals, points):
+    """``vals``, the values of ``what`` at the rows of ``points``; raises
+    QuadratureError naming the first point whose value is not finite (a
+    field that is NaN or inf inside its support)."""
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        node = tuple(float(v) for v in points[int(np.argmax(bad))])
+        raise QuadratureError(f"non-finite {what} at {node}", node=node)
+    return vals
+
+
 def _eval_integrand(integrand, pts, k):
     try:
         vals = np.asarray(integrand(pts), dtype=float)

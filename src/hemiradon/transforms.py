@@ -26,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
-from .fields import Point, ScalarField, SphereProfile, _as_points_array
-from .quadrature import (QuadratureSpec, _windowed_sums, line_rule, tensor_rule,
-                         tier_counts)
+from .errors import DomainError
+from .fields import (Point, ScalarField, SphereProfile, _as_points_array,
+                     _coordinate_major)
+from .quadrature import (QuadratureSpec, _finite, _windowed_sums, line_rule,
+                         tensor_rule, tier_counts)
 
 _PARABOLIC_VARIANTS = ("full", "restricted", "surface_measure")
 
@@ -52,27 +53,19 @@ def _center_halfwidth(box):
 
 
 def _grid_points(nodes, n):
-    """Uninitialized n-vectors on the tensor grid of the kernel's axis nodes.
+    """Uninitialized n-vectors on the tensor grid of the kernel's axis nodes,
+    of shape (b, m_1, ..., m_k, n) and coordinate-major (see
+    ``fields._coordinate_major``).
 
     Callers fill one coordinate at a time, so each coordinate's temporary
-    is freed before the field runs."""
-    return np.empty(np.broadcast_shapes(*(x.shape for x in nodes)) + (n,))
+    is freed before the field runs; each fill writes one contiguous run, and
+    ``_eval_grid`` hands the field a view of this buffer, not a copy."""
+    return _coordinate_major(np.broadcast_shapes(*(x.shape for x in nodes)) + (n,))
 
 
 def _eval_grid(field, pts):
     """``field`` at every point of ``pts`` (..., n), in the shape (...)."""
     return field.eval_array(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape[:-1])
-
-
-def _finite(kind, vals, points):
-    """``vals``, the transform's values at the rows of ``points``; raises
-    QuadratureError naming the first point whose value is not finite (a
-    phantom that is NaN or inf inside its support)."""
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        node = tuple(float(v) for v in points[int(np.argmax(bad))])
-        raise QuadratureError(f"non-finite {kind} transform at {node}", node=node)
-    return vals
 
 
 def _polar_windows(rlo, rhi, r_width, d, circ, m):
@@ -184,7 +177,7 @@ def _sonar_batch(phi, XP, R, spec):
         for lo, hi in windows:
             counts = tier_counts(lo, hi, spec.m, np.pi)
             out = out + _windowed_sums(lo[:, None], hi[:, None], counts[:, None], arc)
-        return _finite("sonar", out * R, np.column_stack([XP, R]))
+        return _finite("sonar transform", out * R, np.column_stack([XP, R]))
 
     # n = 3: polar cosine c = y_3 / r against the azimuth
     clo = np.zeros(len(R))
@@ -216,7 +209,7 @@ def _sonar_batch(phi, XP, R, spec):
         pts[..., 2] = r * cn
         return _eval_grid(phi, pts)
 
-    return _finite("sonar", _windowed_sums(lo, hi, counts, cap, full) * R ** 2,
+    return _finite("sonar transform", _windowed_sums(lo, hi, counts, cap, full) * R ** 2,
                    np.column_stack([XP, R]))
 
 
@@ -302,7 +295,7 @@ def _parabolic_batch(f, X, spec, variant):
                        (np.maximum(-rhi, x - b1hi), np.minimum(-rlo, x - b1lo))):
             counts = tier_counts(lo, hi, spec.m, b1hi - b1lo)
             out = out + _windowed_sums(lo[:, None], hi[:, None], counts[:, None], line)
-        return _finite("parabolic", out, X)
+        return _finite("parabolic transform", out, X)
 
     # n = 3: polar coordinates in y', centred on the support disc at x' - c
     xp = X[:, :2]
@@ -325,7 +318,7 @@ def _parabolic_batch(f, X, spec, variant):
             vals = vals * np.sqrt(1 + 4 * rn ** 2)
         return vals * rn
 
-    return _finite("parabolic", _windowed_sums(lo, hi, counts, disc, full), X)
+    return _finite("parabolic transform", _windowed_sums(lo, hi, counts, disc, full), X)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +406,7 @@ def _transversal_batch(psi, X, spec):
         pts[..., k] = rows(smag) * u[0] + rows(tau)
         return _eval_grid(psi, pts)
 
-    return _finite("transversal", _windowed_sums(lo, hi, counts, plane), X)
+    return _finite("transversal transform", _windowed_sums(lo, hi, counts, plane), X)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,29 @@ def test_monomial_phantom_is_odd_in_last_slot():
     assert f.eval((0.2, 0.0)) == 0.0
 
 
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_phantoms_keep_the_row_reduction_bits(n, layout):
+    # the phantoms add up squared distances one coordinate at a time; for
+    # n < 8 that is the order of np.sum(axis=1), in either memory layout
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        c = rng.uniform(-1.0, 1.0, n)
+        s = rng.uniform(0.3, 2.0)
+        pts = c + s * rng.uniform(-1.5, 1.5, (3000, n))
+        pts = np.asfortranarray(pts) if layout == "F" else np.ascontiguousarray(pts)
+        gauss = np.exp(-np.sum((pts - c) ** 2, axis=1) / s ** 2)
+        u = np.sum((pts - c) ** 2, axis=1) / s ** 2
+        bump = np.zeros(len(pts))
+        bump[u < 1.0] = np.exp(-1.0 / (1.0 - u[u < 1.0]))
+        mono = pts[:, -1] * np.exp(-np.sum(pts ** 2, axis=1) / s ** 2)
+        assert 0 < np.count_nonzero(bump) < len(pts)
+        for kind, want in (("gaussian", gauss), ("bump", bump),
+                           ("monomial_times_gaussian", mono)):
+            got = make_test_field(kind, n, c, s).eval_array(pts)
+            assert np.array_equal(got, want), kind
+
+
 def test_make_test_field_validation():
     with pytest.raises(DomainError):
         make_test_field("gaussian", 2, (0.0, 0.0), 0.0)

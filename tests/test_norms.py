@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hemiradon import QuadratureSpec, make_test_field, sonar_profile
-from hemiradon.errors import DomainError
+from hemiradon.errors import DomainError, QuadratureError
 from hemiradon.fields import ScalarField, SphereProfile
 from hemiradon.norms import (
     MixedNormTriple,
@@ -125,6 +125,26 @@ def test_outer_box_truncation_is_exact_for_supported_fields():
     full = lp_norm(f, 1.5)
     tight = lp_norm(f, 1.5, outer_box=((-0.5, 0.5),))
     assert tight == pytest.approx(full, rel=1e-9)
+
+
+@pytest.mark.parametrize("norm", ["lp", "weighted", "mixed"])
+def test_non_finite_field_names_outer_node(norm):
+    # NaN on the box |x1| < 0.5, 0 < x2 < 1: every inner integral meets it,
+    # and the error names the first outer node instead of returning nan
+    def f(p):
+        inside = (np.abs(p[:, 0]) < 0.5) & (p[:, 1] > 0.0) & (p[:, 1] < 1.0)
+        return np.where(inside, np.nan, 0.0)
+
+    box = ((-0.5, 0.5), (0.0, 1.0))
+    with pytest.raises(QuadratureError, match="inner integral") as ei:
+        if norm == "lp":
+            lp_norm(ScalarField(2, f, box=box), 1.5)
+        elif norm == "weighted":
+            lp_norm(ScalarField(2, f, domain="half", box=box), 1.5, "half_space_weight")
+        else:
+            mixed_norm(ScalarField(2, f, box=box), 3.0, 3.0)
+    (x1,) = ei.value.node
+    assert -0.5 < x1 < -0.49
 
 
 def test_admissible_line():

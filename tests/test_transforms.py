@@ -20,6 +20,7 @@ from hemiradon import (
     slope_intercept_relation,
     sonar_profile,
     sonar_transform,
+    transforms,
     transversal_field,
     transversal_transform,
 )
@@ -340,3 +341,39 @@ def test_non_finite_phantom_names_transform_point(kind, n):
         with pytest.raises(QuadratureError, match=kind) as ei:
             field.eval_array(pts)
     assert ei.value.node == (0.0,) * (n - 1) + (1.0,)
+
+
+# ---------------------------------------------------------------------------
+# point layout
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["transversal", "parabolic", "sonar"])
+def test_3d_kernel_hands_the_field_its_point_buffer(kind, monkeypatch):
+    # the field reads a view of the kernel's buffer, not a copy, and each
+    # coordinate column of it is one contiguous run of memory
+    buffers, seen = [], []
+    grid_points = transforms._grid_points
+
+    def recording(nodes, n):
+        buffers.append(grid_points(nodes, n))
+        return buffers[-1]
+
+    monkeypatch.setattr(transforms, "_grid_points", recording)
+    domain = "half" if kind == "sonar" else "full"
+    bump = make_test_field("bump", 3, (0.0, 0.0, 1.0), 0.5, domain=domain)
+
+    def func(pts):
+        seen.append(pts)
+        return bump.eval_array(pts)
+
+    field = ScalarField(3, func, domain=domain, box=bump.box)
+    if kind == "sonar":
+        val = sonar_transform(field, (0.1, 0.0), 1.2)
+    elif kind == "parabolic":
+        val = parabolic_transform(field, (0.1, 0.0, 1.5))
+    else:
+        val = transversal_transform(field, (0.2, -0.1, 1.0))
+    assert val > 0 and seen and len(seen) == len(buffers)
+    for pts, buf in zip(seen, buffers):
+        assert np.shares_memory(pts, buf)
+        assert all(pts[:, i].flags.c_contiguous for i in range(3))
