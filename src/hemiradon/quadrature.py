@@ -25,9 +25,18 @@ import numpy as np
 
 from .errors import QuadratureError
 
-#: Most nodes one evaluation batch of ``_windowed_sums`` holds; a group of
-#: rows is split so that its node arrays and integrand values stay bounded.
-_NODE_CAP = 2_000_000
+#: Most nodes one evaluation batch of ``_windowed_sums`` holds, sized for
+#: cache residency: each per-coordinate temporary of a batch (node axis,
+#: point coordinate, squared distance, field value, weight grid) is 256 KB,
+#: so the few a batch holds at once fit in a core's 2 MiB of L2 and the
+#: fields and the kernels' fills do not run at memory bandwidth. Sweep of
+#: the benchmark's median pass (seed 1, 2-core x86-64 VM, one BLAS thread)
+#: at caps 2M / 262k / 65k / 32k / 16k / 8k: recon3d 1.33 / 0.96 / 0.73 /
+#: 0.69 / 0.78 / 0.93 s, recon2d 0.55 / 0.39 / 0.32 / 0.30 / 0.31 / 0.34 s,
+#: estimates 1.94 / 1.40 / 1.20 / 1.15 / 1.18 / 1.37 s; below 16k the
+#: per-batch Python overhead wins the gain back. The cap never changes a
+#: bit of the result, since every row is summed on its own.
+_NODE_CAP = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -196,7 +205,10 @@ def _windowed_sums(lo, hi, counts, integrand, periodic=None):
     ``lo``, ``hi`` and ``counts`` have shape (M, k); ``counts`` holds the
     node count of every row and axis (see ``tier_counts``). Rows sharing
     their counts and their ``periodic`` flag form one group, which is split
-    into batches of at most ``_NODE_CAP`` nodes. Axis j of a row gets a
+    into batches of at most ``_NODE_CAP`` nodes (one row per batch when a
+    row alone holds more), small enough that a batch's temporaries stay in
+    cache. Each row's sum is taken over that row alone, so how the rows are
+    batched never changes a bit of the result. Axis j of a row gets a
     Gauss-Legendre rule mapped onto its window, except the last axis of a
     ``periodic`` row, which spans one full period of the integrand and gets
     the uniform midpoint rule (spectrally accurate there).

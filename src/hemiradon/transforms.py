@@ -471,7 +471,7 @@ def classical_radon(f: ScalarField, plane: RadonPlane, spec=None) -> float:
         axes.append(line_rule(lo, hi, m))
     U, W = tensor_rule(axes)
     pts = plane.t * theta[None, :] + U @ B.T
-    return float(np.dot(f.eval_array(pts), W))
+    return float(np.dot(_finite("classical Radon transform", f.eval_array(pts), pts), W))
 
 
 def slope_intercept_relation(f: ScalarField, plane: RadonPlane, spec=None):

@@ -9,14 +9,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import hemiradon.quadrature as q
 from hemiradon import (
     QuadratureSpec,
     classical_radon,
     make_test_field,
     parabolic_field,
     parabolic_transform,
+    reconstruct,
     slope_intercept_relation,
     sonar_profile,
     sonar_transform,
@@ -317,25 +321,53 @@ def test_spec_override_changes_rule():
 # non-finite phantoms
 # ---------------------------------------------------------------------------
 
+def _nan_square(n, domain="full"):
+    """A field that is NaN inside its support box about (0, .., 0, 1)."""
+    centre = np.array([0.0] * (n - 1) + [1.0])
+
+    def f(p):
+        return np.where(np.all(np.abs(p - centre) < 0.5, axis=1), np.nan, 0.0)
+
+    return ScalarField(n, f, domain=domain, box=[(c - 0.5, c + 0.5) for c in centre])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_classical_radon_rejects_non_finite_field(n):
+    field = _nan_square(n)
+    theta = (0.0,) * (n - 1) + (1.0,)
+    # a plane that crosses the box only where the field is 0 integrates to 0
+    assert classical_radon(field, RadonPlane(theta, 1.5)) == 0.0
+    with pytest.raises(QuadratureError, match="classical Radon") as ei:
+        classical_radon(field, RadonPlane(theta, 1.0))
+    # the error names a node of the plane y_n = 1 inside the NaN square
+    node = ei.value.node
+    assert len(node) == n and node[-1] == pytest.approx(1.0, abs=1e-15)
+    assert all(abs(v) < 0.5 for v in node[:-1])
+
+
+def test_slope_intercept_relation_rejects_non_finite_field_on_both_sides():
+    field = _nan_square(2)
+    plane = RadonPlane((0.6, 0.8), 0.8)
+    # the classical side is evaluated first and raises on its own
+    with pytest.raises(QuadratureError, match="classical Radon"):
+        slope_intercept_relation(field, plane)
+    with pytest.raises(QuadratureError, match="transversal"):
+        transversal_transform(field, (-0.75, 1.0))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("kind", ["transversal", "parabolic", "sonar"])
 def test_non_finite_phantom_names_transform_point(kind, n):
     # NaN inside the support box about (0, .., 0, 1): the first point's
     # plane, paraboloid or hemisphere misses the box, the second's meets it
     # at its centre, and the error names the second point: x, or (x', r)
-    centre = np.array([0.0] * (n - 1) + [1.0])
-    box = [(c - 0.5, c + 0.5) for c in centre]
-
-    def f(p):
-        return np.where(np.all(np.abs(p - centre) < 0.5, axis=1), np.nan, 0.0)
-
     if kind == "sonar":
-        field = sonar_profile(ScalarField(n, f, domain="half", box=box))
+        field = sonar_profile(_nan_square(n, domain="half"))
         with pytest.raises(QuadratureError, match="sonar") as ei:
             field.eval_array(np.zeros((2, n - 1)), np.array([5.0, 1.0]))
     else:
         build = transversal_field if kind == "transversal" else parabolic_field
-        field = build(ScalarField(n, f, box=box))
+        field = build(_nan_square(n))
         pts = np.zeros((2, n))
         pts[:, -1] = (5.0, 1.0) if kind == "transversal" else (-5.0, 1.0)
         with pytest.raises(QuadratureError, match=kind) as ei:
@@ -377,3 +409,140 @@ def test_3d_kernel_hands_the_field_its_point_buffer(kind, monkeypatch):
     for pts, buf in zip(seen, buffers):
         assert np.shares_memory(pts, buf)
         assert all(pts[:, i].flags.c_contiguous for i in range(3))
+
+
+# ---------------------------------------------------------------------------
+# batching of the windowed kernel
+# ---------------------------------------------------------------------------
+
+def _kernel_rows(kind, n, rows=24):
+    """A bump phantom about (0, .., 0, 1) and ``rows`` points of ``kind``'s
+    transform, the first one on the axis of the bump: for n = 3 its polar
+    window is the full circle (a periodic row)."""
+    rng = np.random.default_rng([n, len(kind)])
+    domain = "half" if kind == "sonar" else "full"
+    bump = make_test_field("bump", n, (0.0,) * (n - 1) + (1.0,), 0.5, domain=domain)
+    xp = rng.uniform(-1.0, 1.0, size=(rows, n - 1))
+    xp[0] = 0.0
+    if kind == "sonar":
+        last = rng.uniform(0.6, 2.5, rows)
+        return lambda spec: transforms._sonar_batch(bump, xp, last, spec)
+    if kind == "parabolic":
+        X = np.column_stack([xp, rng.uniform(0.6, 3.0, rows)])
+        return lambda spec: transforms._parabolic_batch(bump, X, spec, "full")
+    X = np.column_stack([xp, rng.uniform(-1.0, 2.0, rows)])
+    return lambda spec: transforms._transversal_batch(bump, X, spec)
+
+
+@pytest.mark.parametrize("m", [8, None])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["transversal", "parabolic", "sonar"])
+def test_node_cap_never_changes_kernel_bits(kind, n, m, monkeypatch):
+    # every row is summed on its own, so a batch of one row (cap 64) and the
+    # default batches of many rows give the same bits; m = 8 puts several
+    # rows into one batch even at cap 64
+    spec = QuadratureSpec.for_dimension(n) if m is None else QuadratureSpec(m=m)
+    run = _kernel_rows(kind, n)
+    periodic, batch_rows = [], []
+    windowed_sums = transforms._windowed_sums
+
+    def recording(lo, hi, counts, integrand, full=None):
+        periodic.append(full is not None and bool(np.any(full)))
+
+        def counted(idx, nodes):
+            batch_rows.append(len(idx))
+            return integrand(idx, nodes)
+
+        return windowed_sums(lo, hi, counts, counted, full)
+
+    monkeypatch.setattr(transforms, "_windowed_sums", recording)
+    default = run(spec)
+    assert np.all(np.isfinite(default)) and np.any(default > 0)
+    assert any(periodic) == (n == 3 and kind != "transversal")
+    assert max(batch_rows) > 1
+    for cap in (64, 2_000_000):
+        monkeypatch.setattr(q, "_NODE_CAP", cap)
+        assert np.array_equal(run(spec), default)
+
+
+@pytest.mark.parametrize("kind", ["transversal", "parabolic", "sonar"])
+def test_3d_kernels_hand_the_field_cache_sized_batches(kind):
+    # one 3-D laplacian_power reconstruction reads its data at 3 x 1152
+    # slopes in one call; the kernels must cut that into batches that stay
+    # in cache instead of handing the field millions of points at once
+    rows = []
+    domain = "half" if kind == "sonar" else "full"
+    bump = make_test_field("bump", 3, (0.0, 0.0, 1.0), 0.5, domain=domain)
+
+    def func(pts):
+        rows.append(pts.shape[0])
+        return bump.eval_array(pts)
+
+    field = ScalarField(3, func, domain=domain, box=bump.box)
+    data = {"transversal": transversal_field, "parabolic": parabolic_field,
+            "sonar": sonar_profile}[kind](field)
+    val = reconstruct(kind, data, [(0.003, 0.0, 1.0)], method="laplacian_power")
+    assert np.isfinite(val[0])
+    assert sum(rows) > 2_000_000
+    assert max(rows) <= 65_536
+
+
+# ---------------------------------------------------------------------------
+# support hints
+# ---------------------------------------------------------------------------
+
+_GRID_2D = np.linspace(-4.0, 4.0, 4001)[:, None]
+_GRID_3D = np.stack(np.meshgrid(np.linspace(-4.0, 4.0, 321), np.linspace(-4.0, 4.0, 321)),
+                    axis=-1).reshape(-1, 2)
+_ARC_2D = np.linspace(0.0, np.pi, 4001)
+_POL, _AZ = np.meshgrid(np.linspace(0.0, 0.5 * np.pi, 301), np.linspace(0.0, 2 * np.pi, 601))
+_CAP_3D = np.column_stack([(np.sin(_POL) * np.cos(_AZ)).ravel(),
+                           (np.sin(_POL) * np.sin(_AZ)).ravel(), np.cos(_POL).ravel()])
+
+
+def _surface(kind, xp, t):
+    """Points of the paraboloid, plane or hemisphere of ``kind`` at x' and
+    last parameter t (x_n, or r for sonar) on a fixed dense grid that ignores
+    every support window: y' over [-4, 4]^(n-1), or the directions of the
+    upper half circle or hemisphere."""
+    k = len(xp)
+    if kind == "sonar":
+        u = (np.column_stack([np.cos(_ARC_2D), np.sin(_ARC_2D)]) if k == 1 else _CAP_3D)
+        pts = t * u
+        pts[:, :k] += xp
+        return pts[pts[:, -1] > 0]
+    y = _GRID_2D if k == 1 else _GRID_3D
+    if kind == "parabolic":
+        return np.column_stack([xp - y, t - np.sum(y ** 2, axis=1)])
+    return np.column_stack([y, y @ xp + t])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["transversal", "parabolic", "sonar"]), st.integers(2, 3),
+       st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3), st.floats(0.1, 0.8),
+       st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2))
+def test_support_hints_are_conservative(kind, n, centre, scale, xprime):
+    # the norms cut their inner integrals to these intervals, so a phantom
+    # must vanish on every surface whose parameter lies outside them
+    c = np.array(centre[:n - 1] + [1.0 + centre[-1]])
+    if kind == "sonar":
+        c[-1] = scale + 0.05 + abs(centre[-1])
+    xp = np.array(xprime[:n - 1])
+    domain = "half" if kind == "sonar" else "full"
+    bump = make_test_field("bump", n, c, scale, domain=domain)
+    if kind == "sonar":
+        lo, hi = sonar_profile(bump).r_support(xp[None, :])
+        through_centre = math.hypot(np.linalg.norm(c[:-1] - xp), c[-1])
+    elif kind == "parabolic":
+        lo, hi = parabolic_field(bump).section_support(xp[None, :])
+        through_centre = c[-1] + np.sum((xp - c[:-1]) ** 2)
+    else:
+        lo, hi = transversal_field(bump).section_support(xp[None, :])
+        through_centre = c[-1] - xp @ c[:-1]
+    lo, hi = float(lo[0]), float(hi[0])
+    # the sampling sees the bump on the surface through its centre ...
+    assert lo < through_centre < hi
+    assert np.max(bump.eval_array(_surface(kind, xp, through_centre))) > 0
+    # ... and nothing on the surfaces just outside the hinted interval
+    for t in (lo - 1e-9 * (1 + abs(lo)), hi + 1e-9 * (1 + abs(hi))):
+        assert np.all(bump.eval_array(_surface(kind, xp, t)) == 0.0)
