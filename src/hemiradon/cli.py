@@ -209,8 +209,7 @@ def _resolve_recon_cfg(p: Params, n: int):
     ell = p.get("ell", int)
     if ell is not None:
         cfg = cfg.with_(ell=ell)
-    for key, cast in (("stencil_h", float), ("exponent", float),
-                      ("y_radius", float), ("bp_stop", float)):
+    for key, cast in (("stencil_h", float), ("y_radius", float), ("bp_stop", float)):
         val = p.get(key, cast)
         if val is not None:
             cfg = cfg.with_(**{key: val})
@@ -490,7 +489,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ell", help="finite-difference order")
     sp.add_argument("--stencil-h", dest="stencil_h",
                     help="spacing of the odd-n Laplacian difference in the data intercept")
-    sp.add_argument("--exponent", help="hypersingular kernel power")
     sp.add_argument("--y-radius", dest="y_radius", help="hypersingular outer radius")
     sp.add_argument("--bp-stop", dest="bp_stop",
                     help="backprojection slope cutoff; default none")

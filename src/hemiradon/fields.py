@@ -72,7 +72,8 @@ def _coordinate_major(shape):
     slowest: each coordinate is one contiguous run of memory, so filling or
     reading one coordinate at a time never strides, and reshaping the
     leading axes into one stays a view."""
-    return np.moveaxis(np.empty(shape[-1:] + tuple(shape[:-1])), 0, -1)
+    buf = np.empty(shape[-1:] + tuple(shape[:-1]))
+    return buf.transpose((*range(1, buf.ndim), 0))
 
 
 def _stack_last(lead, last):
@@ -204,7 +205,10 @@ class SphereProfile:
             raise DomainError(f"profile expects XP (N,{self.n - 1}) and R (N,)")
         if R.size and np.min(R) <= 0:
             raise DomainError(f"profile evaluated at r = {np.min(R)} <= 0")
-        return np.asarray(self._func(XP, R), dtype=float)
+        vals = np.asarray(self._func(XP, R), dtype=float)
+        if vals.shape != R.shape:
+            raise DomainError(f"profile func returned shape {vals.shape}, expected {R.shape}")
+        return vals
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ truncation unless a slope cutoff is asked for. The target function is then
 recovered from g by a power of the negative Laplacian, realized two ways:
 
 * ``hypersingular``: the eps-limit integral of the ell-th finite difference
-  of g against |y|^(-exponent), normalized by ``hypersingular_constant``.
+  of g against |y|^(1-2n), divided by the closed form of Samko's normalizer
+  (``hypersingular_constant``; Samko, *Hypersingular Integrals*, 2002).
   Averaged over y and -y the difference loses its odd Taylor terms, so the
   limit is an absolutely convergent integral, taken by Gauss panels from 0
   over the half circle or hemisphere of directions; beyond the outer radius
@@ -23,10 +24,9 @@ recovered from g by a power of the negative Laplacian, realized two ways:
   power is (1 + 4|z|^2)^k times a central difference of the data in s of
   spacing ``stencil_h`` (the filtered backprojection; Natterer, *The
   Mathematics of Computerized Tomography*, 1986, ch. II), 2k+1 reads per
-  direction; for even n the leftover half power is the same hypersingular
-  integral with exponent n+1, first difference, and prefactor
-  ``sqrt_laplacian_constant``. ``laplacian_power`` itself applies k-fold
-  central-difference stencils to a given field.
+  direction; for even n the route is the ``hypersingular`` one with
+  ell = n-1. ``laplacian_power`` itself applies k-fold central-difference
+  stencils to a given field.
 
 The parabolic and hemispherical kernels are the transversal kernel after
 the slope substitution y' = 2z'; the backprojection grid for transversal
@@ -44,12 +44,11 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma, jv
+from scipy.special import gamma
 
 from .errors import ConfigError, DomainError, QuadratureError
 from .fields import Point, ScalarField, SphereProfile, _as_points_array
-from .quadrature import (QuadratureSpec, gauss_rule, line_rule, octave_edges,
-                         sphere_nodes)
+from .quadrature import QuadratureSpec, line_rule, octave_edges, sphere_nodes
 
 _KINDS = ("transversal", "parabolic", "sonar")
 _METHODS = ("hypersingular", "laplacian_power")
@@ -69,8 +68,8 @@ class ReconstructionConfig:
         that the odd-n ``laplacian_power`` route applies to the data inside
         the backprojection.
     exponent:
-        |y|-power of the hypersingular kernel; None selects 2n-1 (the full
-        reconstruction power) when used through ``invert``.
+        |y|-power of the kernel of ``hypersingular_apply``; None selects
+        2n-1, the only power ``invert`` and ``reconstruct`` accept.
     y_radius:
         Outer radius of the quadrature of the hypersingular y-integral; the
         tail beyond it is added in closed form from a far-field model of g
@@ -472,7 +471,8 @@ def hypersingular_apply(g: ScalarField, x, cfg: ReconstructionConfig) -> float:
 # ---------------------------------------------------------------------------
 
 def sqrt_laplacian_constant(n: int) -> float:
-    """Prefactor of the even-n half-Laplacian route: Gamma((n+1)/2)/pi^((n+1)/2)."""
+    """Gamma((n+1)/2)/pi^((n+1)/2), the normalizer of the half Laplacian's
+    singular integral; at n = 2 it is 1 / hypersingular_constant(2, 1)."""
     if n < 1:
         raise DomainError("dimension must be >= 1")
     return float(gamma((n + 1) / 2) / math.pi ** ((n + 1) / 2))
@@ -486,80 +486,30 @@ def _check_ell(n: int, ell: int):
         raise DomainError(f"odd n requires ell > n-1, got ell = {ell}")
 
 
-def _difference_moment(ell: int, two_k: int) -> float:
-    return float(sum((-1) ** j * math.comb(ell, j) * j ** two_k
-                     for j in range(ell + 1)))
-
-
-_DNL_CACHE: dict = {}
-
-
 def hypersingular_constant(n: int, ell: int) -> float:
     """Normalizer of the hypersingular inversion: the real value of
-    integral over R^n of (1 - e^(i y_1))^ell |y|^(1-2n) dy.
-
-    The imaginary part cancels by the y_1 reflection, so the integrand is
-    the cosine polynomial sum_j C(ell,j) (-1)^j cos(j y_1). In polar form
-    the angular average is A(rho) = sum_j C(ell,j) (-1)^j E(j rho) with
-    E(t) = (2 pi)^(n/2) t^((2-n)/2) J_((n-2)/2)(t), and the radial integral
-    of rho^(-n) A(rho) is split into a Taylor piece near 0 (where the ell-th
-    difference cancels all moments below ell), oscillation-sized Gauss
-    panels, and a closed-form constant tail.
+    integral over R^n of (1 - e^(i y_1))^ell |y|^(1-2n) dy, which is Samko's
+    closed form (*Hypersingular Integrals and Their Applications*, 2002,
+    ch. 3) at a = n-1: with A(a) = sum_{j=1..ell} (-1)^(j-1) C(ell,j) j^a,
+        d = pi^(1+n/2) A(a) / (2^a Gamma(1+a/2) Gamma((n+a)/2) sin(pi a/2)).
+    For odd n, A(a) and the sine both vanish at the even a = n-1 < ell, and
+    d is the ratio of their a-derivatives.
     """
     if n < 2 or not isinstance(n, (int, np.integer)):
         raise DomainError("dimension n must be an integer >= 2")
     if not isinstance(ell, (int, np.integer)) or ell < 1:
         raise DomainError("ell must be an integer >= 1")
     _check_ell(n, ell)
-    key = (int(n), int(ell))
-    if key in _DNL_CACHE:
-        return _DNL_CACHE[key]
-
-    sigma = _sphere_area(n)
-    delta, R = 0.5, 20000.0
-
-    # [0, delta]: termwise-integrated Taylor series of the angular average
-    near = 0.0
-    for k in range(0, 120):
-        Sk = _difference_moment(ell, 2 * k)
-        if Sk == 0.0:
-            continue
-        pw = 2 * k + 1 - n
-        if pw == 0:
-            raise QuadratureError("degenerate Taylor term in the radial split")
-        moment = gamma(k + 0.5) * gamma(n / 2) / (math.sqrt(math.pi) * gamma(k + n / 2))
-        term = ((-1) ** k * moment / math.factorial(2 * k) * Sk
-                * delta ** pw / pw)
-        near += term
-        if k > ell and abs(term) < 1e-18 * (1.0 + abs(near)):
-            break
-    near *= sigma
-
-    def middle(nodes_per_panel: int) -> float:
-        width = math.pi / (2 * ell)
-        count = int(math.ceil((R - delta) / width))
-        edges = np.linspace(delta, R, count + 1)
-        gx, gw = gauss_rule(nodes_per_panel)
-        a, b = edges[:-1], edges[1:]
-        half = 0.5 * (b - a)
-        rho = ((a + half)[:, None] + half[:, None] * gx[None, :]).ravel()
-        w = (half[:, None] * gw[None, :]).ravel()
-        A = np.full(rho.shape, sigma)
-        for j in range(1, ell + 1):
-            t = j * rho
-            E = (2 * math.pi) ** (n / 2) * t ** ((2 - n) / 2) * jv((n - 2) / 2, t)
-            A += ((-1.0) ** j * math.comb(ell, j)) * E
-        return float(np.dot(w, A * rho ** (-float(n))))
-
-    mid = middle(12)
-    mid_check = middle(18)
-    tail = sigma * R ** (1 - n) / (n - 1)
-    val = near + mid + tail
-    if abs(mid - mid_check) > 1e-8 * max(1.0, abs(val)):
-        raise QuadratureError(
-            f"radial refinement levels disagree: {mid!r} vs {mid_check!r}")
-    _DNL_CACHE[key] = val
-    return val
+    a = int(n) - 1
+    terms = [(-1) ** (j - 1) * math.comb(ell, j) * j ** a for j in range(1, ell + 1)]
+    if n % 2:
+        num = math.fsum(t * math.log(j) for j, t in enumerate(terms, 1))
+        den = math.pi / 2 * math.cos(math.pi * a / 2)
+    else:
+        num = math.fsum(terms)
+        den = math.sin(math.pi * a / 2)
+    return float(math.pi ** (1 + n / 2) * num
+                 / (2 ** a * gamma(1 + a / 2) * gamma((n + a) / 2) * den))
 
 
 # ---------------------------------------------------------------------------
@@ -592,23 +542,29 @@ def _invert_at(kind: str, data, x_out: Point, method: str,
         z = x_out
         mult = 1.0
 
-    if method == "hypersingular":
-        _check_ell(n, cfg.ell)
-        e = cfg.exponent if cfg.exponent is not None else 2.0 * n - 1.0
-        g = backprojection_field(kind, data, cfg)
-        val = hypersingular_apply(g, z, cfg.with_(exponent=float(e)))
-        val /= hypersingular_constant(n, cfg.ell)
-    elif method == "laplacian_power":
-        if n % 2 == 1:
-            val = float(_bp_batch(kind, data, z.as_array()[None, :], cfg, (n - 1) // 2)[0])
-        else:
-            # n = 2: no integer power is left, only the half power
-            g = backprojection_field(kind, data, cfg)
-            half_cfg = cfg.with_(ell=1, exponent=float(n + 1))
-            val = sqrt_laplacian_constant(n) * hypersingular_apply(g, z, half_cfg)
-    else:
+    if method not in _METHODS:
         raise ConfigError(f"unknown inversion method {method!r}")
+    if method == "laplacian_power" and n % 2 == 1:
+        val = float(_bp_batch(kind, data, z.as_array()[None, :], cfg, (n - 1) // 2)[0])
+    else:
+        # the hypersingular integral, which for even n is also the whole
+        # laplacian_power route: no integer power of -Delta is left at n = 2
+        ell = cfg.ell if method == "hypersingular" else n - 1
+        d = hypersingular_constant(n, ell)            # checks ell first
+        g = backprojection_field(kind, data, cfg)
+        val = hypersingular_apply(g, z, cfg.with_(ell=ell, exponent=2.0 * n - 1.0)) / d
     return mult * val
+
+
+def _inversion_cfg(kind: str, data, cfg) -> ReconstructionConfig:
+    """The resolved configuration of ``invert`` and ``reconstruct``, whose
+    hypersingular normalizer holds only for the kernel power 2n-1."""
+    n = data.n
+    _check_bp_data(kind, data, n)
+    cfg = _resolve_cfg(n, cfg)
+    if cfg.exponent is not None and cfg.exponent != 2 * n - 1:
+        raise ConfigError(f"exponent must be 2n-1 = {2 * n - 1}, got {cfg.exponent}")
+    return cfg
 
 
 def invert(kind: str, data, x_out, method: str = "hypersingular",
@@ -618,19 +574,15 @@ def invert(kind: str, data, x_out, method: str = "hypersingular",
     kind "transversal" applies the chosen Laplacian-power realization to the
     backprojection g at x_out directly; kind "parabolic" evaluates it at
     (x', x_n + |x'|^2); kind "sonar" evaluates at (y', y_n^2 + |y'|^2) and
-    multiplies by y_n (and requires y_n > 0).
+    multiplies by y_n (and requires y_n > 0). A set cfg.exponent must be 2n-1.
     """
-    n = data.n
-    _check_bp_data(kind, data, n)
-    cfg = _resolve_cfg(n, cfg)
-    return _invert_at(kind, data, _as_point(x_out, n), method, cfg)
+    cfg = _inversion_cfg(kind, data, cfg)
+    return _invert_at(kind, data, _as_point(x_out, data.n), method, cfg)
 
 
 def reconstruct(kind: str, data, points, method: str = "hypersingular",
                 cfg=None) -> np.ndarray:
     """Reconstructed values at many points, as ``invert`` at each."""
-    n = data.n
-    _check_bp_data(kind, data, n)
-    cfg = _resolve_cfg(n, cfg)
-    return np.asarray([_invert_at(kind, data, _as_point(p, n), method, cfg)
+    cfg = _inversion_cfg(kind, data, cfg)
+    return np.asarray([_invert_at(kind, data, _as_point(p, data.n), method, cfg)
                        for p in points])

@@ -218,6 +218,18 @@ class TestInvert:
         assert main(argv) == 0
         assert (read(tmp_path / "result.csv"), read(tmp_path / "manifest.txt")) == first
 
+    def test_no_exponent_flag(self, tmp_path, capsys):
+        # invert always uses the kernel power 2n-1, so there is no flag to
+        # set another and no manifest key for it
+        argv = ["invert", "--kind", "transversal", "--m", "40",
+                "--points", "0.3,-0.1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert "exponent" not in manifest_dict(tmp_path / "manifest.txt")
+        with pytest.raises(SystemExit) as ei:
+            main(argv + ["--exponent", "4"])
+        assert ei.value.code == 2
+        assert "--exponent" in capsys.readouterr().err
+
 
 class TestFailurePaths:
     def test_numerical_failure_appends_to_manifest(self, tmp_path, capsys):

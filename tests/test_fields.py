@@ -148,6 +148,13 @@ def test_sphere_profile_eval():
         prof.eval_array(np.array([[1.0, 2.0]]), np.array([1.0]))
 
 
+def test_sphere_profile_checks_what_its_func_returns():
+    # a scalar would broadcast silently into the sonar backprojection
+    prof = SphereProfile(2, lambda XP, R: 1.0)
+    with pytest.raises(DomainError, match=r"shape \(\), expected \(3,\)"):
+        prof.eval_array(np.zeros((3, 1)), np.ones(3))
+
+
 def test_grid_and_sampling():
     grid = Grid(((0.0, 1.0, 3), (0.0, 2.0, 5)))
     assert grid.n == 2

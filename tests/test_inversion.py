@@ -412,7 +412,20 @@ class TestHypersingular:
     def test_first_order_constant_closed_form(self):
         # integral of (1 - cos y_1) |y|^(-3) over R^2
         assert hr.hypersingular_constant(2, 1) == pytest.approx(
-            2 * math.pi, rel=1e-9)
+            2 * math.pi, rel=1e-15)
+
+    @pytest.mark.parametrize("n,ell,value", [
+        (4, 3, -5.263789013914325),
+        (5, 5, 0.9789066520515785),
+        (5, 6, 0.31001246280347755),
+        (6, 5, 2.099895986814001),
+        (7, 7, -0.21598771897509889),
+    ])
+    def test_constants_match_radial_quadrature(self, n, ell, value):
+        # frozen from an independent method: a Taylor piece near 0, Bessel
+        # panels of the angular average of the ell-th difference out to
+        # radius 20000, and the closed-form tail beyond
+        assert hr.hypersingular_constant(n, ell) == pytest.approx(value, rel=1e-10)
 
     def test_constants_3d_frozen(self):
         assert hr.hypersingular_constant(3, 3) == pytest.approx(
@@ -461,12 +474,26 @@ class TestInvert:
         assert got == pytest.approx(self.truth((0.3, -0.1)), rel=2e-2)
 
     def test_routes_coincide_in_2d(self):
-        # for n = 2 the stencil route reduces to the same first-order
-        # singular integral, so only the normalizing constant differs
+        # for n = 2 no integer power of -Delta is left, so the stencil route
+        # is the first-order singular integral itself: one code path
         data = hr.transversal_field(self.f)
         a = hr.invert("transversal", data, (0.3, -0.1), "hypersingular")
         b = hr.invert("transversal", data, (0.3, -0.1), "laplacian_power")
-        assert a == pytest.approx(b, rel=1e-9)
+        assert a == b
+
+    @pytest.mark.parametrize("method", ["hypersingular", "laplacian_power"])
+    def test_exponent_other_than_2n_minus_1_is_rejected(self, method):
+        # the normalizer holds for the kernel power 2n-1 only; any other
+        # power would return a wrong value
+        data = hr.transversal_field(self.f)
+        cfg = hr.ReconstructionConfig.for_dimension(2).with_(exponent=4.0)
+        with pytest.raises(ConfigError, match="exponent"):
+            hr.invert("transversal", data, (0.3, -0.1), method, cfg)
+        with pytest.raises(ConfigError, match="exponent"):
+            hr.reconstruct("transversal", data, [(0.3, -0.1)], method, cfg)
+        ok = cfg.with_(exponent=3.0)
+        assert hr.invert("transversal", data, (0.3, -0.1), method, ok) == \
+            hr.invert("transversal", data, (0.3, -0.1), method)
 
     def test_reconstruct_matches_invert(self):
         data = hr.transversal_field(self.f)
