@@ -368,8 +368,12 @@ def _transversal_batch(psi, X, spec):
     smag = np.linalg.norm(sig, axis=1)
     live = smag > 1e-300
     shat = np.where(live[:, None], sig / np.maximum(smag, 1e-300)[:, None], 0.0)
-    # Householder frames mapping e_1 to the slope direction, batched
-    v = shat - np.eye(k)[0][None, :]
+    # Householder frames mapping e_1 to the slope direction, batched; for
+    # slopes near e_1 the first entry of shat - e_1 is taken in the
+    # cancellation-free form -|rest|^2 / (1 + shat_1)
+    v = shat.copy()
+    rest2 = np.sum(shat[:, 1:] ** 2, axis=1)
+    v[:, 0] = np.where(shat[:, 0] > 0, -rest2 / (1 + np.abs(shat[:, 0])), shat[:, 0] - 1)
     vnorm2 = np.sum(v ** 2, axis=1)
     basis = np.broadcast_to(np.eye(k)[None, :, :], (M, k, k)).copy()
     nz = vnorm2 > 1e-28
@@ -439,7 +443,10 @@ def _householder_tangent_basis(theta: np.ndarray) -> np.ndarray:
     Deterministic completion via the reflection that maps e_n to theta.
     """
     n = theta.shape[0]
-    v = theta - np.eye(n)[-1]
+    v = theta.copy()
+    # theta_n - 1 without cancellation when theta is near e_n
+    tn = theta[-1]
+    v[-1] = -float(theta[:-1] @ theta[:-1]) / (1 + tn) if tn > 0 else tn - 1
     vn2 = float(v @ v)
     H = np.eye(n)
     if vn2 > 1e-28:

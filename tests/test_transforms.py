@@ -287,6 +287,17 @@ def test_classical_radon_3d():
     assert got == pytest.approx(math.pi * math.exp(-0.16), rel=1e-10)
 
 
+def test_classical_radon_3d_normal_just_off_the_last_axis():
+    # theta 6e-8 off e_3: the tangent frame takes theta_3 - 1 free of
+    # cancellation (rel error 1.4e-10 without it, 5e-16 with it)
+    c = np.array([0.3, -0.2, 0.1])
+    f = make_test_field("gaussian", 3, tuple(c), 1.0)
+    theta = (6e-8, 0.0, math.sqrt(1 - 3.6e-15))
+    got = classical_radon(f, RadonPlane(theta, 0.4))
+    exact = math.pi * math.exp(-(0.4 - np.dot(theta, c)) ** 2)
+    assert got == pytest.approx(exact, rel=1e-13)
+
+
 def test_slope_intercept_relation_agrees():
     f = make_test_field("gaussian", 2, (0.3, 0.1), 1.0)
     for ang in (0.4, 1.2, 2.8):
