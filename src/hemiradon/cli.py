@@ -51,8 +51,24 @@ _IDENTITY_NAMES = tuple(sorted(CANONICAL_IDENTITIES)) + ("dilation", "slope_inte
 # config plumbing
 # ---------------------------------------------------------------------------
 
+_SHARED_KEYS = frozenset({"out", "n", "m", "R_max", "phantom", "center", "scale"})
+#: The keys each subcommand reads, from a flag or a config file.
+_KEYS = {
+    "forward": _SHARED_KEYS | {"points", "kind"},
+    "invert": _SHARED_KEYS | {"points", "kind", "method", "ell", "stencil_h",
+                              "y_radius", "bp_stop"},
+    "verify": _SHARED_KEYS | {"points", "identity", "lam"},
+    "norm-scan": _SHARED_KEYS | {"transform", "p", "q", "s", "lambdas", "outer_radius"},
+    "constants": frozenset({"out", "n", "ell"}),
+}
+
+
 def _load_config_file(path: str, command: str) -> dict:
-    """Flat key = value lines; [section] headers scope keys to one command."""
+    """Flat key = value lines; [section] headers scope keys to one command.
+
+    A key in a section must be one that section's command reads, and a key
+    outside any section one that some command reads.
+    """
     if not os.path.isfile(path):
         raise ConfigError(f"key 'config': no such file {path!r}")
     out = {}
@@ -64,6 +80,9 @@ def _load_config_file(path: str, command: str) -> dict:
                 continue
             if line.startswith("[") and line.endswith("]"):
                 section = line[1:-1].strip()
+                if section not in _KEYS:
+                    raise ConfigError(
+                        f"key 'config': unknown section [{section}] on line {lineno}")
                 continue
             if "=" not in line:
                 raise ConfigError(
@@ -71,8 +90,14 @@ def _load_config_file(path: str, command: str) -> dict:
             key, val = (part.strip() for part in line.split("=", 1))
             if not key:
                 raise ConfigError(f"key 'config': empty key on line {lineno}")
+            key = key.replace("-", "_")
+            known = _KEYS[section] if section else frozenset().union(*_KEYS.values())
+            if key not in known:
+                where = f"[{section}]" if section else "any subcommand"
+                raise ConfigError(
+                    f"key {key!r}: not read by {where}, line {lineno}")
             if section in (None, command):
-                out[key.replace("-", "_")] = val
+                out[key] = val
     return out
 
 

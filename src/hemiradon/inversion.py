@@ -8,25 +8,29 @@ hemisphere (n = 3) of directions, where the integrand is smooth and
 bounded; the slope nodes are therefore a Gauss rule in the polar angle
 times a uniform azimuth rule, weighted by the exact Jacobian, with no
 truncation unless a slope cutoff is asked for. The target function is then
-recovered from g by a power of the negative Laplacian, realized two ways:
+recovered from g by the power (-Delta)^((n-1)/2), taken inside the
+backprojection: every direction's term depends on x only through the
+data's intercept s, with |grad s| = c = sqrt(1 + 4|z|^2), so the power is
+c^(n-1) times the 1-D power (-d^2/ds^2)^((n-1)/2) of the data in s (the
+filtered backprojection; Natterer, *The Mathematics of Computerized
+Tomography*, 1986, ch. II). Two methods realize it:
 
+* ``laplacian_power``: for odd n the integer power, a central difference of
+  the data in s of spacing ``stencil_h``, 2k+1 reads per direction; for
+  even n the route is the ``hypersingular`` one. ``laplacian_power`` itself
+  applies k-fold central-difference stencils to a given field.
 * ``hypersingular``: the eps-limit integral of the ell-th finite difference
-  of g against |y|^(1-2n), divided by the closed form of Samko's normalizer
+  against |y|^(1-2n), divided by the closed form of Samko's normalizer
   (``hypersingular_constant``; Samko, *Hypersingular Integrals*, 2002).
-  Averaged over y and -y the difference loses its odd Taylor terms, so the
-  limit is an absolutely convergent integral, taken by Gauss panels from 0
-  over the half circle or hemisphere of directions; beyond the outer radius
-  it is closed form, from g ~ M/|x| with M = integral of f / sigma_n fitted
-  to sphere means of g;
-* ``laplacian_power``: for odd n the integer power (-Delta)^((n-1)/2),
-  taken inside the backprojection: every direction's term depends on x only
-  through the data's intercept s, with |grad s|^2 = 1 + 4|z|^2, so the
-  power is (1 + 4|z|^2)^k times a central difference of the data in s of
-  spacing ``stencil_h`` (the filtered backprojection; Natterer, *The
-  Mathematics of Computerized Tomography*, 1986, ch. II), 2k+1 reads per
-  direction; for even n the route is the ``hypersingular`` one with
-  ell = n-1. ``laplacian_power`` itself applies k-fold central-difference
-  stencils to a given field.
+  For n = 2 (ell = 1, d = 2 pi = 2 d_(1,1)) it is the 1-D integral
+  (1/pi) integral_0^inf (2h(s) - h(s+t) - h(s-t)) / t^2 dt of the data h
+  in s, on q Gauss nodes in panels from 0 with t scaled by c, plus its
+  exact tail: 2q+1 reads per direction. For odd n it runs on g itself
+  (``hypersingular_apply``, which takes any given field): the difference
+  averaged over y and -y loses its odd Taylor terms, so the limit is an
+  absolutely convergent integral, taken by Gauss panels from 0 over the
+  hemisphere of directions; beyond the outer radius it is closed form, from
+  g ~ M/|x| with M = integral of f / sigma_n fitted to sphere means of g.
 
 The parabolic and hemispherical kernels are the transversal kernel after
 the slope substitution y' = 2z'; the backprojection grid for transversal
@@ -47,7 +51,7 @@ import numpy as np
 from scipy.special import gamma
 
 from .errors import ConfigError, DomainError, QuadratureError
-from .fields import Point, ScalarField, SphereProfile, _as_points_array
+from .fields import ScalarField, SphereProfile, _as_points_array
 from .quadrature import QuadratureSpec, line_rule, octave_edges, sphere_nodes
 
 _KINDS = ("transversal", "parabolic", "sonar")
@@ -71,15 +75,20 @@ class ReconstructionConfig:
         |y|-power of the kernel of ``hypersingular_apply``; None selects
         2n-1, the only power ``invert`` and ``reconstruct`` accept.
     y_radius:
-        Outer radius of the quadrature of the hypersingular y-integral; the
-        tail beyond it is added in closed form from a far-field model of g
+        Outer radius T of the radial quadrature of the hypersingular
+        integral. In 2-D it is the end of the 1-D integral in tau = t / c,
+        whose tail beyond T is exact once every support point lies within T
+        of the mapped point z (z = x for transversal data): exact recovery
+        needs T at least the distance from z to the far edge of the support.
+        On g (odd n) the tail beyond it comes from a far-field model of g
         fitted to its means over spheres of radius 8 to 16 about x, so
         y_radius should be at least 8.
     hyper_radial_nodes / hyper_angular_nodes:
         Gauss nodes per radial panel of that integral (panels on the octave
-        edges 0, 0.25, 0.5, ..., y_radius), and its directions on the upper
-        half circle (n = 2); for n = 3 the hemisphere rule takes that many
-        polar cosines times twice as many azimuths.
+        edges 0, 0.25, 0.5, ..., y_radius): in 2-D the nodes per panel of
+        the 1-D rule. On g, the second is the count of its directions on
+        the upper half circle (n = 2); for n = 3 the hemisphere rule takes
+        that many polar cosines times twice as many azimuths.
     bp_stop:
         Slope cutoff of the backprojection: only slopes |z| <= bp_stop
         (|u| <= 2 bp_stop for transversal data) enter, the polar angle
@@ -218,21 +227,51 @@ def _check_bp_data(kind, data, n):
         raise DomainError("backprojection implemented for n in {2, 3}")
 
 
-def _difference_weights(k: int, h: float) -> np.ndarray:
-    """Weights of (-d^2/ds^2)^k at the offsets j h, j = -k..k: the central
-    difference (-1)^j C(2k, k+j) / h^(2k); k = 0 is the single weight 1."""
-    return np.array([(-1.0) ** j * math.comb(2 * k, k + j)
-                     for j in range(-k, k + 1)]) / h ** (2 * k)
+def _radial_rule(cfg):
+    """Gauss panels of ``hyper_radial_nodes`` nodes each on the octave edges
+    0, 0.25, 0.5, ..., y_radius: (nodes, weights)."""
+    edges = np.concatenate([[0.0], octave_edges(_FIRST_EDGE, cfg.y_radius)])
+    rules = [line_rule(a, b, cfg.hyper_radial_nodes)
+             for a, b in zip(edges[:-1], edges[1:])]
+    return np.concatenate([r for r, _ in rules]), np.concatenate([w for _, w in rules])
 
 
-def _bp_batch(kind, data, X, cfg, k: int = 0) -> np.ndarray:
+def _intercept_rule(k, cfg, c):
+    """Offsets in the data's intercept s and weights of (-d^2/ds^2)^k, both
+    broadcasting to (reads, directions), for directions with |grad s| = c.
+
+    k is an integer or 1/2. Integer k: the central difference
+    (-1)^j C(2k, k+j) / h^(2k) at the offsets j h, j = -k..k, h = stencil_h;
+    k = 0 is the single weight 1. k = 1/2: the 1-D hypersingular integral
+    (1/pi) integral_0^inf (2 psi(s) - psi(s+t) - psi(s-t)) / t^2 dt of the
+    data psi, with t = c tau and tau on ``_radial_rule`` up to T = y_radius,
+    so that the panels keep the data's width in classical coordinates: the
+    weight -w_q / (pi c tau_q^2) at each of s + c tau_q and s - c tau_q, and
+    at s their doubled negated sum plus the tail 2 / (pi c T) beyond T,
+    which is exact once cT covers the data's support about s.
+    """
+    if k == int(k):
+        k = int(k)
+        w = np.array([(-1.0) ** j * math.comb(2 * k, k + j)
+                      for j in range(-k, k + 1)]) / cfg.stencil_h ** (2 * k)
+        return cfg.stencil_h * np.arange(-k, k + 1.0)[:, None], w[:, None]
+    tau, wt = _radial_rule(cfg)
+    a = wt / tau ** 2
+    offsets = np.concatenate([[0.0], tau, -tau])[:, None] * c[None, :]
+    w = np.concatenate([[2.0 * (a.sum() + 1.0 / cfg.y_radius)], -a, -a])
+    return offsets, w[:, None] / (math.pi * c[None, :])
+
+
+def _bp_batch(kind, data, X, cfg, k=0) -> np.ndarray:
     """(-Delta)^k of the backprojection at an (M, n) batch of output points.
 
     Each direction's term depends on x only through the data's intercept s
-    (r^2 for sonar data), which is linear in x with |grad s|^2 = 1 + 4|z|^2, so (-Delta)^k passes
-    inside the integral as (1 + 4|z|^2)^k (-d^2/ds^2)^k: the data is read at
-    s + j stencil_h, j = -k..k, and combined by ``_difference_weights``.
-    k = 0 is the backprojection itself.
+    (r^2 for sonar data), which is linear in x with |grad s| = c =
+    sqrt(1 + 4|z|^2), so (-Delta)^k passes inside the integral as
+    c^(2k) (-d^2/ds^2)^k: the data is read at the offsets of
+    ``_intercept_rule`` about s and combined with its weights. k = 0 is the
+    backprojection itself, an integer k a central difference, k = 1/2 the
+    1-D hypersingular integral (n = 2).
     """
     n = X.shape[1]
     Z, W = _slope_grid(n, cfg.g_spec.m, cfg.bp_stop, cfg.bp_angular_nodes)
@@ -247,10 +286,10 @@ def _bp_batch(kind, data, X, cfg, k: int = 0) -> np.ndarray:
     zsq = np.sum(Z * Z, axis=1)
     # the kernel (1 + 4|z|^2)^(-(n-1)/2) times |grad s|^(2k)
     kernel = (1.0 + 4.0 * zsq) ** (k - (n - 1) / 2.0)
-    Wk = (_difference_weights(k, cfg.stencil_h)[:, None] * (Wn * kernel)[None, :]).ravel()
-    shifts = cfg.stencil_h * np.arange(-k, k + 1.0)[None, :, None]
-    N = Z.shape[0]
-    R = N * (2 * k + 1)                               # data reads per point
+    offsets, weights = _intercept_rule(k, cfg, np.sqrt(1.0 + 4.0 * zsq))
+    Wk = (weights * (Wn * kernel)[None, :]).ravel()
+    S, N = offsets.shape[0], Z.shape[0]
+    R = N * S                                         # data reads per point
     out = np.empty(X.shape[0])
     # Each data eval fans out into a windowed quadrature whose node count
     # grows with n - 1, so the eval-batch budget shrinks accordingly.
@@ -264,8 +303,8 @@ def _bp_batch(kind, data, X, cfg, k: int = 0) -> np.ndarray:
             sec = Xc[:, -1][:, None] - dots
         else:
             sec = (Xc[:, -1][:, None] - 2.0 * dots) + zsq[None, :]
-        sec = (sec[:, None, :] + shifts).ravel()      # (B, 2k+1, N)
-        ZP = np.broadcast_to(U, (B * (2 * k + 1), N, n - 1)).reshape(-1, n - 1)
+        sec = (sec[:, None, :] + offsets).ravel()     # (B, S, N)
+        ZP = np.broadcast_to(U, (B * S, N, n - 1)).reshape(-1, n - 1)
         if kind == "sonar":
             vals = np.zeros(B * R)
             good = sec > 0
@@ -281,7 +320,9 @@ def _bp_batch(kind, data, X, cfg, k: int = 0) -> np.ndarray:
             raise QuadratureError(
                 f"non-finite {kind} data at slope {slope} backprojecting "
                 f"to point {tuple(float(v) for v in Xc[b])}", node=slope)
-        out[i0:i0 + step] = pref * (vals.reshape(B, R) @ Wk)
+        # one product per point, so that a point's value does not depend on
+        # the batch it came in
+        out[i0:i0 + step] = pref * (vals.reshape(B, 1, R) @ Wk)[:, 0]
     return out
 
 
@@ -390,11 +431,7 @@ def _hyper_nodes(n: int, cfg, exponent: float):
     k = hyper_angular_nodes, a rule that maps onto itself under y -> -y, so
     the weights integrate an even function of y over the whole ball.
     """
-    edges = np.concatenate([[0.0], octave_edges(_FIRST_EDGE, cfg.y_radius)])
-    rules = [line_rule(a, b, cfg.hyper_radial_nodes)
-             for a, b in zip(edges[:-1], edges[1:])]
-    rn = np.concatenate([r for r, _ in rules])
-    rw = np.concatenate([w for _, w in rules])
+    rn, rw = _radial_rule(cfg)
     dirs, aw = sphere_nodes(n - 1, 2 * cfg.hyper_angular_nodes)
     up = dirs[:, -1] > 0
     Y = (rn[:, None, None] * dirs[up][None, :, :]).reshape(-1, n)
@@ -516,44 +553,46 @@ def hypersingular_constant(n: int, ell: int) -> float:
 # composed inverters
 # ---------------------------------------------------------------------------
 
-def _as_point(x, n: int) -> Point:
-    if isinstance(x, Point):
-        if x.n != n:
-            raise DomainError(f"point dimension {x.n} != data dimension {n}")
-        return x
-    return Point.of(_as_points_array(x, n)[0])
-
-
-def _invert_at(kind: str, data, x_out: Point, method: str,
-               cfg: ReconstructionConfig) -> float:
-    n = data.n
+def _targets(kind: str, P: np.ndarray):
+    """The points z at which the inversion of g is read for the output points
+    P, and the factor on each value: z = x for transversal data,
+    (x', x_n + |x'|^2) for parabolic data, (y', y_n^2 + |y'|^2) with the
+    factor y_n > 0 for sonar data."""
+    ssq = np.sum(P[:, :-1] ** 2, axis=1)
+    Z = P.copy()
+    mult = np.ones(P.shape[0])
     if kind == "sonar":
-        yn = x_out.xn
-        if yn <= 0:
+        if not np.all(P[:, -1] > 0):
             raise DomainError("sonar inversion target must satisfy x_n > 0")
-        ssq = sum(v * v for v in x_out.xprime)
-        z = Point(x_out.xprime, yn * yn + ssq)
-        mult = yn
+        mult = P[:, -1]
+        Z[:, -1] = mult * mult + ssq
     elif kind == "parabolic":
-        ssq = sum(v * v for v in x_out.xprime)
-        z = Point(x_out.xprime, x_out.xn + ssq)
-        mult = 1.0
-    else:
-        z = x_out
-        mult = 1.0
+        Z[:, -1] = P[:, -1] + ssq
+    return Z, mult
 
+
+def _invert_batch(kind: str, data, P: np.ndarray, method: str,
+                  cfg: ReconstructionConfig) -> np.ndarray:
+    """Reconstructed values at the (M, n) output points P.
+
+    (-Delta)^((n-1)/2) of g runs inside the backprojection, in one batch,
+    except for the odd-n ``hypersingular`` method, which applies
+    ``hypersingular_apply`` to g point by point.
+    """
     if method not in _METHODS:
         raise ConfigError(f"unknown inversion method {method!r}")
-    if method == "laplacian_power" and n % 2 == 1:
-        val = float(_bp_batch(kind, data, z.as_array()[None, :], cfg, (n - 1) // 2)[0])
+    n = data.n
+    Z, mult = _targets(kind, P)
+    if n % 2 == 0 or method == "laplacian_power":
+        if method == "hypersingular":
+            hypersingular_constant(n, cfg.ell)        # checks ell
+        vals = _bp_batch(kind, data, Z, cfg, (n - 1) / 2)
     else:
-        # the hypersingular integral, which for even n is also the whole
-        # laplacian_power route: no integer power of -Delta is left at n = 2
-        ell = cfg.ell if method == "hypersingular" else n - 1
-        d = hypersingular_constant(n, ell)            # checks ell first
+        d = hypersingular_constant(n, cfg.ell)        # checks ell first
         g = backprojection_field(kind, data, cfg)
-        val = hypersingular_apply(g, z, cfg.with_(ell=ell, exponent=2.0 * n - 1.0)) / d
-    return mult * val
+        cfg = cfg.with_(exponent=2.0 * n - 1.0)
+        vals = np.array([hypersingular_apply(g, z, cfg) / d for z in Z])
+    return mult * vals
 
 
 def _inversion_cfg(kind: str, data, cfg) -> ReconstructionConfig:
@@ -577,12 +616,15 @@ def invert(kind: str, data, x_out, method: str = "hypersingular",
     multiplies by y_n (and requires y_n > 0). A set cfg.exponent must be 2n-1.
     """
     cfg = _inversion_cfg(kind, data, cfg)
-    return _invert_at(kind, data, _as_point(x_out, data.n), method, cfg)
+    return float(_invert_batch(kind, data, _as_points_array(x_out, data.n)[:1],
+                               method, cfg)[0])
 
 
 def reconstruct(kind: str, data, points, method: str = "hypersingular",
                 cfg=None) -> np.ndarray:
-    """Reconstructed values at many points, as ``invert`` at each."""
+    """Reconstructed values at many points, as ``invert`` at each, in one
+    batch."""
     cfg = _inversion_cfg(kind, data, cfg)
-    return np.asarray([_invert_at(kind, data, _as_point(p, data.n), method, cfg)
-                       for p in points])
+    n = data.n
+    P = np.array([_as_points_array(p, n)[0] for p in points]).reshape(-1, n)
+    return _invert_batch(kind, data, P, method, cfg)

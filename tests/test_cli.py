@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from hemiradon.cli import main
+from hemiradon.cli import _KEYS, _build_parser, main
 
 
 def read(path):
@@ -120,6 +120,47 @@ class TestConfigFile:
                    "--config", str(cfg), "--out", str(out)])
         assert rc == 0
         assert manifest_dict(out / "manifest.txt")["m"] == "44"
+
+    @pytest.mark.parametrize("text,key,lineno", [
+        ("m = 48\n[invert]\nexponent = 4\n", "exponent", 3),   # retired
+        ("[invert]\nell = 1\nstencil_hh = 9\n", "stencil_hh", 3),  # misspelt
+        ("[constants]\nm = 40\n", "m", 2),   # a key constants does not read
+        ("stencil-hh = 9\n", "stencil_hh", 1),   # read by no subcommand
+    ])
+    def test_unknown_key_names_key_and_line(self, tmp_path, capsys, text, key, lineno):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        rc = main(["forward", "--kind", "transversal", "--points", "0,0",
+                   "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"key {key!r}" in err
+        assert f"line {lineno}" in err
+        assert not (tmp_path / "out" / "result.csv").exists()
+
+    def test_unknown_section_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[invrt]\nell = 1\n", encoding="utf-8")
+        rc = main(["forward", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "[invrt]" in capsys.readouterr().err
+
+    def test_shared_key_of_another_command_is_accepted(self, tmp_path):
+        # outside a section, a key some subcommand reads is fine for all
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ell = 1\nm = 44\n", encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(["forward", "--kind", "transversal", "--points", "0,0",
+                   "--config", str(cfg), "--out", str(out)])
+        assert rc == 0
+        assert manifest_dict(out / "manifest.txt")["m"] == "44"
+
+    def test_every_config_key_has_a_flag(self):
+        parser = _build_parser()
+        subparsers = next(a for a in parser._actions if a.dest == "command")
+        for command, keys in _KEYS.items():
+            dests = {a.dest for a in subparsers.choices[command]._actions}
+            assert keys <= dests, command
 
 
 class TestVerify:

@@ -322,6 +322,128 @@ class TestLaplacianInBackprojection:
 
 
 # ---------------------------------------------------------------------------
+# the 2-D half power inside the backprojection
+# ---------------------------------------------------------------------------
+
+PTS9 = [(a, b) for a in (-0.5, 0.0, 0.5) for b in (-0.5, 0.0, 0.5)]
+PTS11 = [(0.0, 1.0), (0.15, 1.0), (-0.1, 1.1), (0.05, 0.85), (0.12, 1.18)]
+
+
+def counting_data(kind, reads):
+    """2-D data of the given kind that records how many values it is asked
+    for."""
+    if kind == "sonar":
+        def prof(XP, R):
+            reads.append(R.size)
+            return np.exp(-R ** 2)
+
+        return hr.SphereProfile(2, prof)
+
+    def psi(p):
+        reads.append(p.shape[0])
+        a = 1.0 + p[:, 0] ** 2
+        return a ** -0.5 * np.exp(-p[:, 1] ** 2 / a)
+
+    return hr.ScalarField(2, psi)
+
+
+class TestHalfPowerInBackprojection:
+    @pytest.mark.parametrize("kind,pts", [
+        ("transversal", [(0.1, 0.2), (-0.3, 0.5)]),
+        ("parabolic", [(0.1, 0.2), (-0.3, 0.5)]),
+        # high enough that no sonar read falls at a radius^2 <= 0, where the
+        # profile is not read
+        ("sonar", [(0.0, 9.0), (0.5, 9.5)]),
+    ])
+    def test_reads_per_point(self, kind, pts):
+        # (-Delta)^(1/2) g is a 1-D hypersingular integral of the data in its
+        # intercept: 1 + 2 x 48 reads for each of the 96 directions, not 801
+        # reads of a 96-direction g (76,896)
+        reads = []
+        hr.reconstruct(kind, counting_data(kind, reads), pts)
+        assert sum(reads) == len(pts) * 96 * (1 + 2 * 48)
+
+    def test_non_finite_data_names_slope_and_output_point(self):
+        # NaN only far out in the intercept at one slope: the 1-D integral
+        # reaches it from the output point itself
+        Z, _ = _slope_grid(2, 96, math.inf, 24)
+        u0 = 2.0 * float(Z[5, 0])
+        s0 = -0.1 - u0 * 0.3                        # intercept at (0.3, -0.1)
+
+        def psi(p):
+            vals = np.exp(-p[:, 1] ** 2)
+            return np.where((p[:, 0] == u0) & (np.abs(p[:, 1] - s0) > 3.0),
+                            np.nan, vals)
+
+        data = hr.ScalarField(2, psi)
+        with pytest.raises(QuadratureError,
+                           match=r"slope .* point \(0\.3, -0\.1\)") as ei:
+            hr.invert("transversal", data, (0.3, -0.1))
+        assert ei.value.node == (u0,)
+
+    def test_gaussian_far_from_its_centre(self):
+        # the 1-D integral reaches T = 8 intercept widths, so no far-field
+        # model of g enters: closed form exp(-|x|^2) to 1e-5 absolute
+        g2 = gaussian_field(2)
+        pts = [(3.0, 0.0), (6.0, 0.0)]
+        got = hr.reconstruct("transversal", hr.transversal_field(g2), pts)
+        want = np.exp(-np.sum(np.asarray(pts) ** 2, axis=1))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("kind,pts,tol", [
+        # the g route's own default errors: 4.3e-8 at criterion 9's points,
+        # 4.0e-5 (parabolic) and 3.7e-5 (sonar) at criterion 11's
+        ("transversal", PTS9, 5e-8),
+        ("parabolic", PTS11, 5e-5),
+        ("sonar", PTS11, 5e-5),
+    ])
+    def test_agrees_with_hypersingular_integral_of_g(self, kind, pts, tol):
+        if kind == "transversal":
+            data = hr.transversal_field(gaussian_field(2))
+        else:
+            bump = hr.make_test_field("bump", 2, (0.0, 1.0), 0.4,
+                                      domain="half" if kind == "sonar" else "full")
+            data = (hr.sonar_profile if kind == "sonar" else hr.parabolic_field)(bump)
+        cfg = hr.ReconstructionConfig.for_dimension(2)
+        g = hr.backprojection_field(kind, data, cfg)
+        # g's half power at z = x, (x', x_n + |x'|^2), or (x', x_n^2 + |x'|^2)
+        # times x_n for the three kinds
+        P = np.asarray(pts)
+        Z, mult = P.copy(), np.ones(len(pts))
+        if kind == "parabolic":
+            Z[:, 1] += P[:, 0] ** 2
+        elif kind == "sonar":
+            Z[:, 1] = P[:, 1] ** 2 + P[:, 0] ** 2
+            mult = P[:, 1]
+        old = mult * np.array([hr.hypersingular_apply(g, z, cfg)
+                               for z in Z]) / (2 * math.pi)
+        new = hr.reconstruct(kind, data, pts)
+        np.testing.assert_allclose(new, old, rtol=tol, atol=0)
+
+
+class TestBatchedReconstruct:
+    @pytest.mark.parametrize("kind", ["transversal", "parabolic", "sonar"])
+    def test_2d_batch_matches_invert(self, kind):
+        reads = []
+        data = counting_data(kind, reads)
+        pts = [(0.3, 0.9), (-0.2, 1.4), (0.0, 0.5), (0.45, 1.1)]
+        vals = hr.reconstruct(kind, data, pts)
+        # one batch of data reads for all four points
+        assert len(reads) == 1
+        for p, v in zip(pts, vals):
+            assert v == pytest.approx(hr.invert(kind, data, p), rel=1e-13)
+
+    @pytest.mark.parametrize("kind", ["transversal", "parabolic"])
+    def test_3d_batch_matches_invert(self, kind):
+        data = hr.ScalarField(3, transversal_gaussian_3d)
+        pts = [(0.0, 0.0, 0.0), (0.3, 0.0, 0.0), (0.0, -0.4, 0.2)]
+        vals = hr.reconstruct(kind, data, pts, method="laplacian_power")
+        for p, v in zip(pts, vals):
+            assert v == pytest.approx(
+                hr.invert(kind, data, p, method="laplacian_power"), rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
 # the singular integral and its constants
 # ---------------------------------------------------------------------------
 
