@@ -10,8 +10,10 @@ The package provides:
   and numeric identity verification (:mod:`hemiradon.operators`),
 * norm bookkeeping for the exactness factors and the scaling analysis that
   singles out the admissible exponents (:mod:`hemiradon.norms`),
-* backprojection, the hypersingular inversion machinery, and end-to-end
-  reconstruction (:mod:`hemiradon.inversion`).
+* backprojection and end-to-end reconstruction, which takes the power
+  (-Delta)^((n-1)/2) inside the backprojection for every n, and the
+  Laplacian stencil and hypersingular integral on a given field
+  (:mod:`hemiradon.inversion`).
 """
 
 from .errors import (
@@ -47,7 +49,6 @@ from .inversion import (
     ReconstructionConfig,
     backprojection,
     backprojection_field,
-    finite_difference,
     hypersingular_apply,
     hypersingular_constant,
     invert,
@@ -94,7 +95,6 @@ __all__ = [
     "scaling_scan",
     "backprojection",
     "backprojection_field",
-    "finite_difference",
     "hypersingular_apply",
     "hypersingular_constant",
     "sqrt_laplacian_constant",

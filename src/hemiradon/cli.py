@@ -55,8 +55,8 @@ _SHARED_KEYS = frozenset({"out", "n", "m", "R_max", "phantom", "center", "scale"
 #: The keys each subcommand reads, from a flag or a config file.
 _KEYS = {
     "forward": _SHARED_KEYS | {"points", "kind"},
-    "invert": _SHARED_KEYS | {"points", "kind", "method", "ell", "stencil_h",
-                              "y_radius", "bp_stop"},
+    "invert": _SHARED_KEYS | {"points", "kind", "ell", "stencil_h", "y_radius",
+                              "bp_stop"},
     "verify": _SHARED_KEYS | {"points", "identity", "lam"},
     "norm-scan": _SHARED_KEYS | {"transform", "p", "q", "s", "lambdas", "outer_radius"},
     "constants": frozenset({"out", "n", "ell"}),
@@ -317,9 +317,6 @@ def _run_invert(p: Params):
     kind = p.get("kind", str, "transversal")
     if kind not in _INVERT_KINDS:
         raise ConfigError(f"key 'kind': expected one of {_INVERT_KINDS}")
-    method = p.get("method", str, "hypersingular")
-    if method not in ("hypersingular", "laplacian_power"):
-        raise ConfigError("key 'method': expected hypersingular or laplacian_power")
     spec = _resolve_spec(p, n)
     cfg = _resolve_recon_cfg(p, n)
     field = _resolve_phantom(p, n, kind == "sonar")
@@ -346,7 +343,7 @@ def _run_invert(p: Params):
         from .transforms import transversal_field
         data = transversal_field(field, spec)
 
-    recon = reconstruct(kind, data, pts, method, cfg)
+    recon = reconstruct(kind, data, pts, cfg=cfg)
     ref = field.eval_array(np.asarray(pts, dtype=float))
     scale = float(np.max(np.abs(ref))) or 1.0
     rows = []
@@ -510,7 +507,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("invert", help="forward + reconstruct + error report")
     common(sp)
     sp.add_argument("--kind", help="transversal | parabolic | sonar")
-    sp.add_argument("--method", help="hypersingular | laplacian_power")
     sp.add_argument("--ell", help="finite-difference order")
     sp.add_argument("--stencil-h", dest="stencil_h",
                     help="spacing of the odd-n Laplacian difference in the data intercept")

@@ -1,4 +1,4 @@
-"""Backprojection of transformed data and the inversion routes built on it.
+"""Backprojection of transformed data and the inversion built on it.
 
 Each forward transform is inverted through the same intermediate field g: a
 kernel-weighted backprojection of the data over all slopes (or paraboloid
@@ -13,24 +13,29 @@ backprojection: every direction's term depends on x only through the
 data's intercept s, with |grad s| = c = sqrt(1 + 4|z|^2), so the power is
 c^(n-1) times the 1-D power (-d^2/ds^2)^((n-1)/2) of the data in s (the
 filtered backprojection; Natterer, *The Mathematics of Computerized
-Tomography*, 1986, ch. II). Two methods realize it:
+Tomography*, 1986, ch. II). One route realizes it for every n:
 
-* ``laplacian_power``: for odd n the integer power, a central difference of
-  the data in s of spacing ``stencil_h``, 2k+1 reads per direction; for
-  even n the route is the ``hypersingular`` one. ``laplacian_power`` itself
-  applies k-fold central-difference stencils to a given field.
-* ``hypersingular``: the eps-limit integral of the ell-th finite difference
-  against |y|^(1-2n), divided by the closed form of Samko's normalizer
-  (``hypersingular_constant``; Samko, *Hypersingular Integrals*, 2002).
-  For n = 2 (ell = 1, d = 2 pi = 2 d_(1,1)) it is the 1-D integral
-  (1/pi) integral_0^inf (2h(s) - h(s+t) - h(s-t)) / t^2 dt of the data h
-  in s, on q Gauss nodes in panels from 0 with t scaled by c, plus its
-  exact tail: 2q+1 reads per direction. For odd n it runs on g itself
-  (``hypersingular_apply``, which takes any given field): the difference
-  averaged over y and -y loses its odd Taylor terms, so the limit is an
-  absolutely convergent integral, taken by Gauss panels from 0 over the
-  hemisphere of directions; beyond the outer radius it is closed form, from
-  g ~ M/|x| with M = integral of f / sigma_n fitted to sphere means of g.
+* odd n: the integer power, a central difference of the data in s of
+  spacing ``stencil_h``, 2k+1 reads per direction;
+* n = 2: the eps-limit integral of the first difference against |y|^(-3),
+  divided by the closed form of Samko's normalizer d = 2 pi = 2 d_(1,1)
+  (``hypersingular_constant``; Samko, *Hypersingular Integrals*, 2002),
+  which is the 1-D integral (1/pi) integral_0^inf (2h(s) - h(s+t) -
+  h(s-t)) / t^2 dt of the data h in s, on q Gauss nodes in panels from 0
+  with t scaled by c, plus its exact tail: 2q+1 reads per direction.
+
+The two methods of ``invert``, ``hypersingular`` and ``laplacian_power``,
+both run it and return the same value: for odd n the ell-th hypersingular
+integral against |y|^(1-2n), divided by d_(n,ell), is the integer power in
+the limit. ``hypersingular`` still checks ell against n.
+
+The module also has both operators on a given field: ``laplacian_power``
+applies k-fold central-difference stencils, and ``hypersingular_apply``
+the hypersingular integral, with the difference averaged over y and -y so
+that it loses its odd Taylor terms and the limit is an absolutely
+convergent integral, taken by Gauss panels from 0 over the half circle or
+hemisphere of directions; beyond the outer radius it is closed form, from
+g ~ M/|x| with M = integral of f / sigma_n fitted to sphere means of g.
 
 The parabolic and hemispherical kernels are the transversal kernel after
 the slope substitution y' = 2z'; the backprojection grid for transversal
@@ -66,29 +71,34 @@ class ReconstructionConfig:
     ----------
     ell:
         Finite-difference order of the hypersingular integral. Recovery
-        requires ell = n-1 for even n and any ell > n-1 for odd n.
+        requires ell = n-1 for even n and any ell > n-1 for odd n, which the
+        ``hypersingular`` method of ``invert`` checks; its value enters only
+        ``hypersingular_apply``.
     stencil_h:
         Spacing, in the data's intercept variable, of the central difference
-        that the odd-n ``laplacian_power`` route applies to the data inside
-        the backprojection.
+        that the odd-n inversion applies to the data inside the
+        backprojection.
     exponent:
-        |y|-power of the kernel of ``hypersingular_apply``; None selects
-        2n-1, the only power ``invert`` and ``reconstruct`` accept.
+        |y|-power of the kernel of ``hypersingular_apply``, which alone
+        reads it; None selects 2n-1, the only power ``invert`` and
+        ``reconstruct`` accept.
     y_radius:
         Outer radius T of the radial quadrature of the hypersingular
-        integral. In 2-D it is the end of the 1-D integral in tau = t / c,
-        whose tail beyond T is exact once every support point lies within T
-        of the mapped point z (z = x for transversal data): exact recovery
-        needs T at least the distance from z to the far edge of the support.
-        On g (odd n) the tail beyond it comes from a far-field model of g
-        fitted to its means over spheres of radius 8 to 16 about x, so
-        y_radius should be at least 8.
+        integral. In 2-D ``invert`` it is the end of the 1-D integral in
+        tau = t / c, whose tail beyond T is exact once every support point
+        lies within T of the mapped point z (z = x for transversal data):
+        exact recovery needs T at least the distance from z to the far edge
+        of the support. In ``hypersingular_apply`` on a field g the tail
+        beyond it comes from a far-field model of g fitted to its means over
+        spheres of radius 8 to 16 about x, so y_radius should be at least 8
+        there.
     hyper_radial_nodes / hyper_angular_nodes:
         Gauss nodes per radial panel of that integral (panels on the octave
-        edges 0, 0.25, 0.5, ..., y_radius): in 2-D the nodes per panel of
-        the 1-D rule. On g, the second is the count of its directions on
-        the upper half circle (n = 2); for n = 3 the hemisphere rule takes
-        that many polar cosines times twice as many azimuths.
+        edges 0, 0.25, 0.5, ..., y_radius): in 2-D ``invert`` the nodes per
+        panel of the 1-D rule. The second configures only
+        ``hypersingular_apply``: the count of its directions on the upper
+        half circle (n = 2); for n = 3 the hemisphere rule takes that many
+        polar cosines times twice as many azimuths.
     bp_stop:
         Slope cutoff of the backprojection: only slopes |z| <= bp_stop
         (|u| <= 2 bp_stop for transversal data) enter, the polar angle
@@ -262,8 +272,9 @@ def _intercept_rule(k, cfg, c):
     return offsets, w[:, None] / (math.pi * c[None, :])
 
 
-def _bp_batch(kind, data, X, cfg, k=0) -> np.ndarray:
-    """(-Delta)^k of the backprojection at an (M, n) batch of output points.
+def _bp_batch(kind, data, X, cfg, k=0, names=None) -> np.ndarray:
+    """(-Delta)^k of the backprojection at an (M, n) batch of points X; a
+    non-finite data read names the row of ``names`` (default X) it was for.
 
     Each direction's term depends on x only through the data's intercept s
     (r^2 for sonar data), which is linear in x with |grad s| = c =
@@ -274,6 +285,7 @@ def _bp_batch(kind, data, X, cfg, k=0) -> np.ndarray:
     1-D hypersingular integral (n = 2).
     """
     n = X.shape[1]
+    names = X if names is None else names
     Z, W = _slope_grid(n, cfg.g_spec.m, cfg.bp_stop, cfg.bp_angular_nodes)
     if kind == "transversal":
         U = 2.0 * Z
@@ -317,9 +329,10 @@ def _bp_batch(kind, data, X, cfg, k=0) -> np.ndarray:
         if bad.any():
             b, j = divmod(int(np.argmax(bad)), R)
             slope = tuple(float(v) for v in U[j % N])
+            point = tuple(float(v) for v in names[i0 + b])
             raise QuadratureError(
-                f"non-finite {kind} data at slope {slope} backprojecting "
-                f"to point {tuple(float(v) for v in Xc[b])}", node=slope)
+                f"non-finite {kind} data at slope {slope} for point {point}",
+                node=slope)
         # one product per point, so that a point's value does not depend on
         # the batch it came in
         out[i0:i0 + step] = pref * (vals.reshape(B, 1, R) @ Wk)[:, 0]
@@ -353,21 +366,8 @@ def backprojection_field(kind: str, data, cfg=None) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# finite differences and Laplacian powers
+# Laplacian powers
 # ---------------------------------------------------------------------------
-
-def finite_difference(g: ScalarField, x, y, ell: int) -> float:
-    """The ell-th difference of g along y:
-    sum_j C(ell, j) (-1)^j g(x - j y)."""
-    if ell < 1:
-        raise DomainError("finite_difference requires ell >= 1")
-    x0 = _as_points_array(x, g.n)[0]
-    y0 = _as_points_array(y, g.n)[0]
-    j = np.arange(ell + 1)
-    pts = x0[None, :] - j[:, None] * y0[None, :]
-    coef = np.array([(-1.0) ** k * math.comb(ell, k) for k in range(ell + 1)])
-    return float(coef @ g.eval_array(pts))
-
 
 def _stencil_offsets(n: int, k: int, h: float):
     """Offsets/coefficients of the k-fold (2n+1)-point stencil for (-Delta)^k."""
@@ -573,26 +573,19 @@ def _targets(kind: str, P: np.ndarray):
 
 def _invert_batch(kind: str, data, P: np.ndarray, method: str,
                   cfg: ReconstructionConfig) -> np.ndarray:
-    """Reconstructed values at the (M, n) output points P.
+    """Reconstructed values at the (M, n) output points P, in one batch.
 
-    (-Delta)^((n-1)/2) of g runs inside the backprojection, in one batch,
-    except for the odd-n ``hypersingular`` method, which applies
-    ``hypersingular_apply`` to g point by point.
+    (-Delta)^((n-1)/2) of g runs inside the backprojection for both methods
+    and every n, so they return the same value; ``hypersingular`` only
+    checks ell against n first.
     """
     if method not in _METHODS:
         raise ConfigError(f"unknown inversion method {method!r}")
     n = data.n
+    if method == "hypersingular":
+        hypersingular_constant(n, cfg.ell)            # checks ell
     Z, mult = _targets(kind, P)
-    if n % 2 == 0 or method == "laplacian_power":
-        if method == "hypersingular":
-            hypersingular_constant(n, cfg.ell)        # checks ell
-        vals = _bp_batch(kind, data, Z, cfg, (n - 1) / 2)
-    else:
-        d = hypersingular_constant(n, cfg.ell)        # checks ell first
-        g = backprojection_field(kind, data, cfg)
-        cfg = cfg.with_(exponent=2.0 * n - 1.0)
-        vals = np.array([hypersingular_apply(g, z, cfg) / d for z in Z])
-    return mult * vals
+    return mult * _bp_batch(kind, data, Z, cfg, (n - 1) / 2, names=P)
 
 
 def _inversion_cfg(kind: str, data, cfg) -> ReconstructionConfig:
@@ -610,10 +603,11 @@ def invert(kind: str, data, x_out, method: str = "hypersingular",
            cfg=None) -> float:
     """Reconstruct the original function at one point from its transform.
 
-    kind "transversal" applies the chosen Laplacian-power realization to the
-    backprojection g at x_out directly; kind "parabolic" evaluates it at
-    (x', x_n + |x'|^2); kind "sonar" evaluates at (y', y_n^2 + |y'|^2) and
-    multiplies by y_n (and requires y_n > 0). A set cfg.exponent must be 2n-1.
+    The value is (-Delta)^((n-1)/2) of the backprojection g, taken inside the
+    backprojection on the data (both methods run this route; see the module
+    docstring): at x_out for kind "transversal", at (x', x_n + |x'|^2) for
+    kind "parabolic", and at (y', y_n^2 + |y'|^2) times y_n for kind "sonar"
+    (which requires y_n > 0). A set cfg.exponent must be 2n-1.
     """
     cfg = _inversion_cfg(kind, data, cfg)
     return float(_invert_batch(kind, data, _as_points_array(x_out, data.n)[:1],

@@ -126,6 +126,7 @@ class TestConfigFile:
         ("[invert]\nell = 1\nstencil_hh = 9\n", "stencil_hh", 3),  # misspelt
         ("[constants]\nm = 40\n", "m", 2),   # a key constants does not read
         ("stencil-hh = 9\n", "stencil_hh", 1),   # read by no subcommand
+        ("[invert]\nmethod = hypersingular\n", "method", 2),   # retired
     ])
     def test_unknown_key_names_key_and_line(self, tmp_path, capsys, text, key, lineno):
         cfg = tmp_path / "run.cfg"
@@ -270,6 +271,17 @@ class TestInvert:
             main(argv + ["--exponent", "4"])
         assert ei.value.code == 2
         assert "--exponent" in capsys.readouterr().err
+
+    def test_3d_defaults_run_without_method(self, tmp_path, capsys):
+        # both methods run the same route, so there is nothing to choose
+        argv = ["invert", "--n", "3", "--m", "40", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert "over 3 points" in capsys.readouterr().out
+        assert "method" not in manifest_dict(tmp_path / "manifest.txt")
+        with pytest.raises(SystemExit) as ei:
+            main(argv + ["--method", "laplacian_power"])
+        assert ei.value.code == 2
+        assert "--method" in capsys.readouterr().err
 
 
 class TestFailurePaths:

@@ -1,4 +1,4 @@
-"""Tests for backprojection and the two inversion routes.
+"""Tests for backprojection and the inversion built on it.
 
 Frozen backprojection references were computed with scipy.integrate.quad on
 the explicit kernel integrals, truncating the slope variable at |z| = 8192
@@ -215,35 +215,10 @@ class TestBackprojection:
 
 
 # ---------------------------------------------------------------------------
-# differences and stencils
+# stencils
 # ---------------------------------------------------------------------------
 
 class TestDifferences:
-    def quadratic(self):
-        return hr.ScalarField(
-            2, lambda p: 1.0 + p[:, 0] + np.sum(p * p, axis=1))
-
-    def test_first_difference(self):
-        f = self.quadratic()
-        x = np.array([[0.4, -0.2]])
-        y = np.array([[0.1, 0.3]])
-        want = float(f.eval_array(x)[0] - f.eval_array(x - y)[0])
-        assert hr.finite_difference(f, x[0], y[0], 1) == pytest.approx(
-            want, rel=1e-14)
-
-    def test_second_difference_of_quadratic(self):
-        # exactly 2|y|^2 for f = const + linear + |x|^2
-        got = hr.finite_difference(self.quadratic(), (0.4, -0.2), (0.3, 0.5), 2)
-        assert got == pytest.approx(2 * (0.09 + 0.25), abs=1e-13)
-
-    def test_third_difference_annihilates_quadratics(self):
-        got = hr.finite_difference(self.quadratic(), (0.4, -0.2), (0.3, 0.5), 3)
-        assert abs(got) < 1e-12
-
-    def test_order_validation(self):
-        with pytest.raises(DomainError):
-            hr.finite_difference(self.quadratic(), (0.0, 0.0), (1.0, 0.0), 0)
-
     def test_stencil_exact_on_quadratic(self):
         sq = hr.ScalarField(2, lambda p: np.sum(p * p, axis=1))
         got = hr.laplacian_power(sq, (0.7, -0.3), 1, 0.1)
@@ -281,26 +256,37 @@ def transversal_gaussian_3d(p):
 
 
 class TestLaplacianInBackprojection:
-    @pytest.mark.parametrize("kind", ["transversal", "parabolic", "sonar"])
-    def test_three_reads_per_direction(self, kind):
-        # (-Delta) g is a second difference of the data in its intercept:
-        # 3 reads for each of the 48 x 24 directions, not a 7-point stencil
-        # of 1152-direction backprojections (8064 reads)
+    @pytest.mark.parametrize("kind,method", [
+        pytest.param(kind, method, id=kind if method else f"{kind}-default")
+        for method in ("laplacian_power", None)
+        for kind in ("transversal", "parabolic", "sonar")])
+    def test_three_reads_per_direction(self, kind, method):
+        # (-Delta) g is a second difference of the data in its intercept,
+        # for both methods: 3 reads for each of the 48 x 24 directions, not
+        # a 7-point stencil of 1152-direction backprojections (8064 reads)
+        # nor the hypersingular integral of 9729 of them (11,207,808 reads)
+        budget = 3 * 48 * 24
         reads = []
+
+        def count(size):
+            reads.append(size)
+            assert sum(reads) <= budget
+
         if kind == "sonar":
             def prof(XP, R):
-                reads.append(R.size)
+                count(R.size)
                 return np.exp(-R ** 2)
 
             data = hr.SphereProfile(3, prof)
         else:
             def psi(p):
-                reads.append(p.shape[0])
+                count(p.shape[0])
                 return transversal_gaussian_3d(p)
 
             data = hr.ScalarField(3, psi)
-        hr.invert(kind, data, (0.05, -0.02, 1.0), "laplacian_power")
-        assert sum(reads) == 3 * 48 * 24
+        methods = () if method is None else (method,)
+        hr.invert(kind, data, (0.05, -0.02, 1.0), *methods)
+        assert sum(reads) == budget
 
     def test_closed_form_data_3d(self):
         # with exact data only the backprojection rule and the difference in
@@ -380,6 +366,24 @@ class TestHalfPowerInBackprojection:
                            match=r"slope .* point \(0\.3, -0\.1\)") as ei:
             hr.invert("transversal", data, (0.3, -0.1))
         assert ei.value.node == (u0,)
+
+    @pytest.mark.parametrize("kind,x", [
+        ("parabolic", (0.3, -0.1)),   # data read about z = (0.3, -0.01)
+        ("sonar", (0.3, 0.5)),        # data read about z = (0.3, 0.34)
+    ])
+    def test_non_finite_data_names_output_point(self, kind, x):
+        # NaN at every slope beyond 1: the error names the point the caller
+        # asked for, not the point z the data is read about
+        if kind == "sonar":
+            data = hr.SphereProfile(2, lambda XP, R: np.where(
+                np.abs(XP[:, 0]) > 1.0, np.nan, np.exp(-R ** 2)))
+        else:
+            data = hr.ScalarField(2, lambda p: np.where(
+                np.abs(p[:, 0]) > 1.0, np.nan, np.exp(-p[:, 1] ** 2)))
+        with pytest.raises(QuadratureError,
+                           match=rf"slope .* point \({x[0]}, {x[1]}\)$") as ei:
+            hr.invert(kind, data, x)
+        assert abs(ei.value.node[0]) > 1.0
 
     def test_gaussian_far_from_its_centre(self):
         # the 1-D integral reaches T = 8 intercept widths, so no far-field
@@ -601,6 +605,15 @@ class TestInvert:
         data = hr.transversal_field(self.f)
         a = hr.invert("transversal", data, (0.3, -0.1), "hypersingular")
         b = hr.invert("transversal", data, (0.3, -0.1), "laplacian_power")
+        assert a == b
+
+    def test_routes_coincide_in_3d(self):
+        # for odd n the normalized hypersingular integral is the integer
+        # power of -Delta in the limit, so both methods run the difference
+        # of the data in its intercept: one code path
+        data = hr.ScalarField(3, transversal_gaussian_3d)
+        a = hr.invert("transversal", data, (0.1, -0.05, 0.2), "hypersingular")
+        b = hr.invert("transversal", data, (0.1, -0.05, 0.2), "laplacian_power")
         assert a == b
 
     @pytest.mark.parametrize("method", ["hypersingular", "laplacian_power"])
