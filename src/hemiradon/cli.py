@@ -55,8 +55,7 @@ _SHARED_KEYS = frozenset({"out", "n", "m", "R_max", "phantom", "center", "scale"
 #: The keys each subcommand reads, from a flag or a config file.
 _KEYS = {
     "forward": _SHARED_KEYS | {"points", "kind"},
-    "invert": _SHARED_KEYS | {"points", "kind", "ell", "stencil_h", "y_radius",
-                              "bp_stop"},
+    "invert": _SHARED_KEYS | {"points", "kind", "stencil_h", "y_radius", "bp_stop"},
     "verify": _SHARED_KEYS | {"points", "identity", "lam"},
     "norm-scan": _SHARED_KEYS | {"transform", "p", "q", "s", "lambdas", "outer_radius"},
     "constants": frozenset({"out", "n", "ell"}),
@@ -231,15 +230,11 @@ def _resolve_phantom(p: Params, n: int, kind_needs_half: bool):
 
 def _resolve_recon_cfg(p: Params, n: int):
     cfg = ReconstructionConfig.for_dimension(n)
-    ell = p.get("ell", int)
-    if ell is not None:
-        cfg = cfg.with_(ell=ell)
     for key, cast in (("stencil_h", float), ("y_radius", float), ("bp_stop", float)):
         val = p.get(key, cast)
         if val is not None:
             cfg = cfg.with_(**{key: val})
     p.resolved.update(
-        ell=cfg.ell,
         stencil_h=cfg.stencil_h,
         y_radius=cfg.y_radius,
         bp_stop=cfg.bp_stop,
@@ -507,7 +502,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("invert", help="forward + reconstruct + error report")
     common(sp)
     sp.add_argument("--kind", help="transversal | parabolic | sonar")
-    sp.add_argument("--ell", help="finite-difference order")
     sp.add_argument("--stencil-h", dest="stencil_h",
                     help="spacing of the odd-n Laplacian difference in the data intercept")
     sp.add_argument("--y-radius", dest="y_radius", help="hypersingular outer radius")

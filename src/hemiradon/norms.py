@@ -3,7 +3,7 @@ probe which exponent triples admit a bounded transform.
 
 Mixed norms are iterated: an inner integral in the last coordinate (or the
 radius, for profiles) raised to s, then an outer L^q integral over the
-leading coordinates. The weighted variants insert t^(1-p) (half-space
+leading coordinates. The weighted norms insert t^(1-p) (half-space
 fields) or r^(1-s) (profiles) into the inner integral.
 
 Truncation policy: the outer integral runs over ``outer_box`` (defaulting to

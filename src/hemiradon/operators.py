@@ -27,6 +27,12 @@ dual_dilate(l1, l2)         Psi -> l1^{1-n} Psi((l2/l1) x', l2 x_n)       full->
 slope_intercept_map         not field-applicable; see slope_intercept_relation
 ==========================  =====================================================
 
+The four parabolic shears are one substitution, F -> F(a x', x_n + b|x'|^2)
+at the (a, b) of ``_SHEARS``; the support box and section of the result
+follow from (a, b) and from F's own. The two composite tags are defined as
+the chains they stand for (``_COMPOSITES``): sqrt_pullback, zero_extend,
+parabolic_shear and parabolic_unshear, restrict_positive, square_pullback.
+
 The (.)_+ convention: powers of a nonpositive argument are exact zeros, so
 the square-root singularities along the critical paraboloids are never
 poles of the returned fields.
@@ -39,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChainError, DomainError
-from .fields import (Point, ScalarField, SphereProfile, _as_points_array,
-                     _coordinate_major, _stack_last, _sum_sq)
+from .fields import (Point, ScalarField, SphereProfile, _coordinate_major,
+                     _stack_last, _sum_sq)
 from .transforms import parabolic_field, sonar_profile, transversal_field
 
 _PLAIN_TAGS = frozenset({
@@ -55,6 +61,14 @@ _DILATION_TAGS = frozenset({"axis_dilate", "dual_dilate"})
 TAGS = _PLAIN_TAGS | _DILATION_TAGS
 
 _TRANSFORM_STEPS = ("sonar", "parabolic", "transversal")
+
+#: (a, b) of each shear F -> F(a x', x_n + b|x'|^2).
+_SHEARS = {
+    "parabolic_shear": (1.0, -1.0),
+    "parabolic_shear_scaled": (2.0, -1.0),
+    "parabolic_unshear": (1.0, 1.0),
+    "parabolic_unshear_scaled": (0.5, 0.25),
+}
 
 
 @dataclass(frozen=True)
@@ -110,20 +124,36 @@ def _minmax_sq(box_prime):
     return lo, hi
 
 
-def _shifted_section(inner_section, inner_box_last, xp_scale, shift_sign, shift_scale):
-    """Support slice of x_n for substitutions x_n -> inner(xp_scale*x', x_n +- s|x'|^2)."""
+def _shear(field, a, b):
+    """F -> F(a x', x_n + b|x'|^2), a > 0, with the box and the section it
+    maps F's to; the section follows F's section when F has one."""
 
-    def section(XP):
-        XP = np.asarray(XP, dtype=float)
-        ssq = shift_scale * _sum_sq(XP)
-        if inner_section is not None:
-            lo, hi = inner_section(xp_scale * XP)
-        else:
-            lo = np.full(XP.shape[0], inner_box_last[0])
-            hi = np.full(XP.shape[0], inner_box_last[1])
-        return lo + shift_sign * ssq, hi + shift_sign * ssq
+    def func(pts):
+        ssq = _sum_sq(pts[:, :-1])
+        return field.eval_array(_stack_last(a * pts[:, :-1], pts[:, -1] + b * ssq))
 
-    return section
+    box = field.box
+    nbox = None
+    if box is not None:
+        bp = tuple((lo / a, hi / a) for lo, hi in box[:-1])
+        lo2, hi2 = _minmax_sq(bp)
+        if b > 0:        # x_n = (F's last coordinate) - b|x'|^2 falls with |x'|
+            lo2, hi2 = hi2, lo2
+        nbox = bp + ((box[-1][0] - b * lo2, box[-1][1] - b * hi2),)
+    inner = field.section_support
+    section = None
+    if inner is not None or box is not None:
+        def section(XP):
+            XP = np.asarray(XP, dtype=float)
+            if inner is not None:
+                lo, hi = inner(a * XP)
+            else:
+                lo = np.full(XP.shape[0], box[-1][0])
+                hi = np.full(XP.shape[0], box[-1][1])
+            shift = b * _sum_sq(XP)
+            return lo - shift, hi - shift
+
+    return ScalarField(field.n, func, "full", nbox, section_support=section)
 
 
 def apply(op: OperatorId, field):
@@ -171,106 +201,20 @@ def apply(op: OperatorId, field):
         if box is not None:
             lo, hi = box[-1]
             nbox = box[:-1] + ((np.sqrt(max(lo, 0.0)), np.sqrt(max(hi, 0.0))),)
-        return ScalarField(n, func, "half", nbox)
-
-    if tag in ("parabolic_shear", "parabolic_shear_scaled"):
-        need("full")
-        scale = 2.0 if tag == "parabolic_shear_scaled" else 1.0
-
-        def func(pts):
-            ssq = _sum_sq(pts[:, :-1])
-            return field.eval_array(_stack_last(scale * pts[:, :-1], pts[:, -1] - ssq))
-
-        nbox = None
+        inner_sec = field.section_support
         section = None
-        if box is not None:
-            bp = tuple((a / scale, b / scale) for a, b in box[:-1])
-            lo2, hi2 = _minmax_sq(bp)
-            nbox = bp + ((box[-1][0] + lo2, box[-1][1] + hi2),)
-            section = _shifted_section(field.section_support, box[-1], scale, +1.0, 1.0)
-        return ScalarField(n, func, "full", nbox, section_support=section)
-
-    if tag == "parabolic_unshear":
-        need("full")
-
-        def func(pts):
-            ssq = _sum_sq(pts[:, :-1])
-            return field.eval_array(_stack_last(pts[:, :-1], pts[:, -1] + ssq))
-
-        nbox = None
-        section = None
-        if box is not None:
-            lo2, hi2 = _minmax_sq(box[:-1])
-            nbox = box[:-1] + ((box[-1][0] - hi2, box[-1][1] - lo2),)
-            section = _shifted_section(field.section_support, box[-1], 1.0, -1.0, 1.0)
-        return ScalarField(n, func, "full", nbox, section_support=section)
-
-    if tag == "parabolic_unshear_scaled":
-        need("full")
-
-        def func(pts):
-            ssq = _sum_sq(pts[:, :-1])
-            return field.eval_array(_stack_last(pts[:, :-1] / 2, pts[:, -1] + ssq / 4))
-
-        nbox = None
-        section = None
-        if box is not None:
-            bp = tuple((2 * a, 2 * b) for a, b in box[:-1])
-            lo2, hi2 = _minmax_sq(box[:-1])
-            nbox = bp + ((box[-1][0] - hi2, box[-1][1] - lo2),)
-            section = _shifted_section(field.section_support, box[-1], 0.5, -1.0, 0.25)
-        return ScalarField(n, func, "full", nbox, section_support=section)
-
-    if tag == "sqrt_pullback_shear":
-        need("half")
-
-        def func(pts):
-            arg = pts[:, -1] - _sum_sq(pts[:, :-1])
-            out = np.zeros(pts.shape[0])
-            good = arg > 0
-            if good.any():
-                root = np.sqrt(arg[good])
-                out[good] = field.eval_array(_stack_last(pts[good, :-1], root)) / root
-            return out
-
-        nbox = None
-        section = None
-        if box is not None:
-            rlo = max(box[-1][0], 0.0)
-            rhi = max(box[-1][1], 0.0)
-            lo2, hi2 = _minmax_sq(box[:-1])
-            nbox = box[:-1] + ((rlo ** 2 + lo2, rhi ** 2 + hi2),)
-            section = _shifted_section(None, (rlo ** 2, rhi ** 2), 1.0, +1.0, 1.0)
-        return ScalarField(n, func, "full", nbox, section_support=section)
-
-    if tag == "square_pullback_unshear":
-        need("full")
-
-        def func(pts):
-            yn = pts[:, -1]
-            ssq = _sum_sq(pts[:, :-1])
-            return yn * field.eval_array(_stack_last(pts[:, :-1], yn ** 2 + ssq))
-
-        nbox = None
-        section = None
-        if box is not None:
-            lo2, hi2 = _minmax_sq(box[:-1])
-            nbox = box[:-1] + ((np.sqrt(max(box[-1][0] - hi2, 0.0)),
-                                np.sqrt(max(box[-1][1] - lo2, 0.0))),)
-            inner_sec = field.section_support
-
+        if inner_sec is not None:
             def section(XP):
-                XP = np.asarray(XP, dtype=float)
-                ssq = _sum_sq(XP)
-                if inner_sec is not None:
-                    lo, hi = inner_sec(XP)
-                else:
-                    lo = np.full(XP.shape[0], box[-1][0])
-                    hi = np.full(XP.shape[0], box[-1][1])
-                return (np.sqrt(np.maximum(lo - ssq, 0.0)),
-                        np.sqrt(np.maximum(hi - ssq, 0.0)))
-
+                lo, hi = inner_sec(XP)
+                return np.sqrt(np.maximum(lo, 0.0)), np.sqrt(np.maximum(hi, 0.0))
         return ScalarField(n, func, "half", nbox, section_support=section)
+
+    if tag in _SHEARS:
+        need("full")
+        return _shear(field, *_SHEARS[tag])
+
+    if tag in _COMPOSITES:
+        return apply_chain(_COMPOSITES[tag], field)
 
     if tag == "field_to_profile":
         need("full")
@@ -417,6 +361,15 @@ def apply_chain(chain, field, spec=None):
             raise ChainError(f"unknown chain step {step!r}")
     return cur
 
+
+#: The composite operators, each defined as the chain it stands for.
+_COMPOSITES = {
+    "sqrt_pullback_shear": (OperatorId("sqrt_pullback"), OperatorId("zero_extend"),
+                            OperatorId("parabolic_shear")),
+    "square_pullback_unshear": (OperatorId("parabolic_unshear"),
+                                OperatorId("restrict_positive"),
+                                OperatorId("square_pullback")),
+}
 
 #: The preregistered factorization identities, chains in application order.
 CANONICAL_IDENTITIES = {

@@ -11,6 +11,13 @@ transversal:  (x', x_n) -> integral over y' of psi(y', x' . y' + x_n),
                            i.e. planes parameterized by slope and intercept.
 classical:    (theta,t) -> integral of f over the hyperplane x . theta = t.
 
+Each transform has one definition, its lazily evaluated field or profile
+(``sonar_profile``, ``parabolic_field``, ``transversal_field``);
+``sonar_transform``, ``parabolic_transform`` and ``transversal_transform``
+evaluate it at one point. The parabolic transform integrates over all of
+R^{n-1}: its restriction to |y'| < sqrt(x_n) is the transform of
+``zero_extend(restrict_positive(f))`` (see ``operators``).
+
 Every windowed transform is one call of the shared kernel
 ``quadrature._windowed_sums``: the transform supplies only its geometry, the
 per-point support windows derived from the input field's support box and the
@@ -27,12 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fields import (Point, ScalarField, SphereProfile, _as_points_array,
-                     _coordinate_major)
+from .fields import Point, ScalarField, SphereProfile, _coordinate_major
 from .quadrature import (QuadratureSpec, _finite, _windowed_sums, line_rule,
                          tensor_rule, tier_counts)
-
-_PARABOLIC_VARIANTS = ("full", "restricted", "surface_measure")
 
 
 def _default_spec(n: int, spec):
@@ -101,15 +105,7 @@ def sonar_transform(phi: ScalarField, xprime, r: float, spec=None) -> float:
     and for n = 3 the spherical chart in the polar cosine c = y_n / r and
     the azimuth, with surface element r^2 dc d(omega).
     """
-    _check_sonar_field(phi)
-    spec = _default_spec(phi.n, spec)
-    xp = np.atleast_1d(np.asarray(xprime, dtype=float))[None, :]
-    if xp.shape[1] != phi.n - 1:
-        raise DomainError(f"xprime must have {phi.n - 1} coordinates")
-    rr = np.asarray([r], dtype=float)
-    if rr[0] <= 0:
-        raise DomainError("hemisphere radius must be positive")
-    return float(_sonar_batch(phi, xp, rr, spec)[0])
+    return sonar_profile(phi, spec).eval(xprime, r)
 
 
 def sonar_profile(phi: ScalarField, spec=None) -> SphereProfile:
@@ -146,8 +142,6 @@ def _check_sonar_field(phi):
 
 
 def _sonar_batch(phi, XP, R, spec):
-    if np.min(R) <= 0:
-        raise DomainError("hemisphere radius must be positive")
     if phi.n == 2:
         x = XP[:, 0]
         windows = [(np.zeros(len(R)), np.full(len(R), np.pi))]
@@ -217,25 +211,13 @@ def _sonar_batch(phi, XP, R, spec):
 # parabolic
 # ---------------------------------------------------------------------------
 
-def parabolic_transform(f: ScalarField, x, spec=None, variant: str = "full") -> float:
-    """Integral of f(x' - y', x_n - |y'|^2) over y' in R^{n-1}.
-
-    variant "restricted" integrates over |y'| < sqrt(x_n) only (defined for
-    x_n > 0); "surface_measure" multiplies the integrand by
-    sqrt(1 + 4 |y'|^2), turning the integral into the surface integral over
-    the shifted paraboloid.
-    """
-    if f.domain != "full":
-        raise DomainError("parabolic transform consumes a full-space field")
-    spec = _default_spec(f.n, spec)
-    X = _as_points_array(x if not isinstance(x, Point) else x.as_array(), f.n)
-    return float(_parabolic_batch(f, X, spec, variant)[0])
+def parabolic_transform(f: ScalarField, x, spec=None) -> float:
+    """Integral of f(x' - y', x_n - |y'|^2) over y' in R^{n-1}."""
+    return parabolic_field(f, spec).eval(x)
 
 
-def parabolic_field(f: ScalarField, spec=None, variant: str = "full") -> ScalarField:
+def parabolic_field(f: ScalarField, spec=None) -> ScalarField:
     """The parabolic transform as a lazily evaluated field on R^n."""
-    if variant not in _PARABOLIC_VARIANTS:
-        raise DomainError(f"unknown parabolic variant {variant!r}")
     if f.domain != "full":
         raise DomainError("parabolic transform consumes a full-space field")
     spec = _default_spec(f.n, spec)
@@ -256,26 +238,18 @@ def parabolic_field(f: ScalarField, spec=None, variant: str = "full") -> ScalarF
             a, b = box[-1]
             return a + lo2, b + hi2
 
-    return ScalarField(f.n, lambda pts: _parabolic_batch(f, pts, spec, variant),
+    return ScalarField(f.n, lambda pts: _parabolic_batch(f, pts, spec),
                        domain="full", box=None, section_support=section)
 
 
-def _parabolic_batch(f, X, spec, variant):
-    if variant not in _PARABOLIC_VARIANTS:
-        raise DomainError(f"unknown parabolic variant {variant!r}")
-    if variant == "restricted" and np.min(X[:, -1]) <= 0:
-        raise DomainError("restricted parabolic transform requires x_n > 0")
+def _parabolic_batch(f, X, spec):
     if f.n not in (2, 3):
         raise DomainError("parabolic transform implemented for n in {2, 3}")
     box = _box_or_default(f, spec)
     xn = X[:, -1]
     b2lo, b2hi = box[-1]
-    rhi2 = xn - b2lo
-    if variant == "restricted":
-        rhi2 = np.minimum(rhi2, xn)
     rlo = np.sqrt(np.maximum(xn - b2hi, 0.0))
-    rhi = np.sqrt(np.maximum(rhi2, 0.0))
-    surface = variant == "surface_measure"
+    rhi = np.sqrt(np.maximum(xn - b2lo, 0.0))
 
     if f.n == 2:
         x = X[:, 0]
@@ -286,8 +260,7 @@ def _parabolic_batch(f, X, spec, variant):
             pts = _grid_points(nodes, 2)
             pts[..., 0] = x[idx, None] - y
             pts[..., 1] = xn[idx, None] - y ** 2
-            vals = _eval_grid(f, pts)
-            return vals * np.sqrt(1 + 4 * y ** 2) if surface else vals
+            return _eval_grid(f, pts)
 
         # the support is an annulus in y: integrate its two radial sides apart
         out = 0.0
@@ -313,10 +286,7 @@ def _parabolic_batch(f, X, spec, variant):
         pts[..., 0] = xp[idx, 0][:, None, None] - rn * np.cos(an)
         pts[..., 1] = xp[idx, 1][:, None, None] - rn * np.sin(an)
         pts[..., 2] = xn[idx][:, None, None] - rn ** 2
-        vals = _eval_grid(f, pts)
-        if surface:
-            vals = vals * np.sqrt(1 + 4 * rn ** 2)
-        return vals * rn
+        return _eval_grid(f, pts) * rn
 
     return _finite("parabolic transform", _windowed_sums(lo, hi, counts, disc, full), X)
 
@@ -327,11 +297,7 @@ def _parabolic_batch(f, X, spec, variant):
 
 def transversal_transform(psi: ScalarField, x, spec=None) -> float:
     """Integral of psi(y', x' . y' + x_n) over y' in R^{n-1}."""
-    if psi.domain != "full":
-        raise DomainError("transversal transform consumes a full-space field")
-    spec = _default_spec(psi.n, spec)
-    X = _as_points_array(x if not isinstance(x, Point) else x.as_array(), psi.n)
-    return float(_transversal_batch(psi, X, spec)[0])
+    return transversal_field(psi, spec).eval(x)
 
 
 def transversal_field(psi: ScalarField, spec=None) -> ScalarField:

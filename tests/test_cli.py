@@ -78,7 +78,7 @@ class TestForward:
 class TestConfigFile:
     def test_sections_scope_to_command(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n = 2\n[forward]\nm = 48\n[invert]\nell = 7\n",
+        cfg.write_text("n = 2\n[forward]\nm = 48\n[invert]\nstencil_h = 7\n",
                        encoding="utf-8")
         out = tmp_path / "out"
         rc = main(["forward", "--kind", "transversal", "--points", "0,0",
@@ -86,7 +86,7 @@ class TestConfigFile:
         assert rc == 0
         m = manifest_dict(out / "manifest.txt")
         assert m["m"] == "48"
-        assert "ell" not in m
+        assert "stencil_h" not in m
 
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -123,7 +123,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("text,key,lineno", [
         ("m = 48\n[invert]\nexponent = 4\n", "exponent", 3),   # retired
-        ("[invert]\nell = 1\nstencil_hh = 9\n", "stencil_hh", 3),  # misspelt
+        ("[invert]\nstencil_h = 1\nstencil_hh = 9\n", "stencil_hh", 3),  # misspelt
         ("[constants]\nm = 40\n", "m", 2),   # a key constants does not read
         ("stencil-hh = 9\n", "stencil_hh", 1),   # read by no subcommand
         ("[invert]\nmethod = hypersingular\n", "method", 2),   # retired
@@ -141,7 +141,7 @@ class TestConfigFile:
 
     def test_unknown_section_is_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("[invrt]\nell = 1\n", encoding="utf-8")
+        cfg.write_text("[invrt]\nstencil_h = 1\n", encoding="utf-8")
         rc = main(["forward", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 2
         assert "[invrt]" in capsys.readouterr().err
@@ -271,6 +271,22 @@ class TestInvert:
             main(argv + ["--exponent", "4"])
         assert ei.value.code == 2
         assert "--exponent" in capsys.readouterr().err
+
+    def test_no_ell_flag(self, tmp_path, capsys):
+        # the inversion reads no difference order (2-D takes only ell = 1,
+        # 3-D reads only stencil_h), so there is no flag and no manifest key
+        argv = ["invert", "--kind", "transversal", "--m", "40",
+                "--points", "0.3,-0.1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert "ell" not in manifest_dict(tmp_path / "manifest.txt")
+        with pytest.raises(SystemExit) as ei:
+            main(argv + ["--ell", "3"])
+        assert ei.value.code == 2
+        assert "--ell" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[invert]\nell = 3\n", encoding="utf-8")
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert "key 'ell'" in capsys.readouterr().err
 
     def test_3d_defaults_run_without_method(self, tmp_path, capsys):
         # both methods run the same route, so there is nothing to choose

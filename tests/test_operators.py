@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hemiradon import make_test_field, sonar_profile
+from hemiradon import make_test_field, mixed_norm, parabolic_field, sonar_profile
 from hemiradon.errors import ChainError, DomainError
 from hemiradon.fields import ScalarField, SphereProfile
 from hemiradon.operators import (
@@ -229,3 +229,135 @@ def test_scaling_exponents_match_iff_admissible():
 def test_tag_table_is_closed():
     assert "parabolic_shear" in TAGS
     assert len(TAGS) == 15
+
+
+# ---------------------------------------------------------------------------
+# support hints
+# ---------------------------------------------------------------------------
+
+def _box_bump(domain):
+    """A smooth bump whose support is exactly its box, so that the hints of
+    an operator's output are tight somewhere and a hint too narrow shows."""
+    c = np.array([0.7, -0.3, 1.0])
+
+    def func(pts):
+        u = (pts - c) / 0.4
+        out = np.zeros(len(pts))
+        inside = np.all(np.abs(u) < 1, axis=1)
+        out[inside] = np.exp(-np.sum(1 / (1 - u[inside] ** 2), axis=1))
+        return out
+
+    return ScalarField(3, func, domain, tuple((ci - 0.4, ci + 0.4) for ci in c))
+
+
+_HINT_ROWS = np.array([[0.0, 0.0], [0.5, -0.25], [1.5, 0.75]])
+
+# box, then section (lo, hi) at _HINT_ROWS, of each shear and composite on
+# the bump; the sqrt_pullback_shear input is the half-space bump
+_PINNED_HINTS = {
+    "parabolic_shear": (
+        ((0.29999999999999993, 1.1), (-0.7, 0.10000000000000003), (0.69, 3.1)),
+        (0.6, 0.9125, 3.4125), (1.4, 1.7125, 4.2125)),
+    "parabolic_shear_scaled": (
+        ((0.14999999999999997, 0.55), (-0.35, 0.05000000000000002), (0.6224999999999999, 1.825)),
+        (0.6, 0.9125, 3.4125), (1.4, 1.7125, 4.2125)),
+    "parabolic_unshear": (
+        ((0.29999999999999993, 1.1), (-0.7, 0.10000000000000003), (-1.1, 1.31)),
+        (0.6, 0.2875, -2.2125), (1.4, 1.0875, -1.4125)),
+    "parabolic_unshear_scaled": (
+        ((0.5999999999999999, 2.2), (-1.4, 0.20000000000000007), (-1.1, 1.31)),
+        (0.6, 0.521875, -0.10312500000000002), (1.4, 1.321875, 0.6968749999999999)),
+    "sqrt_pullback_shear": (
+        ((0.29999999999999993, 1.1), (-0.7, 0.10000000000000003), (0.44999999999999996, 3.66)),
+        (0.36, 0.6725, 3.1725), (1.9599999999999997, 2.2725, 4.7725)),
+    "square_pullback_unshear": (
+        ((0.29999999999999993, 1.1), (-0.7, 0.10000000000000003), (0.0, 1.1445523142259597)),
+        (0.7745966692414834, 0.5361902647381804, 0.0),
+        (1.1832159566199232, 1.0428326807307104, 0.0)),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(_PINNED_HINTS))
+def test_shear_support_hints_pinned(tag):
+    box, lo, hi = _PINNED_HINTS[tag]
+    out = apply(OperatorId(tag), _box_bump("half" if tag == "sqrt_pullback_shear" else "full"))
+    assert out.box == box
+    got_lo, got_hi = out.section_support(_HINT_ROWS)
+    assert tuple(got_lo) == lo and tuple(got_hi) == hi
+
+
+def _hinted_outputs():
+    """(name, output) of every operator on the box-supported bump."""
+    full, half = _box_bump("full"), _box_bump("half")
+    outs = [(tag, apply(OperatorId(tag), half)) for tag in
+            ("sqrt_pullback", "square_pullback", "sqrt_pullback_shear", "zero_extend")]
+    outs += [(tag, apply(OperatorId(tag), full)) for tag in
+             ("parabolic_shear", "parabolic_shear_scaled", "parabolic_unshear",
+              "parabolic_unshear_scaled", "square_pullback_unshear", "restrict_positive",
+              "field_to_profile")]
+    outs += [("axis_dilate", apply(OperatorId("axis_dilate", (2.0, 0.5)), f))
+             for f in (full, half)]
+    outs.append(("dual_dilate", apply(OperatorId("dual_dilate", (2.0, 3.0)), full)))
+    # profile_to_field has a section and no box, and so have its shears
+    back = apply(OperatorId("profile_to_field"), dict(outs)["field_to_profile"])
+    outs.append(("profile_to_field", back))
+    outs += [(f"{tag} of profile_to_field", apply(OperatorId(tag), back))
+             for tag in ("parabolic_shear", "parabolic_unshear_scaled")]
+    outs.append(("square_pullback of a sectioned field",
+                 apply(OperatorId("square_pullback"), apply(OperatorId("restrict_positive"),
+                                                            dict(outs)["parabolic_shear"]))))
+    return outs
+
+
+_HINTED = _hinted_outputs()
+
+
+def _outside_hint(out, u, gap, above, lead):
+    """A point just outside ``out``'s hint: past its box on the first axis
+    (``lead``) or past its last-axis window at x' (else); None if there is
+    no such hint or no such point on the output's domain."""
+    if isinstance(out, SphereProfile):
+        box, window = out.xprime_box + ((0.0, np.inf),), out.r_support
+    elif out.box is not None:
+        box, window = out.box, out.section_support
+    elif lead or out.section_support is None:
+        return None
+    else:
+        box, window = ((-2.0, 2.0), (-2.0, 2.0), (-np.inf, np.inf)), out.section_support
+    xp = [a + t * (b - a) for (a, b), t in zip(box[:-1], u)]
+    if lead:
+        xp[0] = box[0][1] + gap if above else box[0][0] - gap
+    lo, hi = box[-1]
+    if window is not None:
+        wlo, whi = window(np.array([xp]))
+        lo, hi = max(lo, wlo[0]), min(hi, whi[0])
+    last = (lo + hi) / 2 if lead else hi + gap if above else lo - gap
+    if last <= 0 and not (isinstance(out, ScalarField) and out.domain == "full"):
+        return None
+    return xp, last
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2), st.floats(1e-9, 0.3),
+       st.booleans(), st.booleans())
+def test_operator_output_vanishes_outside_its_hints(u, gap, above, lead):
+    """Every support hint is conservative: just outside the hinted box, or
+    the hinted section at x', an operator's output is exactly zero."""
+    for name, out in _HINTED:
+        point = _outside_hint(out, u, gap, above, lead)
+        if point is None:
+            continue
+        xp, last = point
+        value = out.eval(xp, last) if isinstance(out, SphereProfile) else out.eval(xp + [last])
+        assert value == 0.0, name
+
+
+def test_shear_of_boxless_field_keeps_its_section():
+    """The right side of the parabolic factorization is a shear of the
+    box-less transversal field: its inner integral must follow that field's
+    section, not stop at +-R_max (2.4e-2 off when it did)."""
+    f = make_test_field("bump", 2, (0.0, 1.0), 0.4)
+    rhs = apply_chain(CANONICAL_IDENTITIES["parabolic_via_transversal"][1], f)
+    got = mixed_norm(rhs, 3, 3, outer_box=((-6, 6),))
+    want = mixed_norm(parabolic_field(f), 3, 3, outer_box=((-6, 6),))
+    assert got == pytest.approx(want, rel=1e-6)

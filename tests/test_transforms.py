@@ -30,6 +30,7 @@ from hemiradon import (
 )
 from hemiradon.errors import DomainError, QuadratureError
 from hemiradon.fields import Point, ScalarField
+from hemiradon.operators import OperatorId, apply
 from hemiradon.transforms import RadonPlane
 
 
@@ -166,17 +167,12 @@ def test_parabolic_gaussian_frozen_3d():
 
 
 def test_parabolic_restricted_frozen():
+    # the integral over |y'| < sqrt(x_n) only: the parabolic transform of the
+    # zero-extended restriction to the upper half-space
     f = make_test_field("gaussian", 2, (0.0, 0.0), 1.0)
-    got = parabolic_transform(f, (0.3, 0.8), variant="restricted")
+    half = apply(OperatorId("restrict_positive"), f)
+    got = parabolic_transform(apply(OperatorId("zero_extend"), half), (0.3, 0.8))
     assert got == pytest.approx(0.933970385045765, rel=1e-9)
-    with pytest.raises(DomainError):
-        parabolic_transform(f, (0.3, -0.1), variant="restricted")
-
-
-def test_parabolic_surface_measure_frozen():
-    f = make_test_field("gaussian", 2, (0.0, 0.0), 1.0)
-    got = parabolic_transform(f, (0.3, 0.8), variant="surface_measure")
-    assert got == pytest.approx(1.922578388232790, rel=1e-9)
 
 
 def test_parabolic_field_matches_pointwise():
@@ -190,9 +186,6 @@ def test_parabolic_rejects_bad_input():
     half = make_test_field("bump", 2, (0.0, 1.0), 0.4, domain="half")
     with pytest.raises(DomainError):
         parabolic_transform(half, (0.0, 1.0))
-    f = make_test_field("gaussian", 2, (0.0, 0.0), 1.0)
-    with pytest.raises(DomainError):
-        parabolic_transform(f, (0.0, 0.0), variant="projective")
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +433,7 @@ def _kernel_rows(kind, n, rows=24):
         return lambda spec: transforms._sonar_batch(bump, xp, last, spec)
     if kind == "parabolic":
         X = np.column_stack([xp, rng.uniform(0.6, 3.0, rows)])
-        return lambda spec: transforms._parabolic_batch(bump, X, spec, "full")
+        return lambda spec: transforms._parabolic_batch(bump, X, spec)
     X = np.column_stack([xp, rng.uniform(-1.0, 2.0, rows)])
     return lambda spec: transforms._transversal_batch(bump, X, spec)
 
