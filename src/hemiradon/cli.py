@@ -8,39 +8,40 @@ verify     evaluate both sides of an operator identity on a point set
 norm-scan  dilation sweep of the output/input norm ratio
 constants  the inversion normalizing constants and their n = 2 product
 
-Every run writes ``result.csv`` (17-significant-digit values, header row)
-and ``manifest.txt`` (every resolved parameter, one ``key = value`` line,
-no clocks) into the output directory, so identical configs reproduce
-byte-identical outputs. Options may come from ``--config FILE`` holding
-``key = value`` lines, with optional ``[subcommand]`` sections; explicit
-command-line flags win. Invalid configuration exits with status 2 and a
-message naming the offending key; numerical failures exit with status 1
-after appending the diagnostic to the manifest. The environment variable
-``HEMIRADON_MAX_THREADS`` caps the worker threads used for point loops.
+Each subcommand resolves its settings, makes one batched library call per
+side (the classical transform is a loop over planes) and writes
+``result.csv`` (17-significant-digit values, header row) and
+``manifest.txt`` (every resolved parameter, one ``key = value`` line, no
+clocks) into the output directory, so identical configs reproduce
+byte-identical outputs. Every n has default points for each point layout:
+field points, (x', r) profile points and (theta, t) planes. Options may
+come from ``--config FILE`` holding ``key = value`` lines, with optional
+``[subcommand]`` sections; explicit command-line flags win. A subcommand
+reads exactly the options its parser declares. Invalid configuration exits
+with status 2 and a message naming the offending key; numerical failures
+exit with status 1 after appending the diagnostic to the manifest.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .errors import (ChainError, ConfigError, DomainError, HemiradonError,
-                     QuadratureError)
-from .fields import ScalarField, make_test_field
-from .inversion import (ReconstructionConfig, hypersingular_constant, invert,
+from .errors import ConfigError, HemiradonError
+from .fields import make_test_field
+from .inversion import (ReconstructionConfig, hypersingular_constant,
                         reconstruct, sqrt_laplacian_constant)
 from .norms import scaling_scan
-from .operators import CANONICAL_IDENTITIES, apply_chain, dilation_identity
+from .operators import (CANONICAL_IDENTITIES, _deviations, _eval_output,
+                        _identity_errors, apply_chain, dilation_identity)
 from .quadrature import QuadratureSpec
-from .transforms import (RadonPlane, classical_radon, parabolic_transform,
-                         slope_intercept_relation, sonar_transform,
-                         transversal_transform)
+from .transforms import RadonPlane, classical_radon, slope_intercept_relation
 
 _FORWARD_KINDS = ("transversal", "parabolic", "sonar", "classical")
 _INVERT_KINDS = ("transversal", "parabolic", "sonar")
@@ -50,17 +51,6 @@ _IDENTITY_NAMES = tuple(sorted(CANONICAL_IDENTITIES)) + ("dilation", "slope_inte
 # ---------------------------------------------------------------------------
 # config plumbing
 # ---------------------------------------------------------------------------
-
-_SHARED_KEYS = frozenset({"out", "n", "m", "R_max", "phantom", "center", "scale"})
-#: The keys each subcommand reads, from a flag or a config file.
-_KEYS = {
-    "forward": _SHARED_KEYS | {"points", "kind"},
-    "invert": _SHARED_KEYS | {"points", "kind", "stencil_h", "y_radius", "bp_stop"},
-    "verify": _SHARED_KEYS | {"points", "identity", "lam"},
-    "norm-scan": _SHARED_KEYS | {"transform", "p", "q", "s", "lambdas", "outer_radius"},
-    "constants": frozenset({"out", "n", "ell"}),
-}
-
 
 def _load_config_file(path: str, command: str) -> dict:
     """Flat key = value lines; [section] headers scope keys to one command.
@@ -115,7 +105,6 @@ class Params:
         if val is None:
             val = default
         if val is None:
-            self.resolved[key] = ""
             return None
         if isinstance(val, str):
             try:
@@ -139,38 +128,10 @@ def _points(txt) -> tuple:
     return tuple(pts)
 
 
-def _grid2(lo: float, hi: float, count: int) -> list:
-    ax = np.linspace(lo, hi, count)
-    return [(float(a), float(b)) for a in ax for b in ax]
-
-
 def _fmt(v) -> str:
     if isinstance(v, float):
         return format(v, ".17g")
     return str(v)
-
-
-def _max_workers(njobs: int) -> int:
-    cap = os.environ.get("HEMIRADON_MAX_THREADS", "").strip()
-    if cap:
-        try:
-            cap = int(cap)
-        except ValueError as exc:
-            raise ConfigError(
-                "key 'HEMIRADON_MAX_THREADS': must be an integer") from exc
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(njobs, cap))
-
-
-def _pmap(fn, items):
-    """Order-preserving parallel map over pure per-point work."""
-    items = list(items)
-    workers = _max_workers(len(items))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
 
 
 def _write_csv(path: str, header, rows):
@@ -180,21 +141,64 @@ def _write_csv(path: str, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_manifest(path: str, resolved: dict):
+def _write_manifest(path: str, resolved: dict, error=None):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key in sorted(resolved):
             fh.write(f"{key} = {_fmt(resolved[key])}\n")
-
-
-def _append_manifest(path: str, lines):
-    with open(path, "a", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        if error is not None:
+            fh.write(f"error = {error}\n")
 
 
 # ---------------------------------------------------------------------------
 # shared resolution helpers
 # ---------------------------------------------------------------------------
+
+#: Default points of each layout as the product of a lead-coordinate axis
+#: (one per coordinate of x') and a last-coordinate axis: (lead, last) for
+#: n = 2 and for n >= 3. "target" and "half_target" are reconstruction
+#: points of full-space and half-space phantoms.
+_DEFAULT_AXES = {
+    "field": (((-2.0, -1.0, 0.0, 1.0, 2.0), (-2.0, -1.0, 0.0, 1.0, 2.0)),
+              ((-1.0, 1.0), (-1.0, 0.0))),
+    "profile": (((-0.5, 0.0, 0.5), (0.75, 1.0, 1.25)), ((-0.5, 0.5), (0.8, 1.2))),
+    "target": (((-0.5, 0.0, 0.5), (-0.5, 0.0, 0.5)), ((0.0,), (-0.4, 0.0, 0.4))),
+    "half_target": (((-0.3, 0.0, 0.3), (0.7, 1.0, 1.3)), ((0.0,), (0.8, 1.0, 1.2))),
+}
+
+
+def _default_points(layout: str, n: int) -> tuple:
+    if layout == "plane":
+        # theta = (sin a, 0, ..., 0, cos a)
+        return tuple((math.sin(a),) + (0.0,) * (n - 2) + (math.cos(a), t)
+                     for a in (-0.8, -0.4, 0.0, 0.4, 0.8)
+                     for t in (-1.0, -0.5, 0.0, 0.5, 1.0))
+    lead, last = _DEFAULT_AXES[layout][n > 2]
+    return tuple(itertools.product(*(lead,) * (n - 1), last))
+
+
+def _resolve_points(p: Params, layout: str, n: int):
+    """The checked points of a layout (flag, file or default) as one row
+    each, recorded in the manifest, with their coordinate names."""
+    pts = p.get("points", _points, _default_points(layout, n))
+    if layout == "plane":
+        names = [f"theta{i + 1}" for i in range(n)] + ["t"]
+    else:
+        names = [f"x{i + 1}" for i in range(n - 1)]
+        names.append("r" if layout == "profile" else f"x{n}")
+    if any(len(pt) != len(names) for pt in pts):
+        raise ConfigError(f"key 'points': expected {len(names)} coordinates per point")
+    if layout == "plane" and any(abs(sum(c * c for c in pt[:-1]) - 1.0) > 1e-9
+                                 for pt in pts):
+        raise ConfigError("key 'points': plane directions must be unit vectors")
+    p.resolved["points"] = ";".join(",".join(_fmt(c) for c in pt) for pt in pts)
+    return np.array(pts, dtype=float).reshape(len(pts), len(names)), names
+
+
+def _table(P, *columns) -> list:
+    """Rows of the points' coordinates followed by one value per column."""
+    cols = [np.asarray(c, dtype=float).tolist() for c in columns]
+    return [row + list(vals) for row, vals in zip(P.tolist(), zip(*cols))]
+
 
 def _resolve_spec(p: Params, n: int) -> QuadratureSpec:
     spec = QuadratureSpec.for_dimension(n)
@@ -220,41 +224,25 @@ def _resolve_phantom(p: Params, n: int, kind_needs_half: bool):
         center = p.get("center", _floats, (0.0,) * n)
         scale = p.get("scale", float, 1.0)
         domain = "full"
-    if len(center) == 1 and n > 1:
-        center = center * n
     field = make_test_field(phantom, n, center, scale, domain)
-    p.resolved["phantom"] = phantom
     p.resolved["domain"] = domain
     return field
 
 
 def _resolve_recon_cfg(p: Params, n: int):
+    """The reconstruction config. y_radius bounds the hypersingular integral
+    of even n; the odd-n route has none, so there it is an error."""
+    if n % 2 and p.get("y_radius", float) is not None:
+        raise ConfigError(f"key 'y_radius': the n = {n} inversion has no "
+                          "hypersingular integral for it to bound")
     cfg = ReconstructionConfig.for_dimension(n)
-    for key, cast in (("stencil_h", float), ("y_radius", float), ("bp_stop", float)):
-        val = p.get(key, cast)
+    for key in ("stencil_h",) if n % 2 else ("stencil_h", "y_radius"):
+        val = p.get(key, float)
         if val is not None:
             cfg = cfg.with_(**{key: val})
-    p.resolved.update(
-        stencil_h=cfg.stencil_h,
-        y_radius=cfg.y_radius,
-        bp_stop=cfg.bp_stop,
-        bp_direction_nodes=cfg.g_spec.m if cfg.g_spec is not None else "",
-    )
+        p.resolved[key] = getattr(cfg, key)
+    p.resolved["bp_direction_nodes"] = cfg.g_spec.m
     return cfg
-
-
-def _coord_header(dim: int, names=None):
-    if names is not None:
-        return list(names)
-    return [f"x{i + 1}" for i in range(dim)]
-
-
-def _as_plane(pt) -> RadonPlane:
-    theta, t = pt[:-1], pt[-1]
-    if abs(sum(c * c for c in theta) - 1.0) > 1e-9:
-        raise ConfigError(
-            "key 'points': plane directions must be unit vectors")
-    return RadonPlane(theta, t)
 
 
 # ---------------------------------------------------------------------------
@@ -268,43 +256,14 @@ def _run_forward(p: Params):
         raise ConfigError(f"key 'kind': expected one of {_FORWARD_KINDS}")
     spec = _resolve_spec(p, n)
     field = _resolve_phantom(p, n, kind == "sonar")
-
+    layout = {"classical": "plane", "sonar": "profile"}.get(kind, "field")
+    P, names = _resolve_points(p, layout, n)
     if kind == "classical":
-        default = tuple((math.sin(a), math.cos(a), t)
-                        for a in (-0.8, -0.4, 0.0, 0.4, 0.8)
-                        for t in (-1.0, -0.5, 0.0, 0.5, 1.0))
-        pts = p.get("points", _points, default)
-        dim = n + 1
-        names = [f"theta{i + 1}" for i in range(n)] + ["t"]
-        worker = lambda pt: classical_radon(field, _as_plane(pt), spec)
-    elif kind == "sonar":
-        default = tuple((x, r) for x in (-0.5, 0.0, 0.5)
-                        for r in (0.75, 1.0, 1.25)) if n == 2 else \
-            tuple((x, y, r) for x in (-0.5, 0.5) for y in (-0.5, 0.5)
-                  for r in (0.8, 1.2))
-        pts = p.get("points", _points, default)
-        dim = n
-        names = [f"x{i + 1}" for i in range(n - 1)] + ["r"]
-        worker = lambda pt: sonar_transform(field, pt[:-1], pt[-1], spec)
+        vals = [classical_radon(field, RadonPlane(pt[:-1], pt[-1]), spec) for pt in P]
     else:
-        default = tuple(_grid2(-2.0, 2.0, 5)) if n == 2 else \
-            tuple((x, y, z) for x in (-1.0, 1.0) for y in (-1.0, 1.0)
-                  for z in (-1.0, 0.0))
-        pts = p.get("points", _points, default)
-        dim = n
-        names = None
-        fwd = transversal_transform if kind == "transversal" else parabolic_transform
-        worker = lambda pt: fwd(field, pt, spec)
-
-    for pt in pts:
-        if len(pt) != dim:
-            raise ConfigError(f"key 'points': expected {dim} coordinates per point")
-    p.resolved["points"] = ";".join(",".join(_fmt(c) for c in pt) for pt in pts)
-    vals = _pmap(worker, pts)
-    header = _coord_header(dim, names) + ["value"]
-    rows = [list(pt) + [v] for pt, v in zip(pts, vals)]
-    summary = f"points = {len(pts)}, kind = {kind}"
-    return header, rows, summary
+        vals = _eval_output(apply_chain((kind,), field, spec), P)
+    summary = f"points = {len(P)}, kind = {kind}"
+    return names + ["value"], _table(P, vals), summary
 
 
 def _run_invert(p: Params):
@@ -315,42 +274,15 @@ def _run_invert(p: Params):
     spec = _resolve_spec(p, n)
     cfg = _resolve_recon_cfg(p, n)
     field = _resolve_phantom(p, n, kind == "sonar")
+    P, names = _resolve_points(p, "half_target" if kind == "sonar" else "target", n)
 
-    if kind == "sonar":
-        default = tuple((x, y) for x in (-0.3, 0.0, 0.3) for y in (0.7, 1.0, 1.3)) \
-            if n == 2 else tuple((0.0, 0.0, y) for y in (0.8, 1.0, 1.2))
-    else:
-        default = tuple(_grid2(-0.5, 0.5, 3)) if n == 2 else \
-            tuple((0.0, 0.0, z) for z in (-0.4, 0.0, 0.4))
-    pts = p.get("points", _points, default)
-    for pt in pts:
-        if len(pt) != n:
-            raise ConfigError(f"key 'points': expected {n} coordinates per point")
-    p.resolved["points"] = ";".join(",".join(_fmt(c) for c in pt) for pt in pts)
-
-    if kind == "sonar":
-        from .transforms import sonar_profile
-        data = sonar_profile(field, spec)
-    elif kind == "parabolic":
-        from .transforms import parabolic_field
-        data = parabolic_field(field, spec)
-    else:
-        from .transforms import transversal_field
-        data = transversal_field(field, spec)
-
-    recon = reconstruct(kind, data, pts, cfg=cfg)
-    ref = field.eval_array(np.asarray(pts, dtype=float))
-    scale = float(np.max(np.abs(ref))) or 1.0
-    rows = []
-    sup_rel = 0.0
-    for pt, rv, fv in zip(pts, recon, ref):
-        abs_err = abs(rv - fv)
-        rel_err = abs_err / scale
-        sup_rel = max(sup_rel, rel_err)
-        rows.append(list(pt) + [rv, fv, abs_err, rel_err])
-    header = _coord_header(n) + ["reconstructed", "reference", "abs_err", "rel_err"]
-    summary = f"sup_rel_err = {sup_rel:.6g} over {len(pts)} points"
-    return header, rows, summary
+    recon = reconstruct(kind, apply_chain((kind,), field, spec), P, cfg=cfg)
+    ref = field.eval_array(P)
+    abs_err = np.abs(recon - ref)
+    rel_err = abs_err / (float(np.max(np.abs(ref), initial=0.0)) or 1.0)
+    header = names + ["reconstructed", "reference", "abs_err", "rel_err"]
+    summary = f"sup_rel_err = {rel_err.max(initial=0.0):.6g} over {len(P)} points"
+    return header, _table(P, recon, ref, abs_err, rel_err), summary
 
 
 def _run_verify(p: Params):
@@ -362,67 +294,28 @@ def _run_verify(p: Params):
 
     if name == "slope_intercept":
         field = _resolve_phantom(p, n, False)
-        default = tuple((math.sin(a), math.cos(a), t)
-                        for a in (-0.8, -0.4, 0.0, 0.4, 0.8)
-                        for t in (-1.0, -0.5, 0.0, 0.5, 1.0))
-        pts = p.get("points", _points, default)
-        dim = n + 1
-        names = [f"theta{i + 1}" for i in range(n)] + ["t"]
-
-        def worker(pt):
-            return slope_intercept_relation(field, _as_plane(pt), spec)
-
+        P, names = _resolve_points(p, "plane", n)
+        sides = np.array([slope_intercept_relation(field, RadonPlane(pt[:-1], pt[-1]), spec)
+                          for pt in P]).reshape(-1, 2)
+        cols = _deviations(sides[:, 0], sides[:, 1])
     else:
         if name == "dilation":
             lam = p.get("lam", _floats, (2.0, 2.0))
             if len(lam) == 1:
                 lam = (lam[0], lam[0])
             p.resolved["lam"] = ",".join(_fmt(v) for v in lam)
-            lhs_chain, rhs_chain = dilation_identity(lam)
-            needs_half = False
+            chains = dilation_identity(lam)
         else:
-            lhs_chain, rhs_chain = CANONICAL_IDENTITIES[name]
-            needs_half = name.startswith("sonar")
-        field = _resolve_phantom(p, n, needs_half)
-        lhs_out = apply_chain(lhs_chain, field, spec)
-        rhs_out = apply_chain(rhs_chain, field, spec)
-        profile_out = not isinstance(lhs_out, ScalarField)
-        if profile_out:
-            default = tuple((x, r) for x in (-0.5, 0.0, 0.5)
-                            for r in (0.8, 1.0, 1.2))
-            names = [f"x{i + 1}" for i in range(n - 1)] + ["r"]
-        else:
-            default = tuple(_grid2(-2.0, 2.0, 5))
-            names = None
-        pts = p.get("points", _points, default)
-        dim = n
-
-        def worker(pt):
-            arr = np.asarray(pt, dtype=float)
-            if profile_out:
-                lv = float(lhs_out.eval_array(arr[None, :-1], arr[-1:])[0])
-                rv = float(rhs_out.eval_array(arr[None, :-1], arr[-1:])[0])
-            else:
-                lv = float(lhs_out.eval_array(arr[None, :])[0])
-                rv = float(rhs_out.eval_array(arr[None, :])[0])
-            return lv, rv
-
-    for pt in pts:
-        if len(pt) != dim:
-            raise ConfigError(f"key 'points': expected {dim} coordinates per point")
-    p.resolved["points"] = ";".join(",".join(_fmt(c) for c in pt) for pt in pts)
-    pairs = _pmap(worker, pts)
-    rows = []
-    max_rel = 0.0
-    for pt, (lv, rv) in zip(pts, pairs):
-        abs_err = abs(lv - rv)
-        denom = max(abs(lv), abs(rv))
-        rel_err = 0.0 if abs_err == 0 else (abs_err / denom if denom else math.inf)
-        max_rel = max(max_rel, rel_err)
-        rows.append(list(pt) + [lv, rv, abs_err, rel_err])
-    header = _coord_header(dim, names) + ["lhs", "rhs", "abs_err", "rel_err"]
-    summary = f"max_rel_err = {max_rel:.6g} over {len(pts)} points"
-    return header, rows, summary
+            chains = CANONICAL_IDENTITIES[name]
+        # the sonar identities compare profiles (or a profile and a
+        # half-space field) at (x', r)
+        sonar = name.startswith("sonar")
+        field = _resolve_phantom(p, n, sonar)
+        P, names = _resolve_points(p, "profile" if sonar else "field", n)
+        cols = _identity_errors(*chains, field, P, spec)
+    header = names + ["lhs", "rhs", "abs_err", "rel_err"]
+    summary = f"max_rel_err = {cols[3].max(initial=0.0):.6g} over {len(P)} points"
+    return header, _table(P, *cols), summary
 
 
 def _run_norm_scan(p: Params):
@@ -484,37 +377,37 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def add(name, summary, phantom=True, points=True):
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("--config", help="key = value file; flags override it")
         sp.add_argument("--out", help="output directory (default .)")
         sp.add_argument("--n", help="dimension (default 2)")
+        if not phantom:
+            return sp
         sp.add_argument("--phantom", help="gaussian | bump | monomial_times_gaussian")
         sp.add_argument("--center", help="comma-separated phantom center")
         sp.add_argument("--scale", help="phantom scale")
         sp.add_argument("--m", help="quadrature nodes per axis override")
         sp.add_argument("--R-max", dest="R_max", help="quadrature box radius override")
-        sp.add_argument("--points", help="semicolon-separated comma tuples")
+        if points:
+            sp.add_argument("--points", help="semicolon-separated comma tuples")
+        return sp
 
-    sp = sub.add_parser("forward", help="forward transform on a point set")
-    common(sp)
+    sp = add("forward", "forward transform on a point set")
     sp.add_argument("--kind", help="transversal | parabolic | sonar | classical")
 
-    sp = sub.add_parser("invert", help="forward + reconstruct + error report")
-    common(sp)
+    sp = add("invert", "forward + reconstruct + error report")
     sp.add_argument("--kind", help="transversal | parabolic | sonar")
     sp.add_argument("--stencil-h", dest="stencil_h",
                     help="spacing of the odd-n Laplacian difference in the data intercept")
-    sp.add_argument("--y-radius", dest="y_radius", help="hypersingular outer radius")
-    sp.add_argument("--bp-stop", dest="bp_stop",
-                    help="backprojection slope cutoff; default none")
+    sp.add_argument("--y-radius", dest="y_radius",
+                    help="hypersingular outer radius (even n only)")
 
-    sp = sub.add_parser("verify", help="check an operator identity")
-    common(sp)
+    sp = add("verify", "check an operator identity")
     sp.add_argument("--identity", help=" | ".join(_IDENTITY_NAMES))
     sp.add_argument("--lam", help="dilation parameters lam1,lam2")
 
-    sp = sub.add_parser("norm-scan", help="dilation sweep of the norm ratio")
-    common(sp)
+    sp = add("norm-scan", "dilation sweep of the norm ratio", points=False)
     sp.add_argument("--transform", help="transversal | parabolic | sonar")
     sp.add_argument("--p", help="input Lebesgue exponent")
     sp.add_argument("--q", help="outer mixed-norm exponent")
@@ -523,10 +416,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--outer-radius", dest="outer_radius",
                     help="outer truncation box half-width at lambda = 1")
 
-    sp = sub.add_parser("constants", help="inversion normalizing constants")
-    common(sp)
+    sp = add("constants", "inversion normalizing constants", phantom=False)
     sp.add_argument("--ell", help="finite-difference order")
     return ap
+
+
+def _parser_keys() -> dict:
+    """The keys each subcommand reads: the dests of its parser's options."""
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    return {name: frozenset(a.dest for a in sp._actions) - {"help", "config"}
+            for name, sp in sub.choices.items()}
+
+
+#: The keys each subcommand reads, from a flag or a config file.
+_KEYS = _parser_keys()
 
 
 def main(argv=None) -> int:
@@ -553,8 +456,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except HemiradonError as exc:
-        _write_manifest(manifest_path, p.resolved)
-        _append_manifest(manifest_path, [f"error = {exc}"])
+        _write_manifest(manifest_path, p.resolved, error=exc)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

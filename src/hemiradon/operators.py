@@ -402,6 +402,27 @@ def _eval_output(out, pts):
     return out.eval_array(pts)
 
 
+def _deviations(lv, rv):
+    """(lv, rv, abs_err, rel_err) per point, rel_err against the larger side:
+    0 where both sides vanish, inf where only one does."""
+    absd = np.abs(lv - rv)
+    denom = np.maximum(np.abs(lv), np.abs(rv))
+    rel = np.zeros_like(absd)
+    nz = denom > 0
+    rel[nz] = absd[nz] / denom[nz]
+    rel[(~nz) & (absd > 0)] = np.inf
+    return lv, rv, absd, rel
+
+
+def _identity_errors(lhs_chain, rhs_chain, input_field, pts, spec=None):
+    """Both chains at the rows of pts in one batch per side, with their
+    deviations: (lhs, rhs, abs_err, rel_err), one array each. A chain that
+    produces a SphereProfile reads the last coordinate as the radius r."""
+    lhs = apply_chain(lhs_chain, input_field, spec)
+    rhs = apply_chain(rhs_chain, input_field, spec)
+    return _deviations(_eval_output(lhs, pts), _eval_output(rhs, pts))
+
+
 def verify_identity(lhs_chain, rhs_chain, input_field, points, tol: float = 1e-6,
                     spec=None) -> IdentityReport:
     """Evaluate both chains at the given points and report the deviations.
@@ -409,19 +430,10 @@ def verify_identity(lhs_chain, rhs_chain, input_field, points, tol: float = 1e-6
     Points are Point instances or coordinate rows; when a chain produces a
     SphereProfile the last coordinate is read as the radius r.
     """
-    lhs = apply_chain(lhs_chain, input_field, spec)
-    rhs = apply_chain(rhs_chain, input_field, spec)
     rows = [p.as_array() if isinstance(p, Point) else np.asarray(p, dtype=float)
             for p in points]
     pts = np.stack(rows, axis=0)
-    lv = _eval_output(lhs, pts)
-    rv = _eval_output(rhs, pts)
-    absd = np.abs(lv - rv)
-    denom = np.maximum(np.abs(lv), np.abs(rv))
-    rel = np.zeros_like(absd)
-    nz = denom > 0
-    rel[nz] = absd[nz] / denom[nz]
-    rel[(~nz) & (absd > 0)] = np.inf
+    _, _, absd, rel = _identity_errors(lhs_chain, rhs_chain, input_field, pts, spec)
     worst = int(np.argmax(rel)) if len(rel) else 0
     return IdentityReport(
         max_abs_err=float(absd.max(initial=0.0)),

@@ -56,6 +56,15 @@ class TestForward:
         assert read(tmp_path / "result.csv").splitlines()[0] == \
             "theta1,theta2,t,value"
 
+    def test_classical_3d_default_planes(self, tmp_path):
+        rc = main(["forward", "--kind", "classical", "--n", "3", "--m", "40",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        csv = read(tmp_path / "result.csv").splitlines()
+        assert csv[0] == "theta1,theta2,theta3,t,value"
+        assert len(csv) == 26
+        assert all(math.isfinite(float(r.split(",")[-1])) for r in csv[1:])
+
     def test_sonar_uses_half_space_phantom(self, tmp_path):
         rc = main(["forward", "--kind", "sonar", "--m", "40",
                    "--points", "0,1", "--out", str(tmp_path)])
@@ -197,6 +206,22 @@ class TestVerify:
         assert rc == 0
         assert manifest_dict(tmp_path / "manifest.txt")["lam"] == "2,0.5"
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("identity", [
+        "parabolic_via_transversal", "sonar_via_transversal",
+        "sonar_via_parabolic", "dilation", "slope_intercept"])
+    def test_every_identity_runs_on_default_points(self, tmp_path, n, identity):
+        rc = main(["verify", "--identity", identity, "--n", str(n), "--m", "40",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        csv = read(tmp_path / "result.csv").splitlines()
+        header = csv[0].split(",")
+        rows = [[float(v) for v in r.split(",")] for r in csv[1:]]
+        points = manifest_dict(tmp_path / "manifest.txt")["points"].split(";")
+        assert len(rows) == len(points) > 0
+        lhs, rhs = header.index("lhs"), header.index("rhs")
+        assert all(math.isfinite(r[lhs]) and math.isfinite(r[rhs]) for r in rows)
+
     def test_requires_known_identity(self, tmp_path, capsys):
         rc = main(["verify", "--identity", "nonsense", "--out", str(tmp_path)])
         assert rc == 2
@@ -233,6 +258,14 @@ class TestConstants:
             -3.2876650489104358, rel=1e-12)
 
 
+    def test_takes_no_phantom_or_quadrature_flags(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["constants", "--m", "5", "--out", str(tmp_path)])
+        assert ei.value.code == 2
+        assert "--m" in capsys.readouterr().err
+        assert not (tmp_path / "result.csv").exists()
+
+
 class TestInvert:
     def test_manifest_names_direction_grid_and_reruns_identically(self, tmp_path):
         argv = ["invert", "--kind", "transversal", "--m", "40",
@@ -241,7 +274,7 @@ class TestInvert:
         first = (read(tmp_path / "result.csv"), read(tmp_path / "manifest.txt"))
         m = manifest_dict(tmp_path / "manifest.txt")
         assert m["bp_direction_nodes"] == "96"
-        assert m["bp_stop"] == "inf"
+        assert "bp_stop" not in m
         assert "bp_core_nodes" not in m
         assert main(argv) == 0
         assert (read(tmp_path / "result.csv"), read(tmp_path / "manifest.txt")) == first
@@ -300,6 +333,38 @@ class TestInvert:
         assert "--method" in capsys.readouterr().err
 
 
+    def test_no_bp_stop_flag(self, tmp_path, capsys):
+        # no caller sets a backprojection slope cutoff
+        argv = ["invert", "--kind", "transversal", "--m", "40",
+                "--points", "0.3,-0.1", "--out", str(tmp_path)]
+        with pytest.raises(SystemExit) as ei:
+            main(argv + ["--bp-stop", "4"])
+        assert ei.value.code == 2
+        assert "--bp-stop" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[invert]\nbp_stop = 4\n", encoding="utf-8")
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert "key 'bp_stop'" in capsys.readouterr().err
+
+    def test_y_radius_only_for_even_n(self, tmp_path, capsys):
+        # the odd-n route has no hypersingular integral for y_radius to bound
+        argv = ["invert", "--n", "3", "--m", "40", "--points", "0,0,0",
+                "--out", str(tmp_path / "out")]
+        assert main(argv + ["--y-radius", "2"]) == 2
+        assert "key 'y_radius'" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[invert]\ny_radius = 2\n", encoding="utf-8")
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert "key 'y_radius'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "result.csv").exists()
+        assert main(argv) == 0
+        assert "y_radius" not in manifest_dict(tmp_path / "out" / "manifest.txt")
+        argv2 = ["invert", "--m", "40", "--points", "0.3,-0.1", "--y-radius", "9",
+                 "--out", str(tmp_path / "out2")]
+        assert main(argv2) == 0
+        assert manifest_dict(tmp_path / "out2" / "manifest.txt")["y_radius"] == "9"
+
+
 class TestFailurePaths:
     def test_numerical_failure_appends_to_manifest(self, tmp_path, capsys):
         # a sonar reconstruction target on the boundary is a domain error
@@ -311,16 +376,6 @@ class TestFailurePaths:
         text = read(tmp_path / "manifest.txt")
         assert "error = " in text
         assert not os.path.exists(tmp_path / "result.csv")
-
-    def test_thread_cap_must_be_integer(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("HEMIRADON_MAX_THREADS", "many")
-        rc = main(FAST_FORWARD + ["--out", str(tmp_path)])
-        assert rc == 2
-        assert "HEMIRADON_MAX_THREADS" in capsys.readouterr().err
-
-    def test_thread_cap_of_one_still_works(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HEMIRADON_MAX_THREADS", "1")
-        assert main(FAST_FORWARD + ["--out", str(tmp_path)]) == 0
 
 
 class TestEntryPoint:
