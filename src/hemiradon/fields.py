@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .quadrature import _scratch
 
 _DOMAINS = ("full", "half")
 
@@ -71,8 +72,9 @@ def _coordinate_major(shape):
     """Uninitialized float array of ``shape`` (..., n) whose last index is its
     slowest: each coordinate is one contiguous run of memory, so filling or
     reading one coordinate at a time never strides, and reshaping the
-    leading axes into one stays a view."""
-    buf = np.empty(shape[-1:] + tuple(shape[:-1]))
+    leading axes into one stays a view. Inside a kernel batch it is a
+    workspace buffer (``quadrature._scratch``)."""
+    buf = _scratch(shape[-1:] + tuple(shape[:-1]))
     return buf.transpose((*range(1, buf.ndim), 0))
 
 
@@ -91,18 +93,19 @@ def _sum_sq(pts, c=None):
     columns instead of a reduction over rows of length n, which costs
     several times more per point. For n < 8 this adds in the order of
     ``np.sum(..., axis=1)``, so the bits are the same; from n = 8 on numpy
-    sums rows pairwise and the last bits may differ."""
-    total = None
-    for i in range(pts.shape[1]):
+    sums rows pairwise and the last bits may differ. The returned sum is a
+    fresh array; the later coordinates share one workspace temporary."""
+    def term(i, out):
         if c is None:
-            d = np.square(pts[:, i])
-        else:
-            d = pts[:, i] - c[i]
-            np.square(d, out=d)
-        if total is None:
-            total = d
-        else:
-            total += d
+            return np.square(pts[:, i], out=out)
+        d = np.subtract(pts[:, i], c[i], out=out)
+        return np.square(d, out=d)
+
+    total = term(0, None)
+    if pts.shape[1] > 1:
+        d = _scratch(total.shape)
+        for i in range(1, pts.shape[1]):
+            total += term(i, d)
     return total
 
 
@@ -119,8 +122,12 @@ class ScalarField:
     The array may be coordinate-major (Fortran-ordered: each column one
     contiguous run, as the transform kernels build it), so ``func`` must not
     assume C-contiguity; index it by column (``pts[:, i]``) or with numpy
-    operations, which accept either layout. Evaluation is pure and
-    deterministic and keeps no state, so fields may be evaluated
+    operations, which accept either layout. Inside a transform or a norm
+    ``pts`` is a view of a workspace buffer that the next batch refills
+    (see ``quadrature``): ``func`` must not keep it, or a view of it, after
+    it returns. Callers may overwrite the array ``func`` returns, so it must
+    not be one that ``func`` keeps (a cached constant, say). Evaluation is
+    pure and deterministic and keeps no state, so fields may be evaluated
     concurrently.
     """
 
@@ -267,8 +274,8 @@ def make_test_field(kind: str, n: int, center, scale: float,
         raise ConfigError(f"center must have {n} coordinates, got {c.shape}")
     s = float(scale)
 
-    # each formula works in place on the fresh array of squared distances;
-    # the operations and their order are those of exp(-|y - c|^2 / s^2)
+    # each formula works in place on the fresh array of squared distances,
+    # with the operations of its closed form in their order
     def gaussian(u):
         np.negative(u, out=u)
         u /= s ** 2
@@ -284,14 +291,22 @@ def make_test_field(kind: str, n: int, center, scale: float,
         def func(pts):
             u = _sum_sq(pts, c)
             u /= s ** 2
-            out = np.zeros(pts.shape[0])
             inside = u < 1.0
-            out[inside] = np.exp(-1.0 / (1.0 - u[inside]))
-            return out
+            v = u[inside]           # the closed form only inside the ball
+            np.subtract(1.0, v, out=v)
+            np.divide(-1.0, v, out=v)
+            np.exp(v, out=v)
+            u.fill(0.0)
+            u[inside] = v
+            return u
 
         box = tuple((ci - s, ci + s) for ci in c)
     elif kind == "monomial_times_gaussian":
-        func = lambda pts: pts[:, -1] * gaussian(_sum_sq(pts))
+        def func(pts):
+            u = gaussian(_sum_sq(pts))
+            u *= pts[:, -1]
+            return u
+
         box = tuple((-8 * s, 8 * s) for _ in range(n))
     else:
         raise ConfigError(f"unknown phantom kind {kind!r}")

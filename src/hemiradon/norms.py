@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureError
-from .fields import ScalarField, SphereProfile, _stack_last
+from .fields import ScalarField, SphereProfile, _coordinate_major, _stack_last
 from .operators import OperatorId, apply
-from .quadrature import (QuadratureSpec, _finite, _windowed_sums, line_rule,
-                         tensor_rule, tier_counts)
+from .quadrature import (QuadratureSpec, _finite, _scratch, _windowed_sums,
+                         line_rule, tensor_rule, tier_counts)
 from .transforms import parabolic_field, sonar_profile, transversal_field
 
 _LP_WEIGHTS = (None, "half_space_weight")
@@ -100,8 +100,13 @@ def _inner_sums(eval_inner, lo, hi, s_exp, weight_exp, spec, min_nodes):
 
     def integrand(idx, nodes):
         (t,) = nodes
-        vals = np.abs(eval_inner(idx, t)) ** s_exp
-        return vals * t ** weight_exp if weight_exp != 0.0 else vals
+        # |data|^s (t^weight_exp), in place on the data's fresh values
+        vals = eval_inner(idx, t)
+        np.abs(vals, out=vals)
+        vals **= s_exp
+        if weight_exp != 0.0:
+            vals *= np.power(t, weight_exp, out=_scratch(t.shape))
+        return vals
 
     return _windowed_sums(lo[:, None], hi[:, None], counts[:, None], integrand)
 
@@ -127,9 +132,9 @@ def _iterated_power(data, s_exp, weight_exp, spec, outer_box, min_nodes=64):
         lo = np.maximum(lo, 1e-12)
 
         def eval_inner(idx, nodes):
-            b, m = nodes.shape
-            XPrep = np.repeat(XP[idx], m, axis=0)
-            return data.eval_array(XPrep, nodes.ravel()).reshape(b, m)
+            XPrep = _coordinate_major(nodes.shape + (k,))
+            XPrep[...] = XP[idx, None, :]
+            return data.eval_array(XPrep.reshape(-1, k), nodes.ravel()).reshape(nodes.shape)
 
     else:
         default = tuple(data.box[:-1]) if data.box is not None \

@@ -14,29 +14,84 @@ Node counts for windowed rules scale with the window width relative to a
 reference width (``tier_counts``), so a thin support slice at an extreme
 slope still gets an adequate node density without paying for it everywhere
 else.
+
+Allocation rule of the windowed kernel: within one batch of
+``_windowed_sums``, the only new batch-sized array is the field's values.
+Every other batch-sized array (the per-axis nodes, the point buffer the
+transform fills, the temporaries of the operators and phantoms it calls) is
+a view of a buffer of a per-thread stack, the workspace (``_scratch``),
+which keeps its buffers from batch to batch. A batch marks the stack before
+its integrand runs and releases back to the mark after its sum is taken, so
+a kernel nested in another's integrand (a norm of a transform of a dilated
+phantom) stacks its buffers above its caller's and never aliases them.
+Freeing and reallocating the same few hundred kilobytes every batch made
+the allocator hand its heap top back to the system and fault the pages in
+again on the next batch.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import lru_cache
+from math import prod
 
 import numpy as np
 
 from .errors import QuadratureError
 
 #: Most nodes one evaluation batch of ``_windowed_sums`` holds, sized for
-#: cache residency: each per-coordinate temporary of a batch (node axis,
-#: point coordinate, squared distance, field value, weight grid) is 256 KB,
-#: so the few a batch holds at once fit in a core's 2 MiB of L2 and the
-#: fields and the kernels' fills do not run at memory bandwidth. Sweep of
-#: the benchmark's median pass (seed 1, 2-core x86-64 VM, one BLAS thread)
-#: at caps 2M / 262k / 65k / 32k / 16k / 8k: recon3d 1.33 / 0.96 / 0.73 /
-#: 0.69 / 0.78 / 0.93 s, recon2d 0.55 / 0.39 / 0.32 / 0.30 / 0.31 / 0.34 s,
-#: estimates 1.94 / 1.40 / 1.20 / 1.15 / 1.18 / 1.37 s; below 16k the
-#: per-batch Python overhead wins the gain back. The cap never changes a
-#: bit of the result, since every row is summed on its own.
+#: cache residency: each per-coordinate array of a batch (node axis, point
+#: coordinate, field value) is 256 KB, so the few a batch holds at once fit
+#: in a core's 2 MiB of L2 and the fields and the kernels' fills do not run
+#: at memory bandwidth. Sweep of the benchmark's median pass (seed 1, 2-core
+#: x86-64 VM, one BLAS thread, median of 3 runs, the workspace limit scaled
+#: with the cap) at caps 2M / 262k / 65k / 32k / 16k / 8k: recon3d 1.51 /
+#: 1.08 / 0.95 / 1.00 / 1.13 / 1.22 s, recon2d 0.054 / 0.051 / 0.044 /
+#: 0.044 / 0.044 / 0.041 s, estimates 1.83 / 1.64 / 1.44 / 1.53 / 1.45 /
+#: 1.84 s at 153 / 87 / 69 / 65 / 62 / 59 MB peak RSS. Median minor page
+#: faults per pass: recon3d 4 / 4 / 0 / 0 / 27 / 1, recon2d 0 at every cap,
+#: estimates 4 / 215 / 51 / 2.7k / 4.0k / 2.2k (131k-183k at 32k before the
+#: workspace). One cap's runs spread by up to 20 %, so 16k to 65k tie; 32k
+#: holds the peak RSS near its floor, and at 8k the per-batch Python
+#: overhead wins the gain back. The cap never changes a bit of the
+#: result, since every row is summed on its own.
 _NODE_CAP = 2 ** 15
+
+#: Largest request, in floats, that the workspace serves: the point buffer
+#: of one capped batch of 4-vectors. A larger one (a single row of more
+#: than ``_NODE_CAP`` nodes, or points in more dimensions) gets a fresh
+#: array, so the workspace stays a few megabytes at most.
+_WORKSPACE_MAX = 4 * _NODE_CAP
+
+
+class _Workspace(threading.local):
+    """One thread's stack of float buffers, kept from batch to batch."""
+
+    def __init__(self):
+        self.buffers = []    # one per stack slot, grown to its largest request
+        self.top = 0         # slots in use
+        self.depth = 0       # open kernel batches
+
+
+_workspace = _Workspace()
+
+
+def _scratch(shape):
+    """Uninitialized float array of ``shape``. Inside a batch of
+    ``_windowed_sums`` it is a view of the next workspace buffer, valid until
+    that batch ends; outside any batch, or over ``_WORKSPACE_MAX`` floats, it
+    is a fresh array."""
+    ws = _workspace
+    size = prod(shape)
+    if not ws.depth or size > _WORKSPACE_MAX:
+        return np.empty(shape)
+    if ws.top == len(ws.buffers):
+        ws.buffers.append(np.empty(size))
+    elif ws.buffers[ws.top].size < size:
+        ws.buffers[ws.top] = np.empty(size)
+    ws.top += 1
+    return ws.buffers[ws.top - 1][:size].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -138,9 +193,12 @@ def integrate(integrand, k: int, spec: QuadratureSpec) -> float:
 def _finite(what, vals, points):
     """``vals``, the values of ``what`` at the rows of ``points``; raises
     QuadratureError naming the first point whose value is not finite (a
-    field that is NaN or inf inside its support)."""
+    field that is NaN or inf inside its support). ``points`` may be a
+    function returning them, called only then."""
     bad = ~np.isfinite(vals)
     if bad.any():
+        if callable(points):
+            points = points()
         node = tuple(float(v) for v in points[int(np.argmax(bad))])
         raise QuadratureError(f"non-finite {what} at {node}", node=node)
     return vals
@@ -182,21 +240,14 @@ def tier_counts(lo, hi, m_ref: int, width_ref: float, min_nodes: int = 44,
     return np.minimum(min_nodes * 2 ** tiers, max_nodes)
 
 
-def mapped_rule(lo, hi, m: int):
-    """Gauss-Legendre nodes/weights mapped to each [lo_i, hi_i] row: (B, m)."""
-    gx, gw = gauss_rule(m)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    half = 0.5 * (hi - lo)
-    nodes = (lo + half)[:, None] + half[:, None] * gx[None, :]
-    return nodes, half[:, None] * gw[None, :]
-
-
-def _midpoint_rule(lo, hi, m: int):
-    """Uniform midpoint nodes/weights on each [lo_i, hi_i] row: (B, m)."""
-    step = (hi - lo) / m
-    nodes = lo[:, None] + (np.arange(m) + 0.5)[None, :] * step[:, None]
-    return nodes, np.repeat(step[:, None], m, axis=1)
+@lru_cache(maxsize=256)
+def _reference_rule(m: int, periodic: bool):
+    """The m-node rule of a kernel axis on its reference interval: Gauss-
+    Legendre on [-1, 1], or for a periodic axis the midpoint rule in units of
+    its step (nodes j + 1/2, weights 1)."""
+    if periodic:
+        return np.arange(m) + 0.5, np.ones(m)
+    return gauss_rule(m)
 
 
 def _windowed_sums(lo, hi, counts, integrand, periodic=None):
@@ -219,6 +270,18 @@ def _windowed_sums(lo, hi, counts, integrand, periodic=None):
     (b, m_1, ..., m_k). It returns the integrand values on that grid,
     Jacobian included. Rows with an empty window (hi <= lo on some axis)
     sum to 0.
+
+    Allocations: the values the integrand returns are the batch's only new
+    grid-sized array. The node arrays are workspace buffers (``_scratch``),
+    and so is every ``_scratch`` request the integrand makes, at any depth
+    of nesting: the batch marks the workspace before it maps its nodes and
+    releases back to the mark once its sums are taken, so none of those
+    arrays may be kept past the integrand's return. The sum contracts the
+    values one axis at a time against the reference weights of that axis
+    (``np.einsum``, whose per-row sums do not depend on the row's place in
+    the batch, as a BLAS product's may) and scales each row by the product
+    of its half-widths, or of its step on a periodic axis; no weight grid is
+    built.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -234,22 +297,38 @@ def _windowed_sums(lo, hi, counts, integrand, periodic=None):
     order = np.lexsort(keys.T)
     keys, rows = keys[order], rows[order]
     starts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
+    ws = _workspace
     for g0, g1 in zip(np.r_[0, starts], np.r_[starts, len(rows)]):
         ms = [int(m) for m in keys[g0, :k]]
-        step = max(1, _NODE_CAP // int(np.prod(ms)))
+        midpoint = [bool(keys[g0, k]) and j == k - 1 for j in range(k)]
+        rules = [_reference_rule(m, mid) for m, mid in zip(ms, midpoint)]
+        step = max(1, _NODE_CAP // prod(ms))
         for s0 in range(g0, g1, step):
             idx = rows[s0:min(s0 + step, g1)]
-            nodes, weights = [], []
-            for j, m in enumerate(ms):
-                rule = _midpoint_rule if keys[g0, k] and j == k - 1 else mapped_rule
-                x, w = rule(lo[idx, j], hi[idx, j], m)
-                shape = (len(idx),) + tuple(m if a == j else 1 for a in range(k))
-                nodes.append(x.reshape(shape))
-                weights.append(w.reshape(shape))
-            vals = integrand(idx, nodes)
-            # the weight grid is built only now, so it is not held while the
-            # integrand runs
-            out[idx] = (vals * reduce(np.multiply, weights)).reshape(len(idx), -1).sum(axis=1)
+            mark = ws.top
+            ws.depth += 1
+            try:
+                nodes, scale = [], 1.0
+                for j, (m, (x_ref, _)) in enumerate(zip(ms, rules)):
+                    a = lo[idx, j]
+                    if midpoint[j]:
+                        h = (hi[idx, j] - a) / m
+                    else:
+                        h = 0.5 * (hi[idx, j] - a)
+                        a = a + h
+                    x = _scratch((len(idx), m))
+                    np.multiply(h[:, None], x_ref, out=x)
+                    x += a[:, None]
+                    shape = (len(idx),) + tuple(m if i == j else 1 for i in range(k))
+                    nodes.append(x.reshape(shape))
+                    scale = scale * h
+                vals = integrand(idx, nodes)
+                for _, w_ref in reversed(rules):
+                    vals = np.einsum("...j,j->...", vals, w_ref)
+                out[idx] = vals * scale
+            finally:
+                ws.top = mark
+                ws.depth -= 1
     return out
 
 

@@ -5,15 +5,16 @@ import math
 import numpy as np
 import pytest
 
+import hemiradon as hr
 import hemiradon.quadrature as q
 from hemiradon.errors import DomainError, QuadratureError
+from hemiradon.fields import ScalarField
 from hemiradon.quadrature import (
     QuadratureSpec,
     _windowed_sums,
     gauss_rule,
     integrate,
     line_rule,
-    mapped_rule,
     octave_edges,
     sphere_nodes,
     tier_counts,
@@ -156,7 +157,9 @@ def test_windowed_sums_periodic_axis_uses_midpoint_rule():
     seen = {}
 
     def integrand(idx, x):
-        seen.update((int(i), x[1][r].ravel()) for r, i in enumerate(idx))
+        # copies: the node arrays are workspace buffers, refilled by the
+        # next batch
+        seen.update((int(i), x[1][r].ravel().copy()) for r, i in enumerate(idx))
         return np.cos(m * x[1]) * np.ones_like(x[0])
 
     got = _windowed_sums(lo, hi, counts, integrand, np.array([True, False]))
@@ -224,15 +227,6 @@ def test_tier_counts_matches_window_buckets_policy():
     assert _window_sizes(lo, hi, counts) == {0: 64, 1: 8}
 
 
-def test_mapped_rule_rows():
-    lo = np.array([0.0, 1.0])
-    hi = np.array([2.0, 4.0])
-    nodes, w = mapped_rule(lo, hi, 12)
-    assert nodes.shape == (2, 12)
-    np.testing.assert_allclose((nodes * w).sum(axis=1),
-                               [(4.0 - 0.0) / 2, (16.0 - 1.0) / 2], rtol=1e-13)
-
-
 def test_sphere_nodes_measures():
     pts, w = sphere_nodes(1, 48)
     assert pts.shape == (48, 2)
@@ -244,3 +238,66 @@ def test_sphere_nodes_measures():
     got = np.dot(w, pts[:, -1] ** 2)
     assert got == pytest.approx(4 * math.pi / 3, rel=1e-12)
     np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the kernel's workspace
+# ---------------------------------------------------------------------------
+
+def _nested_results():
+    """Kernels nested three deep: a mixed norm of the transversal transform
+    of a dilated bump, the sonar_via_transversal chain at (x', r) pairs, and
+    a mixed norm of profile_to_field of a sonar profile."""
+    spec = QuadratureSpec(m=48)
+    bump = hr.make_test_field("bump", 2, (0.1, 0.9), 0.6)
+    dilated = hr.apply(hr.OperatorId("axis_dilate", (1.3, 0.8)), bump)
+    norm = hr.mixed_norm(hr.transversal_field(dilated, spec), 3.0, 3.0, spec=spec,
+                         outer_box=((-3.0, 3.0),))
+    half = hr.make_test_field("bump", 2, (0.1, 0.9), 0.5, domain="half")
+    chain = hr.apply_chain(hr.CANONICAL_IDENTITIES["sonar_via_transversal"][1], half, spec)
+    xp = np.linspace(-0.4, 0.5, 7)[:, None]
+    r = np.linspace(0.6, 1.3, 7)
+    field = hr.apply(hr.OperatorId("profile_to_field"), hr.sonar_profile(half, spec))
+    norm_ptf = hr.mixed_norm(field, 3.0, 3.0, spec=spec, outer_box=((-2.0, 2.0),))
+    return np.concatenate([[norm], chain.eval_array(xp, r), [norm_ptf]])
+
+
+def test_nested_kernels_at_a_tiny_cap_give_the_default_bits(monkeypatch):
+    # at cap 64 every level runs a batch per row, so the inner kernels mark
+    # and release the workspace many times inside each outer batch; a buffer
+    # of an outer level reused by an inner one would change the bits
+    default = _nested_results()
+    assert np.all(np.isfinite(default)) and np.all(default > 0)
+    assert q._workspace.depth == 0 and q._workspace.top == 0
+    assert q._workspace.buffers
+    monkeypatch.setattr(q, "_NODE_CAP", 64)
+    np.testing.assert_array_equal(_nested_results(), default)
+    assert q._workspace.depth == 0 and q._workspace.top == 0
+
+
+def test_workspace_is_released_when_the_integrand_raises():
+    nan_inside = ScalarField(2, lambda pts: np.where(pts[:, 1] > 0.5, np.nan, 0.0),
+                             box=((-1.0, 1.0), (0.0, 1.0)))
+    # the transversal kernel raises inside the norm kernel's integrand
+    spec = QuadratureSpec(m=16)
+    with pytest.raises(QuadratureError):
+        hr.mixed_norm(hr.transversal_field(nan_inside, spec), 3.0, 3.0, spec=spec,
+                      outer_box=((-1.0, 1.0),))
+    assert q._workspace.depth == 0 and q._workspace.top == 0
+
+
+def test_top_level_values_outlive_later_batches():
+    # outside any kernel batch the operators take fresh arrays, so values
+    # handed to a caller are never a workspace buffer, even those of a field
+    # that returns a view of the points it was handed
+    projection = ScalarField(2, lambda pts: pts[:, 0])
+    dilated = hr.apply(hr.OperatorId("axis_dilate", (2.0, 0.5)), projection)
+    pts = np.random.default_rng(7).uniform(-1.0, 1.0, size=(5000, 2))
+    vals = dilated.eval_array(pts)
+    assert q._workspace.depth == 0 and q._workspace.top == 0
+    kept = vals.copy()
+    gauss = hr.make_test_field("gaussian", 2, (0.0, 0.5), 1.0)
+    hr.transversal_field(hr.apply(hr.OperatorId("axis_dilate", (2.0, 0.5)), gauss)) \
+        .eval_array(pts[:800])
+    np.testing.assert_array_equal(vals, kept)
+    assert not any(np.shares_memory(vals, buf) for buf in q._workspace.buffers)

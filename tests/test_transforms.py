@@ -6,6 +6,8 @@ or below 1e-12 in every case.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -550,3 +552,90 @@ def test_support_hints_are_conservative(kind, n, centre, scale, xprime):
     # ... and nothing on the surfaces just outside the hinted interval
     for t in (lo - 1e-9 * (1 + abs(lo)), hi + 1e-9 * (1 + abs(hi))):
         assert np.all(bump.eval_array(_surface(kind, xp, t)) == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# concurrency and the 2-D arc
+# ---------------------------------------------------------------------------
+
+def test_concurrent_evaluation_matches_serial_bits():
+    # each thread has its own kernel workspace, so threads evaluating the
+    # same fields at once, more of them than cores and switching often, get
+    # the bits of a serial run
+    rng = np.random.default_rng(11)
+    gauss = make_test_field("gaussian", 2, (0.0, 0.3), 1.0)
+    bump = make_test_field("bump", 2, (0.1, 1.0), 0.6, domain="half")
+    tf = transversal_field(gauss)
+    sp = sonar_profile(bump)
+    workers = 4
+    X = [np.column_stack([rng.uniform(-2.0, 2.0, 2000), rng.uniform(-1.5, 1.5, 2000)])
+         for _ in range(workers)]
+    XP = [rng.uniform(-1.0, 1.0, (2000, 1)) for _ in range(workers)]
+    R = [rng.uniform(0.5, 2.0, 2000) for _ in range(workers)]
+
+    def run(i):
+        return tf.eval_array(X[i]), sp.eval_array(XP[i], R[i])
+
+    serial = [run(i) for i in range(workers)]
+    got = [None] * workers
+    start = threading.Barrier(workers)
+
+    def worker(i):
+        start.wait(timeout=60)
+        got[i] = run(i)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for want, have in zip(serial, got):
+        np.testing.assert_array_equal(have[0], want[0])
+        np.testing.assert_array_equal(have[1], want[1])
+
+
+def test_2d_sonar_arc_points_are_accurate_at_the_ends(monkeypatch):
+    # the arc takes cos t and sin t from one tan(t/2); its points must match
+    # (x + r cos t, r sin t) of numpy's cos and sin to a few ulp at every
+    # node, the end nodes of [0, pi] included
+    batches = []
+    grid_points = transforms._grid_points
+
+    def recording(nodes, n):
+        batches.append([nodes[0].ravel().copy()])
+        return grid_points(nodes, n)
+
+    def func(pts):
+        batches[-1].append(pts.copy())
+        return np.exp(-np.sum(pts ** 2, axis=1))
+
+    monkeypatch.setattr(transforms, "_grid_points", recording)
+    x, r = 0.3, 1.7
+    assert sonar_transform(ScalarField(2, func, domain="half"), (x,), r) > 0
+    for t, pts in batches:
+        np.testing.assert_allclose(pts[:, 1], r * np.sin(t), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(pts[:, 0], x + r * np.cos(t), rtol=0,
+                                   atol=1e-15 * (abs(x) + r))
+    ends = np.concatenate([t for t, _ in batches])
+    assert ends.min() < 2e-4 and ends.max() > math.pi - 2e-4
+
+
+@pytest.mark.parametrize("xp, r", [(0.0, 0.5), (0.3, 1.0), (-0.7, 1.5), (1.2, 0.8),
+                                   (-0.2, 2.5)])
+def test_2d_sonar_arc_ends_match_quad(xp, r):
+    # a box-less half-space Gaussian that is large near the boundary, so the
+    # window is the whole arc [0, pi] and its ends carry weight
+    def phi_at(y1, y2):
+        return math.exp(-((y1 - 0.2) ** 2 + (y2 - 0.1) ** 2))
+
+    phi = ScalarField(2, lambda pts: np.exp(-((pts[:, 0] - 0.2) ** 2 + (pts[:, 1] - 0.1) ** 2)),
+                      domain="half")
+    want, _ = quad(lambda t: phi_at(xp + r * math.cos(t), r * math.sin(t)), 0.0, math.pi,
+                   epsabs=1e-15, epsrel=1e-13, limit=200)
+    assert sonar_transform(phi, (xp,), r) == pytest.approx(r * want, rel=1e-12)
