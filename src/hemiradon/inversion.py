@@ -6,8 +6,9 @@ centers). Under the slope-intercept relation u = tan(theta) the slope
 integral is the classical backprojection over the half circle (n = 2) or
 hemisphere (n = 3) of directions, where the integrand is smooth and
 bounded; the slope nodes are therefore a Gauss rule in the polar angle
-times a uniform azimuth rule, weighted by the exact Jacobian, with no
-truncation unless a slope cutoff is asked for. The target function is then
+and, for n = 3, on each polar ring a uniform azimuth rule sized by the
+ring's circumference, weighted by the exact Jacobian, with no truncation
+unless a slope cutoff is asked for. The target function is then
 recovered from g by the power (-Delta)^((n-1)/2), taken inside the
 backprojection: every direction's term depends on x only through the
 data's intercept s, with |grad s| = c = sqrt(1 + 4|z|^2), so the power is
@@ -105,12 +106,16 @@ class ReconstructionConfig:
         running up to arctan(2 bp_stop). The default, infinity, integrates
         over every direction with no truncation.
     bp_angular_nodes:
-        Azimuths of the direction grid in n = 3 (uniform on the circle).
+        Azimuths of the widest polar ring of the direction grid in n = 3.
+        Ring j at polar angle theta_j gets min(bp_angular_nodes,
+        ceil(bp_angular_nodes sin(theta_j)) + 4) uniform azimuths, so the
+        short rings near the pole are not over-resolved.
     g_spec:
         QuadratureSpec whose ``m`` is the number of Gauss nodes in the polar
         angle of the direction grid: the m directions of the half circle
-        for n = 2, m polar cosines times bp_angular_nodes azimuths for
-        n = 3. None takes the ``for_dimension`` grid.
+        for n = 2, m polar rings (polar cosines) for n = 3, whose azimuths
+        ``bp_angular_nodes`` sets; the defaults, 48 rings of at most 24,
+        give 970 directions. None takes the ``for_dimension`` grid.
     """
 
     ell: int = 1
@@ -197,29 +202,44 @@ def _slope_grid(n: int, m: int, stop: float, azimuths: int):
     means |theta| <= arctan(2 stop). The polar rule is ``m`` Gauss nodes in
     the variable s with ds = sin^(n-2)(theta) dtheta, the polar part of the
     surface measure: theta on the whole half circle for n = 2, cos(theta)
-    for n = 3, where the azimuths get the uniform ``azimuths``-point rule.
-    The weights carry the exact Jacobian dz = 2^(1-n) cos^(-n)(theta) ds
-    domega: against the kernel (1+4|z|^2)^(-(n-1)/2) = cos^(n-1)(theta) and
-    data that decays like cos(theta), the integrand is the bounded classical
-    backprojection over directions.
+    for n = 3, where each polar ring gets a uniform azimuth rule of
+    ``_ring_azimuths`` points, ``azimuths`` on the widest ring; the rings
+    follow one another in the returned list. The weights carry the exact
+    Jacobian dz = 2^(1-n) cos^(-n)(theta) ds domega: against the kernel
+    (1+4|z|^2)^(-(n-1)/2) = cos^(n-1)(theta) and data that decays like
+    cos(theta), the integrand is the bounded classical backprojection over
+    directions.
 
     Returns (Z, W) with Z of shape (N, n-1). The grid is shared by all
     backprojection kinds; transversal data reads it scaled by 2.
     """
     top = math.atan(2.0 * stop)
     if n == 2:
-        omega, aw = np.ones((1, 1)), np.ones(1)
         theta, ws = line_rule(-top, top, m)
+        rings = [(np.ones((1, 1)), np.ones(1))] * m
     elif n == 3:
-        omega, aw = sphere_nodes(1, azimuths)
         c, ws = line_rule(math.cos(top), 1.0, m)
         theta = np.arccos(c)
+        rings = [sphere_nodes(1, a) for a in _ring_azimuths(theta, azimuths)]
     else:
         raise DomainError("backprojection implemented for n in {2, 3}")
     wz = ws / (2.0 ** (n - 1) * np.cos(theta) ** n)
-    Z = (0.5 * np.tan(theta)[:, None, None] * omega[None, :, :]).reshape(-1, n - 1)
-    W = (wz[:, None] * aw[None, :]).ravel()
+    Z = np.concatenate([0.5 * t * omega for t, (omega, _) in zip(np.tan(theta), rings)])
+    W = np.concatenate([w * aw for w, (_, aw) in zip(wz, rings)])
     return Z, W
+
+
+def _ring_azimuths(theta, widest):
+    """Azimuths of the polar rings at the angles ``theta`` of the n = 3
+    direction grid: min(widest, ceil(widest sin(theta)) + 4), so that a ring's
+    count follows its circumference (Gorski et al., "HEALPix", ApJ 622 (2005)
+    759). The 4 above the circumference rule keep the rings near the pole,
+    whose directions cross the whole support, about as accurate as 24
+    azimuths on every ring: on 48 rings the 3-D backprojection of the
+    Gaussian out to |x| = 3 reads 6.5e-9 off its closed form (5.1e-9 with
+    24 everywhere), where max(8, ceil(24 sin(theta))) left 1.25e-7 and 16
+    everywhere 1.0e-5."""
+    return np.minimum(widest, np.ceil(widest * np.sin(theta)).astype(int) + 4)
 
 
 def _check_bp_data(kind, data, n):

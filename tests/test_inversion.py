@@ -69,10 +69,11 @@ class TestReconstructionConfig:
         assert r.y_radius == 2 * c.y_radius
         assert r.g_spec.m == 2 * c.g_spec.m
 
-    @pytest.mark.parametrize("n,ell,directions", [(2, 1, 96), (3, 3, 48 * 24)])
-    def test_unset_grid_takes_dimension_default(self, n, ell, directions):
+    @pytest.mark.parametrize("n,ell,m", [(2, 1, 96), (3, 3, 48)])
+    def test_unset_grid_takes_dimension_default(self, n, ell, m):
         # a config without g_spec reads the data at the for_dimension
-        # direction grid, not at the forward spec's m
+        # direction grid of m polar nodes, not at the forward spec's m
+        directions = _slope_grid(n, m, math.inf, 24)[0].shape[0]
         reads = []
 
         def psi(p):
@@ -141,25 +142,26 @@ class TestBackprojection:
         # g = (sqrt(pi)/2) exp(-|x|^2/2) I0(|x|^2/2) out to the radius the
         # hypersingular integral reads
         data = hr.transversal_field(gaussian_field(2))
-        g = hr.backprojection_field("transversal", data)
         rng = np.random.default_rng(7)
         ang = rng.uniform(0.0, 2 * np.pi, 24)
         X = np.linspace(0.0, 9.0, 24)[:, None] * np.column_stack(
             [np.cos(ang), np.sin(ang)])
         want = math.sqrt(math.pi) / 2 * i0e(np.sum(X * X, axis=1) / 2)
-        np.testing.assert_allclose(g.eval_array(X), want, rtol=1e-10, atol=0)
+        got = [hr.backprojection("transversal", data, x) for x in X]
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
     def test_gaussian_closed_form_3d(self):
-        # g = (sqrt(pi)/4) erf(|x|)/|x|
+        # g = (sqrt(pi)/4) erf(|x|)/|x|; the far points cross every polar
+        # ring, so they guard the azimuths of the short rings near the pole
         data = hr.transversal_field(gaussian_field(3))
-        g = hr.backprojection_field("transversal", data)
         rng = np.random.default_rng(8)
         d = rng.standard_normal((6, 3))
         X = np.linspace(0.5, 3.0, 6)[:, None] * d / np.linalg.norm(
             d, axis=1)[:, None]
         r = np.linalg.norm(X, axis=1)
         want = math.sqrt(math.pi) / 4 * erf(r) / r
-        np.testing.assert_allclose(g.eval_array(X), want, rtol=1e-7, atol=0)
+        got = [hr.backprojection("transversal", data, x) for x in X]
+        np.testing.assert_allclose(got, want, rtol=1e-7, atol=0)
 
     def test_non_finite_data_names_slope_and_point(self):
         Z, _ = _slope_grid(2, 96, math.inf, 24)
@@ -262,10 +264,10 @@ class TestLaplacianInBackprojection:
         for kind in ("transversal", "parabolic", "sonar")])
     def test_three_reads_per_direction(self, kind, method):
         # (-Delta) g is a second difference of the data in its intercept,
-        # for both methods: 3 reads for each of the 48 x 24 directions, not
-        # a 7-point stencil of 1152-direction backprojections (8064 reads)
-        # nor the hypersingular integral of 9729 of them (11,207,808 reads)
-        budget = 3 * 48 * 24
+        # for both methods: 3 reads for each direction of the grid (970 on
+        # 48 polar rings), not a 7-point stencil of backprojections nor the
+        # hypersingular integral of 9729 of them
+        budget = 3 * _slope_grid(3, 48, math.inf, 24)[0].shape[0]
         reads = []
 
         def count(size):
@@ -287,6 +289,45 @@ class TestLaplacianInBackprojection:
         methods = () if method is None else (method,)
         hr.invert(kind, data, (0.05, -0.02, 1.0), *methods)
         assert sum(reads) == budget
+
+    def test_ring_azimuths_follow_circumference(self):
+        # polar ring j of the default 3-D grid holds min(24, ceil(24 sin
+        # theta_j) + 4) azimuths: 970 directions, not 48 x 24
+        Z, W = _slope_grid(3, 48, math.inf, 24)
+        radius, counts = np.unique(np.round(np.linalg.norm(Z, axis=1), 10),
+                                   return_counts=True)
+        theta = np.arctan(2.0 * radius)
+        assert radius.size == 48
+        np.testing.assert_array_equal(
+            counts, np.minimum(24, np.ceil(24 * np.sin(theta)).astype(int) + 4))
+        assert counts[0] == 5 and counts[-1] == 24
+        assert Z.shape == (970, 2) and W.shape == (970,)
+
+    @pytest.mark.parametrize("kind,pts,tol", [
+        # criterion 10's points and two at the benchmark's radius 0.5
+        ("transversal", [(0.0, 0.0, 0.0), (0.3, 0.0, 0.0), (0.0, -0.4, 0.2),
+                         (0.25, 0.25, -0.25), (-0.2, 0.1, 0.4),
+                         (1 / 6, -1 / 3, 1 / 3), (0.0, 0.0, -0.5)], 1e-6),
+        # the bump centre and offsets as the benchmark draws them
+        ("parabolic", [(0.0, 0.0, 1.0), (0.003, 0.0, 1.0),
+                       (0.001, -0.002, 1.002)], 5e-4),
+        ("sonar", [(0.0, 0.0, 1.0), (0.003, 0.0, 1.0),
+                   (0.001, -0.002, 1.002)], 5e-4),
+    ], ids=("transversal", "parabolic", "sonar"))
+    def test_reconstruction_converged_in_azimuths(self, kind, pts, tol):
+        # doubling every ring's azimuths (widest ring 48) moves the default
+        # reconstruction by far less than its own error
+        if kind == "transversal":
+            data = hr.transversal_field(gaussian_field(3))
+        else:
+            bump = hr.make_test_field("bump", 3, (0.0, 0.0, 1.0), 0.4,
+                                      domain="half" if kind == "sonar" else "full")
+            data = (hr.sonar_profile if kind == "sonar" else hr.parabolic_field)(bump)
+        base = hr.ReconstructionConfig.for_dimension(3)
+        got = hr.reconstruct(kind, data, pts, method="laplacian_power", cfg=base)
+        wide = hr.reconstruct(kind, data, pts, method="laplacian_power",
+                              cfg=base.with_(bp_angular_nodes=48))
+        np.testing.assert_allclose(got, wide, rtol=tol, atol=0)
 
     def test_closed_form_data_3d(self):
         # with exact data only the backprojection rule and the difference in

@@ -472,8 +472,35 @@ def test_node_cap_never_changes_kernel_bits(kind, n, m, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["transversal", "parabolic", "sonar"])
+def test_3d_chart_fills_never_depend_on_batching(kind, monkeypatch):
+    # the 3-D kernels fill each coordinate by one stacked matrix product;
+    # every matrix of the stack is one row's, so a batch of one row (cap 64)
+    # gives the bits of the default batches
+    rng = np.random.default_rng(60)
+    domain = "half" if kind == "sonar" else "full"
+    bump = make_test_field("bump", 3, (0.0, 0.0, 1.0), 0.5, domain=domain)
+    xp = rng.uniform(-1.0, 1.0, size=(60, 2))
+    last = rng.uniform(0.6, 2.5, 60)
+    if kind == "sonar":
+        prof = sonar_profile(bump)
+
+        def run():
+            return prof.eval_array(xp, last)
+    else:
+        data = (parabolic_field if kind == "parabolic" else transversal_field)(bump)
+
+        def run():
+            return data.eval_array(np.column_stack([xp, last]))
+
+    default = run()
+    assert np.all(np.isfinite(default)) and np.count_nonzero(default) >= 20
+    monkeypatch.setattr(q, "_NODE_CAP", 64)
+    assert np.array_equal(run(), default)
+
+
+@pytest.mark.parametrize("kind", ["transversal", "parabolic", "sonar"])
 def test_3d_kernels_hand_the_field_cache_sized_batches(kind):
-    # one 3-D laplacian_power reconstruction reads its data at 3 x 1152
+    # one 3-D laplacian_power reconstruction reads its data at 3 x 970
     # slopes in one call; the kernels must cut that into batches that stay
     # in cache instead of handing the field millions of points at once
     rows = []
