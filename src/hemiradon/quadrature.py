@@ -16,9 +16,9 @@ slope still gets an adequate node density without paying for it everywhere
 else.
 
 Allocation rule of the windowed kernel: within one batch of
-``_windowed_sums``, the only new batch-sized array is the field's values.
-Every other batch-sized array (the per-axis nodes, the point buffer the
-transform fills, the temporaries of the operators and phantoms it calls) is
+``_windowed_sums``, the only new batch-sized array is the field's values;
+an axis has a node array only if indexed. Every other batch-sized array
+(those nodes, the point buffer, the temporaries of operators and phantoms) is
 a view of a buffer of a per-thread stack, the workspace (``_scratch``),
 which keeps its buffers from batch to batch. A batch marks the stack before
 its integrand runs and releases back to the mark after its sum is taken, so
@@ -44,18 +44,17 @@ from .errors import QuadratureError
 #: cache residency: each per-coordinate array of a batch (node axis, point
 #: coordinate, field value) is 256 KB, so the few a batch holds at once fit
 #: in a core's 2 MiB of L2 and the fields and the kernels' fills do not run
-#: at memory bandwidth. Sweep of the benchmark's median pass (seed 1, 2-core
-#: x86-64 VM, one BLAS thread, median of 3 runs, the workspace limit scaled
-#: with the cap) at caps 2M / 262k / 65k / 32k / 16k / 8k: recon3d 1.51 /
-#: 1.08 / 0.95 / 1.00 / 1.13 / 1.22 s, recon2d 0.054 / 0.051 / 0.044 /
-#: 0.044 / 0.044 / 0.041 s, estimates 1.83 / 1.64 / 1.44 / 1.53 / 1.45 /
-#: 1.84 s at 153 / 87 / 69 / 65 / 62 / 59 MB peak RSS. Median minor page
-#: faults per pass: recon3d 4 / 4 / 0 / 0 / 27 / 1, recon2d 0 at every cap,
-#: estimates 4 / 215 / 51 / 2.7k / 4.0k / 2.2k (131k-183k at 32k before the
-#: workspace). One cap's runs spread by up to 20 %, so 16k to 65k tie; 32k
-#: holds the peak RSS near its floor, and at 8k the per-batch Python
-#: overhead wins the gain back. The cap never changes a bit of the
-#: result, since every row is summed on its own.
+#: at memory bandwidth. Sweep of the benchmark workloads' median pass (seed
+#: 1, 8 s runs, 2-core x86-64 VM, one BLAS thread, median of 3 runs, the
+#: workspace limit scaled with the cap) at caps 65k / 32k / 16k / 8k:
+#: recon3d 0.55 / 0.39 / 0.47 / 0.60 s, recon2d 0.024 / 0.022 / 0.022 /
+#: 0.032 s, estimates 0.77 / 0.92 / 0.81 / 0.99 s at 69 / 65 / 61 / 59 MB
+#: peak RSS. Median minor page faults per pass: recon3d 0 / 0 / 0 / 351,
+#: recon2d 0 / 141 / 0 / 0, estimates 1 / 3.9k / 3 / 4 (1.1k-4.0k over the
+#: runs at 32k). One cap's runs spread by up to 30 %, so 16k to 65k tie on
+#: estimates; below 32k recon3d pays the per-batch Python overhead, and
+#: above it the peak RSS grows. The cap never changes a bit of the result,
+#: since every row is summed on its own.
 _NODE_CAP = 2 ** 15
 
 #: Largest request, in floats, that the workspace serves: the point buffer
@@ -235,7 +234,13 @@ def tier_counts(lo, hi, m_ref: int, width_ref: float, min_nodes: int = 44,
     if max_nodes is None:
         max_nodes = m_ref
     want = np.ceil(m_ref * np.maximum(hi - lo, 0) / max(width_ref, 1e-300))
-    want = np.clip(want, min_nodes, max_nodes)
+    return _tier_levels(min_nodes, max_nodes)[np.clip(want, min_nodes, max_nodes).astype(int)]
+
+
+@lru_cache(maxsize=64)
+def _tier_levels(min_nodes: int, max_nodes: int):
+    """Lookup table of ``tier_counts`` by clipped node count 0 .. max_nodes."""
+    want = np.arange(max_nodes + 1.0)
     tiers = np.ceil(np.log2(np.maximum(want / min_nodes, 1.0))).astype(int)
     return np.minimum(min_nodes * 2 ** tiers, max_nodes)
 
@@ -244,10 +249,42 @@ def tier_counts(lo, hi, m_ref: int, width_ref: float, min_nodes: int = 44,
 def _reference_rule(m: int, periodic: bool):
     """The m-node rule of a kernel axis on its reference interval: Gauss-
     Legendre on [-1, 1], or for a periodic axis the midpoint rule in units of
-    its step (nodes j + 1/2, weights 1)."""
-    if periodic:
-        return np.arange(m) + 0.5, np.ones(m)
-    return gauss_rule(m)
+    its step (nodes j + 1/2, weights 1); the nodes over a row of ones."""
+    x, w = (np.arange(m) + 0.5, np.ones(m)) if periodic else gauss_rule(m)
+    return np.stack([x, np.ones(m)]), w
+
+
+class _Axes:
+    """The axes of one batch of ``_windowed_sums``: with ``maps[j] = (c, ref)``,
+    node i of batch row r on axis j sits at c[r, 0] * ref[0, i] + c[r, 1]
+    (half-width or step, and offset). ``shape`` is the tensor grid (b, m_1,
+    ..., m_k); ``axes[j]``, mapped on first use into a workspace buffer, is
+    axis j's node array of shape (b, 1, .., m_j, .., 1)."""
+
+    def __init__(self, maps):
+        self.maps = maps
+        self.shape = (len(maps[0][0]),) + tuple(ref.shape[1] for _, ref in maps)
+        self._nodes = [None] * len(maps)
+
+    def __getitem__(self, j):
+        j = range(len(self.maps))[j]
+        if self._nodes[j] is None:
+            grid = [self.shape[0]] + [1] * len(self.maps)
+            grid[j + 1] = self.shape[j + 1]
+            self._nodes[j] = self.affine(j, _scratch((grid[0], grid[j + 1]))).reshape(grid)
+        return self._nodes[j]
+
+    def affine(self, j, out, slope=None, offset=0.0):
+        """``out`` (b, m_j) = slope * x + offset at the nodes x of axis j
+        (scalars or per-row arrays; x itself when slope is None), in one pass:
+        the rank-2 product of the composed coefficients (slope c0, slope c1 +
+        offset) with (nodes, ones). ``np.einsum`` rounds each product and adds
+        in order, so no value depends on the batch (BLAS edge kernels may)."""
+        c, ref = self.maps[j]
+        if slope is not None:
+            c = np.multiply(c, np.reshape(slope, (-1, 1)), out=_scratch(c.shape))
+            c[:, 1] += offset
+        return np.einsum("rj,ji->ri", c, ref, out=out)
 
 
 def _windowed_sums(lo, hi, counts, integrand, periodic=None):
@@ -264,68 +301,74 @@ def _windowed_sums(lo, hi, counts, integrand, periodic=None):
     ``periodic`` row, which spans one full period of the integrand and gets
     the uniform midpoint rule (spectrally accurate there).
 
-    ``integrand(idx, nodes)`` receives the batch's row indices and one node
-    array per axis, ``nodes[j]`` of shape (b, 1, .., m_j, .., 1) with m_j
-    in slot j + 1, so that expressions in them broadcast to the tensor grid
-    (b, m_1, ..., m_k). It returns the integrand values on that grid,
-    Jacobian included. Rows with an empty window (hi <= lo on some axis)
-    sum to 0.
+    ``integrand(idx, axes)`` receives the batch's row indices and its axes
+    (``_Axes``): the rows' window maps per axis and, only where indexed,
+    node arrays ``axes[j]`` of shape (b, 1, .., m_j, .., 1), m_j in slot
+    j + 1, that broadcast to the tensor grid (b, m_1, ..., m_k). It returns
+    the integrand values on that grid, Jacobian included. Rows with an
+    empty window (hi <= lo on some axis) sum to 0.
 
     Allocations: the values the integrand returns are the batch's only new
-    grid-sized array. The node arrays are workspace buffers (``_scratch``),
-    and so is every ``_scratch`` request the integrand makes, at any depth
-    of nesting: the batch marks the workspace before it maps its nodes and
-    releases back to the mark once its sums are taken, so none of those
-    arrays may be kept past the integrand's return. The sum contracts the
-    values one axis at a time against the reference weights of that axis
-    (``np.einsum``, whose per-row sums do not depend on the row's place in
-    the batch, as a BLAS product's may) and scales each row by the product
-    of its half-widths, or of its step on a periodic axis; no weight grid is
-    built.
+    grid-sized array. The node arrays of the axes it indexes are workspace
+    buffers (``_scratch``), and so is every ``_scratch`` request the
+    integrand makes, at any depth of nesting: the batch marks the workspace
+    before its integrand runs and releases back to the mark once its sums
+    are taken, so none of those arrays may be kept past the integrand's
+    return. The sum contracts the values one axis at a time against the
+    reference weights of that axis (``np.einsum``, whose per-row sums do not
+    depend on the row's place in the batch, as a BLAS product's may) and
+    scales each row by the product of its half-widths, or of its step on a
+    periodic axis; no weight grid is built.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
+    counts = np.asarray(counts, dtype=np.int64)
     M, k = lo.shape
-    if periodic is None:
-        periodic = np.zeros(M, dtype=bool)
     out = np.zeros(M)
-    rows = np.nonzero(np.all(hi > lo, axis=1))[0]
+    rows = np.flatnonzero(np.all(hi > lo, axis=1))
     if rows.size == 0:
         return out
-    # group rows by key with a stable sort, so each group keeps row order
-    keys = np.column_stack([np.asarray(counts, dtype=int), periodic])[rows]
-    order = np.lexsort(keys.T)
-    keys, rows = keys[order], rows[order]
-    starts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
+    # rows grouped by key (counts in mixed radix, then the periodic flag)
+    key = counts[:, 0]
+    for j in range(1, k):
+        key = key * (int(counts[:, j].max()) + 1) + counts[:, j]
+    if periodic is not None:
+        key = 2 * key + periodic
+    key = key[rows]
+    if np.any(key[1:] < key[:-1]):
+        # stable, so each group keeps row order; radix for keys below 2^16
+        order = np.argsort(key.astype(np.uint16) if key.max() < 2**16 else key, kind="stable")
+        rows, key = rows[order], key[order]
+    bounds = [0] + (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist() + [len(rows)]
+    # window maps (k, rows, 2): half-width and centre of a Gauss axis, step
+    # and lower end of a periodic one
+    maps = np.empty((k, len(rows), 2))
+    for j, (h, a) in enumerate(zip(maps[..., 0], maps[..., 1])):
+        a[:] = lo[:, j][rows]
+        np.subtract(hi[:, j][rows], a, out=h)
+        h *= 0.5
+        a += h
+    if periodic is not None:
+        per = rows[periodic[rows]]
+        maps[-1, periodic[rows]] = np.column_stack([(hi[per, -1] - lo[per, -1]) / counts[per, -1],
+                                                    lo[per, -1]])
+    scale = np.prod(maps[..., 0], axis=0)
     ws = _workspace
-    for g0, g1 in zip(np.r_[0, starts], np.r_[starts, len(rows)]):
-        ms = [int(m) for m in keys[g0, :k]]
-        midpoint = [bool(keys[g0, k]) and j == k - 1 for j in range(k)]
-        rules = [_reference_rule(m, mid) for m, mid in zip(ms, midpoint)]
+    for g0, g1 in zip(bounds[:-1], bounds[1:]):
+        ms = counts[rows[g0]].tolist()
+        mid = periodic is not None and bool(periodic[rows[g0]])
+        rules = [_reference_rule(m, mid and j == k - 1) for j, m in enumerate(ms)]
         step = max(1, _NODE_CAP // prod(ms))
         for s0 in range(g0, g1, step):
-            idx = rows[s0:min(s0 + step, g1)]
+            s1 = min(s0 + step, g1)
             mark = ws.top
             ws.depth += 1
             try:
-                nodes, scale = [], 1.0
-                for j, (m, (x_ref, _)) in enumerate(zip(ms, rules)):
-                    a = lo[idx, j]
-                    if midpoint[j]:
-                        h = (hi[idx, j] - a) / m
-                    else:
-                        h = 0.5 * (hi[idx, j] - a)
-                        a = a + h
-                    x = _scratch((len(idx), m))
-                    np.multiply(h[:, None], x_ref, out=x)
-                    x += a[:, None]
-                    shape = (len(idx),) + tuple(m if i == j else 1 for i in range(k))
-                    nodes.append(x.reshape(shape))
-                    scale = scale * h
-                vals = integrand(idx, nodes)
+                vals = integrand(rows[s0:s1], _Axes([(maps[j, s0:s1], ref)
+                                                     for j, (ref, _) in enumerate(rules)]))
                 for _, w_ref in reversed(rules):
                     vals = np.einsum("...j,j->...", vals, w_ref)
-                out[idx] = vals * scale
+                out[rows[s0:s1]] = vals * scale[s0:s1]
             finally:
                 ws.top = mark
                 ws.depth -= 1

@@ -56,15 +56,15 @@ def _center_halfwidth(box):
     return c, h
 
 
-def _grid_points(nodes, n):
-    """Uninitialized n-vectors on the tensor grid of the kernel's axis nodes,
-    of shape (b, m_1, ..., m_k, n), coordinate-major and taken from the
+def _grid_points(axes, n):
+    """Uninitialized n-vectors on the tensor grid of the kernel's axes, of
+    shape (b, m_1, ..., m_k, n), coordinate-major and taken from the
     kernel's workspace (see ``fields._coordinate_major``).
 
     Callers fill one coordinate at a time, straight into the buffer with
     ``out=``; each fill writes one contiguous run, and ``_eval_grid`` hands
     the field a view of this buffer, not a copy."""
-    return _coordinate_major(np.broadcast_shapes(*(x.shape for x in nodes)) + (n,))
+    return _coordinate_major(axes.shape + (n,))
 
 
 def _rank2_fill(out, col, row0, row1):
@@ -181,27 +181,21 @@ def _sonar_batch(phi, XP, R, spec):
             windows = [(np.maximum(tlo, a), np.minimum(thi, b)),
                        (mirror, np.where(top, np.minimum(thi, np.pi - a), mirror))]
 
-        def arc(idx, nodes):
-            (t,) = nodes
-            r = R[idx, None]
-            pts = _grid_points(nodes, 2)
+        def arc(idx, axes):
+            pts = _grid_points(axes, 2)
             y1, y2 = pts[..., 0], pts[..., 1]
-            # one transcendental per node: with u = tan(t/2), cos t =
-            # (1 - u^2) / (1 + u^2) and sin t = 2u / (1 + u^2), both within a
+            # one transcendental per node: with u = tan(t/2), the point is
+            # (x - r + w, u w), w = 2r / (1 + u^2) = r (1 + cos t), within a
             # few ulp on all of [0, pi]. sqrt(1 - cos^2 t) loses digits near
             # the arc's ends; np.tan took 0.10 ms against 0.44 ms for np.cos
             # on 32k float64 nodes (numpy 2.4, AVX2 x86-64)
-            u = np.multiply(t, 0.5, out=_scratch(t.shape))
+            u = axes.affine(0, _scratch(axes.shape), 0.5)
             np.tan(u, out=u)
             np.square(u, out=y2)
-            np.subtract(1.0, y2, out=y1)
             y2 += 1.0
-            y1 /= y2
-            u *= 2.0
-            np.divide(u, y2, out=y2)
-            y2 *= r
-            y1 *= r
-            y1 += x[idx, None]
+            np.divide(2.0 * R[idx, None], y2, out=y2)
+            np.add(y2, (x[idx] - R[idx])[:, None], out=y1)
+            y2 *= u
             return _eval_grid(phi, pts)
 
         out = 0.0
@@ -292,11 +286,11 @@ def _parabolic_batch(f, X, spec):
         x = X[:, 0]
         (b1lo, b1hi), _ = box
 
-        def line(idx, nodes):
-            (y,) = nodes
-            pts = _grid_points(nodes, 2)
-            np.subtract(x[idx, None], y, out=pts[..., 0])
-            np.subtract(xn[idx, None], np.square(y, out=pts[..., 1]), out=pts[..., 1])
+        def line(idx, axes):
+            pts = _grid_points(axes, 2)
+            axes.affine(0, pts[..., 0], -1.0, x[idx])
+            y2 = np.square(axes.affine(0, pts[..., 1]), out=pts[..., 1])
+            np.subtract(xn[idx, None], y2, out=y2)
             return _eval_grid(f, pts)
 
         # the support is an annulus in y: integrate its two radial sides apart
@@ -364,7 +358,6 @@ def _transversal_batch(psi, X, spec):
     so the hyperplane constraint becomes a 1-D slab in that coordinate."""
     n = psi.n
     k = n - 1
-    M = X.shape[0]
     sig = X[:, :k]
     tau = X[:, -1]
     box = _box_or_default(psi, spec)
@@ -372,18 +365,21 @@ def _transversal_batch(psi, X, spec):
     b2lo, b2hi = box[-1]
     smag = np.linalg.norm(sig, axis=1)
     live = smag > 1e-300
-    shat = np.where(live[:, None], sig / np.maximum(smag, 1e-300)[:, None], 0.0)
-    # Householder frames mapping e_1 to the slope direction, batched; for
-    # slopes near e_1 the first entry of shat - e_1 is taken in the
-    # cancellation-free form -|rest|^2 / (1 + shat_1)
-    v = shat.copy()
-    rest2 = np.sum(shat[:, 1:] ** 2, axis=1)
-    v[:, 0] = np.where(shat[:, 0] > 0, -rest2 / (1 + np.abs(shat[:, 0])), shat[:, 0] - 1)
-    vnorm2 = np.sum(v ** 2, axis=1)
-    basis = np.broadcast_to(np.eye(k)[None, :, :], (M, k, k)).copy()
-    nz = vnorm2 > 1e-28
-    basis[nz] -= 2 * v[nz, :, None] * v[nz, None, :] / vnorm2[nz, None, None]
-    basis[~live] = np.eye(k)[None, :, :]
+    if k == 1:
+        # the reflection below, for one axis: the slope's sign, 1 at slope 0
+        basis = np.where(live[:, None] & (sig < 0), -1.0, 1.0)[:, :, None]
+    else:
+        shat = np.where(live[:, None], sig / np.maximum(smag, 1e-300)[:, None], 0.0)
+        # Householder frames mapping e_1 to the slope direction, batched; for
+        # slopes near e_1 the first entry of shat - e_1 is taken in the
+        # cancellation-free form -|rest|^2 / (1 + shat_1)
+        v = shat.copy()
+        rest2 = np.sum(shat[:, 1:] ** 2, axis=1)
+        v[:, 0] = np.where(shat[:, 0] > 0, -rest2 / (1 + np.abs(shat[:, 0])), shat[:, 0] - 1)
+        vnorm2 = np.sum(v ** 2, axis=1)
+        # no reflection (slope along e_1, or slope 0): dividing by inf leaves I
+        vnorm2 = np.where(live & (vnorm2 > 1e-28), vnorm2, np.inf)
+        basis = np.eye(k) - 2 * v[:, :, None] * v[:, None, :] / vnorm2[:, None, None]
     # frame-axis support windows of the box via its support function
     mid = basis @ c                                    # (M, k) of axis . center
     spread = np.abs(basis) @ h
@@ -392,8 +388,8 @@ def _transversal_batch(psi, X, spec):
     with np.errstate(divide="ignore", invalid="ignore"):
         e1 = (b2lo - tau) / smag
         e2 = (b2hi - tau) / smag
-    lo[live, 0] = np.maximum(lo[live, 0], np.minimum(e1, e2)[live])
-    hi[live, 0] = np.minimum(hi[live, 0], np.maximum(e1, e2)[live])
+    lo[:, 0] = np.where(live, np.maximum(lo[:, 0], np.minimum(e1, e2)), lo[:, 0])
+    hi[:, 0] = np.where(live, np.minimum(hi[:, 0], np.maximum(e1, e2)), hi[:, 0])
     # slope 0: the last slot is constant tau; support check only
     flat_dead = (~live) & ((tau < b2lo) | (tau > b2hi))
     hi[flat_dead, 0] = lo[flat_dead, 0]
@@ -406,19 +402,19 @@ def _transversal_batch(psi, X, spec):
             return a[idx].reshape((-1,) + (1,) * k)
 
         # y' = sum_j u_j basis_j: the frame rotated back to the original axes
-        pts = _grid_points(u, n)
         if k == 1:
-            # a 1-axis chart is already one contiguous pass per coordinate
-            np.multiply(u[0], rows(basis[:, 0, 0]), out=pts[..., 0])
-            np.multiply(rows(smag), u[0], out=pts[..., 1])
-            pts[..., 1] += rows(tau)
+            pts = _grid_points(u, n)
+            u.affine(0, pts[..., 0], basis[idx, 0, 0])
+            u.affine(0, pts[..., 1], smag[idx], tau[idx])
             return _eval_grid(psi, pts)
+        x = list(u)  # node arrays below the point buffer, as in the other charts
+        pts = _grid_points(u, n)
         for i in range(k):
-            rest = u[1] * rows(basis[:, 1, i])
+            rest = x[1] * rows(basis[:, 1, i])
             for j in range(2, k):
-                rest = rest + u[j] * rows(basis[:, j, i])
-            _rank2_fill(pts[..., i], u[0], rows(basis[:, 0, i]), rest)
-        pts[..., k] = rows(smag) * u[0] + rows(tau)
+                rest = rest + x[j] * rows(basis[:, j, i])
+            _rank2_fill(pts[..., i], x[0], rows(basis[:, 0, i]), rest)
+        pts[..., k] = rows(smag) * x[0] + rows(tau)
         return _eval_grid(psi, pts)
 
     return _finite("transversal transform", _windowed_sums(lo, hi, counts, plane), X)

@@ -190,6 +190,47 @@ def test_windowed_sums_node_cap_is_transparent(monkeypatch):
     assert sum(b for b, _ in batches) == 40
 
 
+def test_windowed_sums_groups_one_axis_rows_in_row_order(monkeypatch):
+    # interleaved 1-axis rows of several counts, periodic and not, some
+    # empty: each batch holds rows of one group only, each group's batches
+    # run through its rows in row order, and batching at cap 64 gives the
+    # bits of the default batches
+    rng = np.random.default_rng(7)
+    M = 90
+    lo = rng.uniform(-1.0, 1.0, size=(M, 1))
+    hi = lo + rng.uniform(0.1, 4.0, size=(M, 1))
+    hi[::11] = lo[::11]
+    counts = rng.choice([4, 8, 16, 32], size=(M, 1))
+    periodic = rng.uniform(size=M) < 0.4
+    batches = []
+
+    def integrand(idx, x):
+        batches.append(idx.copy())
+        return np.cos(3.0 * x[0]) + x[0] ** 2
+
+    direct = _windowed_sums(lo, hi, counts, integrand, periodic)
+    assert len(batches) < M
+    batches.clear()
+    monkeypatch.setattr(q, "_NODE_CAP", 64)
+    capped = _windowed_sums(lo, hi, counts, integrand, periodic)
+    np.testing.assert_array_equal(capped, direct)
+    assert max(len(idx) for idx in batches) > 1
+    groups = {}
+    for idx in batches:
+        keys = {(int(counts[i, 0]), bool(periodic[i])) for i in idx}
+        assert len(keys) == 1
+        groups.setdefault(keys.pop(), []).extend(idx.tolist())
+    for (m, per), rows in groups.items():
+        want = np.flatnonzero((counts[:, 0] == m) & (periodic == per) & (hi[:, 0] > lo[:, 0]))
+        assert rows == want.tolist()
+    # the empty rows sum to 0, the rest to their own integrals
+    assert np.all(direct[::11] == 0.0)
+    for i in (1, 2, 3):
+        alone = _windowed_sums(lo[i:i + 1], hi[i:i + 1], counts[i:i + 1], integrand,
+                               periodic[i:i + 1])
+        assert alone[0] == direct[i]
+
+
 def _window_sizes(lo, hi, counts):
     """Node count the windowed kernel gives each row it integrates."""
     sizes = {}

@@ -666,3 +666,90 @@ def test_2d_sonar_arc_ends_match_quad(xp, r):
     want, _ = quad(lambda t: phi_at(xp + r * math.cos(t), r * math.sin(t)), 0.0, math.pi,
                    epsabs=1e-15, epsrel=1e-13, limit=200)
     assert sonar_transform(phi, (xp,), r) == pytest.approx(r * want, rel=1e-12)
+
+
+def _chart_batches(monkeypatch):
+    """Record every batch of the 1-D charts: its rows, its nodes mapped
+    explicitly as h * xi + a from the batch's window maps, and (appended by
+    the field) the points the chart hands its field."""
+    batches = []
+    windowed_sums = transforms._windowed_sums
+
+    def recording(lo, hi, counts, integrand, periodic=None):
+        def mapped(idx, axes):
+            ((c, ref),) = axes.maps
+            batches.append([idx.copy(), c[:, :1] * ref[0] + c[:, 1:]])
+            return integrand(idx, axes)
+
+        return windowed_sums(lo, hi, counts, mapped, periodic)
+
+    monkeypatch.setattr(transforms, "_windowed_sums", recording)
+    return batches
+
+
+def _recording_field(batches, field):
+    def func(pts):
+        batches[-1].append(pts.copy())
+        return field.eval_array(pts)
+
+    return ScalarField(2, func, domain=field.domain, box=field.box)
+
+
+def _assert_within_ulps(got, want, *terms, ulps=2):
+    """|got - want| <= ulps spacings of the largest term of the coordinate's
+    formula (or of want), elementwise."""
+    size = np.abs(want)
+    for t in terms:
+        size = np.maximum(size, np.abs(t))
+    err = np.abs(got - want) / np.spacing(size)
+    assert err.max() <= ulps, err.max()
+
+
+@pytest.mark.parametrize("chart", ["plane", "line", "arc"])
+def test_1d_chart_points_match_explicitly_mapped_nodes(chart, monkeypatch):
+    # the 1-D charts compose the window map into their point coordinates;
+    # the points must be those of the chart's formula at the nodes a + h xi,
+    # to 2 ulp of the formula's largest term, on windows of every tier and,
+    # for the arc, on windows reaching both ends of [0, pi]
+    batches = _chart_batches(monkeypatch)
+    if chart == "plane":
+        field = _recording_field(batches, make_test_field("gaussian", 2, (0.0, 0.0), 1.0))
+        X = np.array([[20.0, 0.5], [-4.0, 1.0], [2.0, -3.0], [-1.0, 0.2], [0.3, 4.0],
+                      [0.0, 0.7], [-0.5, -2.0]])
+        transforms._transversal_batch(field, X, QuadratureSpec.for_dimension(2))
+    elif chart == "line":
+        field = _recording_field(batches, make_test_field("bump", 2, (0.0, 1.0), 0.5))
+        X = np.array([[0.3, 1.0], [0.5, 1.5], [0.0, 0.6], [0.0, 0.52], [-0.2, 2.5],
+                      [0.4, 0.9]])
+        transforms._parabolic_batch(field, X, QuadratureSpec.for_dimension(2))
+    else:
+        spec = QuadratureSpec.for_dimension(2)
+        XP = np.array([[0.0], [0.3], [-0.4], [0.1], [0.45], [-0.2], [0.0]])
+        R = np.array([0.52, 0.6, 0.8, 1.2, 0.9, 1.49, 3.0])
+        for field in (make_test_field("bump", 2, (0.0, 1.0), 0.5, domain="half"),
+                      make_test_field("bump", 2, (0.0, 3.0), 2.5, domain="half"),
+                      make_test_field("gaussian", 2, (0.2, 0.3), 1.0, domain="half")):
+            transforms._sonar_batch(_recording_field(batches, field), XP, R, spec)
+    tiers = set()
+    for idx, t, pts in batches:
+        tiers.add(t.shape[1])
+        y1, y2 = pts[:, 0].reshape(t.shape), pts[:, 1].reshape(t.shape)
+        if chart == "plane":
+            sig, tau = X[idx, :1], X[idx, 1:]
+            s = np.where(sig < 0, -1.0, 1.0)
+            _assert_within_ulps(y1, s * t)
+            _assert_within_ulps(y2, np.abs(sig) * t + tau, np.abs(sig) * t, tau)
+        elif chart == "line":
+            x, xn = X[idx, :1], X[idx, 1:]
+            _assert_within_ulps(y1, x - t, x, t)
+            _assert_within_ulps(y2, xn - t ** 2, xn, t ** 2)
+        else:
+            x, r = XP[idx], R[idx, None]
+            u = np.tan(t / 2)
+            w = 2 * r / (1 + u ** 2)
+            _assert_within_ulps(y1, x - r + w, x - r, w)
+            _assert_within_ulps(y2, u * w)
+    assert {44, 88, 176, 200} <= tiers
+    if chart == "arc":
+        ends = np.concatenate([t.ravel() for _, t, _ in batches])
+        assert ends.min() < 2e-4 and ends.max() > math.pi - 2e-4
