@@ -87,6 +87,19 @@ def _stack_last(lead, last):
     return pts
 
 
+def _box_dist_sq(P, box):
+    """Least and greatest squared distances from each row of P (N, k) to the
+    box of k intervals, added up one axis at a time."""
+    near2 = np.zeros(P.shape[0])
+    far2 = np.zeros(P.shape[0])
+    for i, (a, b) in enumerate(box):
+        near = np.maximum(np.maximum(a - P[:, i], P[:, i] - b), 0.0)
+        far = np.maximum(np.abs(P[:, i] - a), np.abs(P[:, i] - b))
+        near2 += near ** 2
+        far2 += far ** 2
+    return near2, far2
+
+
 def _sum_sq(pts, c=None):
     """Row sums of (pts - c)^2 over the n columns of ``pts`` (c = 0 when
     None), added up one coordinate at a time: a few elementwise passes over

@@ -27,11 +27,23 @@ dual_dilate(l1, l2)         Psi -> l1^{1-n} Psi((l2/l1) x', l2 x_n)       full->
 slope_intercept_map         not field-applicable; see slope_intercept_relation
 ==========================  =====================================================
 
-The four parabolic shears are one substitution, F -> F(a x', x_n + b|x'|^2)
-at the (a, b) of ``_SHEARS``; the support box and section of the result
-follow from (a, b) and from F's own. The two composite tags are defined as
-the chains they stand for (``_COMPOSITES``): sqrt_pullback, zero_extend,
-parabolic_shear and parabolic_unshear, restrict_positive, square_pullback.
+Every coordinate change is one substitution (``_substitute``),
+F -> w(x_n, F(a x', phi(x_n) + b|x'|^2)) with a > 0 and phi increasing; the
+support box and section of the result follow from a, b, phi^-1 and F's own
+by one rule. Per tag, (a, b, phi(t), w): the four shears at (a, b) = (1, -1),
+(2, -1), (1, 1) and (1/2, 1/4) with phi(t) = t and w = 1; sqrt_pullback
+(1, 0, sqrt(t), t^{-1/2}); square_pullback (1, 0, t^2, t); axis_dilate
+(l1, 0, l2 t, 1); dual_dilate (l2/l1, 0, l2 t, l1^{1-n}); field_to_profile
+(2, -1, r^2, r), reading x_n as r.
+
+The other tags are chains (``_COMPOSITES``, ``_PROFILE_TO_FIELD``):
+sqrt_pullback_shear is sqrt_pullback, zero_extend, parabolic_shear;
+square_pullback_unshear is parabolic_unshear, restrict_positive,
+square_pullback; profile_to_field reads the profile as a half-space field in
+(x', r) whose section is its r_support, then applies sqrt_pullback,
+zero_extend, parabolic_unshear_scaled. Only zero_extend and
+restrict_positive, which change the domain and not the coordinates, have
+code of their own.
 
 The (.)_+ convention: powers of a nonpositive argument are exact zeros, so
 the square-root singularities along the critical paraboloids are never
@@ -45,8 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChainError, DomainError
-from .fields import (Point, ScalarField, SphereProfile, _coordinate_major,
-                     _stack_last, _sum_sq)
+from .fields import (Point, ScalarField, SphereProfile, _box_dist_sq,
+                     _coordinate_major, _sum_sq)
 from .transforms import parabolic_field, sonar_profile, transversal_field
 
 _PLAIN_TAGS = frozenset({
@@ -61,14 +73,6 @@ _DILATION_TAGS = frozenset({"axis_dilate", "dual_dilate"})
 TAGS = _PLAIN_TAGS | _DILATION_TAGS
 
 _TRANSFORM_STEPS = ("sonar", "parabolic", "transversal")
-
-#: (a, b) of each shear F -> F(a x', x_n + b|x'|^2).
-_SHEARS = {
-    "parabolic_shear": (1.0, -1.0),
-    "parabolic_shear_scaled": (2.0, -1.0),
-    "parabolic_unshear": (1.0, 1.0),
-    "parabolic_unshear_scaled": (0.5, 0.25),
-}
 
 
 @dataclass(frozen=True)
@@ -107,39 +111,45 @@ class IdentityReport:
         return self.max_rel_err <= self.tol
 
 
-def _dilated(pts, lead, last):
-    """The points (lead x', last x_n), coordinate-major."""
-    scale = np.full(pts.shape[1], lead)
-    scale[-1] = last
-    return np.multiply(pts, scale, out=_coordinate_major(pts.shape))
+def _substitute(field, domain, a, b, phi=None, phi_inv=None, w=None):
+    """F -> w(x_n, F(a x', phi(x_n) + b|x'|^2)) for a > 0 and an increasing
+    phi (None: the identity; called as phi(x_n, out=...)), as a field on
+    ``domain`` or, for domain "profile", as a profile in (x', r = x_n).
 
+    The box and the section follow F's by one rule: x' runs over F's x' box
+    divided by a, and at x' the last coordinate over phi^-1(s - b|x'|^2) for
+    s in F's section at a x' (F's last box interval without a section)."""
+    n = field.n
 
-def _minmax_sq(box_prime):
-    lo = 0.0
-    hi = 0.0
-    for a, b in box_prime:
-        if not a <= 0 <= b:
-            lo += min(a * a, b * b)
-        hi += max(a * a, b * b)
-    return lo, hi
-
-
-def _shear(field, a, b):
-    """F -> F(a x', x_n + b|x'|^2), a > 0, with the box and the section it
-    maps F's to; the section follows F's section when F has one."""
-
-    def func(pts):
-        ssq = _sum_sq(pts[:, :-1])
-        return field.eval_array(_stack_last(a * pts[:, :-1], pts[:, -1] + b * ssq))
+    def core(XP, t):
+        shift = None
+        if b:
+            shift = _sum_sq(XP)
+            shift *= b
+        pts = _coordinate_major(XP.shape[:-1] + (n,))
+        np.multiply(XP, a, out=pts[:, :-1])
+        last = pts[:, -1]
+        s = t if phi is None else phi(t, out=last)
+        if shift is not None:
+            np.add(s, shift, out=last)
+        elif phi is None:
+            last[...] = t
+        vals = field.eval_array(pts)
+        return vals if w is None else w(t, vals)
 
     box = field.box
     nbox = None
     if box is not None:
         bp = tuple((lo / a, hi / a) for lo, hi in box[:-1])
-        lo2, hi2 = _minmax_sq(bp)
-        if b > 0:        # x_n = (F's last coordinate) - b|x'|^2 falls with |x'|
-            lo2, hi2 = hi2, lo2
-        nbox = bp + ((box[-1][0] - b * lo2, box[-1][1] - b * hi2),)
+        lo, hi = box[-1]
+        if b:
+            near, far = (float(d[0]) for d in _box_dist_sq(np.zeros((1, n - 1)), bp))
+            if b > 0:    # s - b|x'|^2 falls with |x'|
+                near, far = far, near
+            lo, hi = lo - b * near, hi - b * far
+        if phi_inv is not None:
+            lo, hi = phi_inv(lo), phi_inv(hi)
+        nbox = bp + ((lo, hi),)
     inner = field.section_support
     section = None
     if inner is not None or box is not None:
@@ -150,10 +160,36 @@ def _shear(field, a, b):
             else:
                 lo = np.full(XP.shape[0], box[-1][0])
                 hi = np.full(XP.shape[0], box[-1][1])
-            shift = b * _sum_sq(XP)
-            return lo - shift, hi - shift
+            if b:
+                shift = b * _sum_sq(XP)
+                lo, hi = lo - shift, hi - shift
+            if phi_inv is not None:
+                lo, hi = phi_inv(lo), phi_inv(hi)
+            return lo, hi
 
-    return ScalarField(field.n, func, "full", nbox, section_support=section)
+    if domain == "profile":
+        return SphereProfile(n, core, xprime_box=None if nbox is None else nbox[:-1],
+                             r_support=section)
+    return ScalarField(n, lambda pts: core(pts[:, :-1], pts[:, -1]), domain, nbox,
+                       section_support=section)
+
+
+#: consumed domain, produced domain, a, b, phi, phi^-1, w of each fixed
+#: substitution F -> w(x_n, F(a x', phi(x_n) + b|x'|^2)); the dilations
+#: take theirs from lam (``apply``).
+_SUBSTITUTIONS = {
+    "parabolic_shear": ("full", "full", 1.0, -1.0, None, None, None),
+    "parabolic_shear_scaled": ("full", "full", 2.0, -1.0, None, None, None),
+    "parabolic_unshear": ("full", "full", 1.0, 1.0, None, None, None),
+    "parabolic_unshear_scaled": ("full", "full", 0.5, 0.25, None, None, None),
+    # phi^-1 of sqrt squares a scalar by pow and an array by np.square
+    "sqrt_pullback": ("half", "half", 1.0, 0.0, np.sqrt,
+                      lambda s: np.maximum(s, 0.0) ** 2, lambda t, v: v / np.sqrt(t)),
+    "square_pullback": ("half", "half", 1.0, 0.0, np.square,
+                        lambda s: np.sqrt(np.maximum(s, 0.0)), lambda t, v: t * v),
+    "field_to_profile": ("full", "profile", 2.0, -1.0, np.square,
+                         lambda s: np.sqrt(np.maximum(s, 0.0)), lambda t, v: t * v),
+}
 
 
 def apply(op: OperatorId, field):
@@ -166,81 +202,35 @@ def apply(op: OperatorId, field):
     if isinstance(field, SphereProfile):
         if tag != "profile_to_field":
             raise ChainError(f"{tag} consumes a ScalarField, got a SphereProfile")
-        return _profile_to_field(field)
+        # the profile read as a half-space field in (x', r)
+        half = ScalarField(field.n, lambda pts: field.eval_array(pts[:, :-1], pts[:, -1]),
+                           "half", section_support=field.r_support)
+        return apply_chain(_PROFILE_TO_FIELD, half)
     if not isinstance(field, ScalarField):
         raise ChainError(f"cannot apply {tag} to {type(field).__name__}")
-
-    n = field.n
-    box = field.box
+    if tag == "profile_to_field":
+        raise ChainError(f"{tag} consumes a SphereProfile, got a ScalarField")
+    if tag in _COMPOSITES:
+        return apply_chain(_COMPOSITES[tag], field)
 
     def need(domain):
         if field.domain != domain:
             raise ChainError(f"{tag} consumes a {domain}-space field, got {field.domain}-space")
 
-    if tag == "sqrt_pullback":
-        need("half")
+    if tag in _SUBSTITUTIONS:
+        consumed, domain, *args = _SUBSTITUTIONS[tag]
+        need(consumed)
+        return _substitute(field, domain, *args)
 
-        def func(pts):
-            root = np.sqrt(pts[:, -1])
-            return field.eval_array(_stack_last(pts[:, :-1], root)) / root
-
-        nbox = None
-        if box is not None:
-            lo, hi = box[-1]
-            nbox = box[:-1] + ((max(lo, 0.0) ** 2, max(hi, 0.0) ** 2),)
-        return ScalarField(n, func, "half", nbox)
-
-    if tag == "square_pullback":
-        need("half")
-
-        def func(pts):
-            xn = pts[:, -1]
-            return xn * field.eval_array(_stack_last(pts[:, :-1], xn ** 2))
-
-        nbox = None
-        if box is not None:
-            lo, hi = box[-1]
-            nbox = box[:-1] + ((np.sqrt(max(lo, 0.0)), np.sqrt(max(hi, 0.0))),)
-        inner_sec = field.section_support
-        section = None
-        if inner_sec is not None:
-            def section(XP):
-                lo, hi = inner_sec(XP)
-                return np.sqrt(np.maximum(lo, 0.0)), np.sqrt(np.maximum(hi, 0.0))
-        return ScalarField(n, func, "half", nbox, section_support=section)
-
-    if tag in _SHEARS:
+    if tag in _DILATION_TAGS:
+        l1, l2 = op.lam
+        phi, phi_inv = (lambda t, out: np.multiply(t, l2, out=out)), (lambda s: s / l2)
+        if tag == "axis_dilate":
+            return _substitute(field, field.domain, l1, 0.0, phi, phi_inv)
         need("full")
-        return _shear(field, *_SHEARS[tag])
-
-    if tag in _COMPOSITES:
-        return apply_chain(_COMPOSITES[tag], field)
-
-    if tag == "field_to_profile":
-        need("full")
-
-        def pfunc(XP, R):
-            return R * field.eval_array(_stack_last(2 * XP, R ** 2 - _sum_sq(XP)))
-
-        r_support = None
-        xprime_box = None
-        if box is not None:
-            xprime_box = tuple((a / 2, b / 2) for a, b in box[:-1])
-            inner_sec = field.section_support
-            last = box[-1]
-
-            def r_support(XP):
-                XP = np.asarray(XP, dtype=float)
-                ssq = _sum_sq(XP)
-                if inner_sec is not None:
-                    lo, hi = inner_sec(2 * XP)
-                else:
-                    lo = np.full(XP.shape[0], last[0])
-                    hi = np.full(XP.shape[0], last[1])
-                return (np.sqrt(np.maximum(lo + ssq, 0.0)),
-                        np.sqrt(np.maximum(hi + ssq, 0.0)))
-
-        return SphereProfile(n, pfunc, xprime_box=xprime_box, r_support=r_support)
+        pref = l1 ** (1 - field.n)
+        return _substitute(field, "full", l2 / l1, 0.0, phi, phi_inv,
+                           lambda t, v: pref * v)
 
     if tag == "zero_extend":
         need("half")
@@ -252,90 +242,25 @@ def apply(op: OperatorId, field):
                 out[pos] = field.eval_array(pts[pos])
             return out
 
-        nbox = None
-        if box is not None:
-            nbox = box[:-1] + ((max(box[-1][0], 0.0), max(box[-1][1], 0.0)),)
-        return ScalarField(n, func, "full", nbox, section_support=field.section_support)
+        return ScalarField(field.n, func, "full", _clip_last(field.box),
+                           section_support=field.section_support)
 
-    if tag == "restrict_positive":
-        need("full")
-        nbox = None
-        if box is not None:
-            nbox = box[:-1] + ((max(box[-1][0], 0.0), max(box[-1][1], 0.0)),)
-        inner_sec = field.section_support
-        section = None
-        if inner_sec is not None:
-            def section(XP):
-                lo, hi = inner_sec(XP)
-                return np.maximum(lo, 0.0), np.maximum(hi, 0.0)
-        return ScalarField(n, lambda pts: field.eval_array(pts), "half", nbox,
-                           section_support=section)
-
-    if tag == "axis_dilate":
-        l1, l2 = op.lam
-
-        def func(pts):
-            return field.eval_array(_dilated(pts, l1, l2))
-
-        nbox = None
-        if box is not None:
-            nbox = tuple((a / l1, b / l1) for a, b in box[:-1]) \
-                + ((box[-1][0] / l2, box[-1][1] / l2),)
-        inner_sec = field.section_support
-        section = None
-        if inner_sec is not None:
-            def section(XP):
-                lo, hi = inner_sec(l1 * np.asarray(XP, dtype=float))
-                return lo / l2, hi / l2
-        return ScalarField(n, func, field.domain, nbox, section_support=section)
-
-    if tag == "dual_dilate":
-        need("full")
-        l1, l2 = op.lam
-        pref = l1 ** (1 - n)
-
-        def func(pts):
-            return pref * field.eval_array(_dilated(pts, l2 / l1, l2))
-
-        nbox = None
-        if box is not None:
-            nbox = tuple((a * l1 / l2, b * l1 / l2) for a, b in box[:-1]) \
-                + ((box[-1][0] / l2, box[-1][1] / l2),)
-        inner_sec = field.section_support
-        section = None
-        if inner_sec is not None:
-            def section(XP):
-                lo, hi = inner_sec((l2 / l1) * np.asarray(XP, dtype=float))
-                return lo / l2, hi / l2
-        return ScalarField(n, func, "full", nbox, section_support=section)
-
-    raise ChainError(f"unknown operator tag {tag!r}")
-
-
-def _profile_to_field(profile: SphereProfile) -> ScalarField:
-    n = profile.n
-
-    def func(pts):
-        ssq = _sum_sq(pts[:, :-1])
-        arg = pts[:, -1] + ssq / 4
-        out = np.zeros(pts.shape[0])
-        good = arg > 0
-        if good.any():
-            out[good] = profile.eval_array(pts[good, :-1] / 2,
-                                           np.sqrt(arg[good])) / np.sqrt(arg[good])
-        return out
-
+    need("full")  # restrict_positive
+    inner_sec = field.section_support
     section = None
-    if profile.r_support is not None:
-        rsup = profile.r_support
-
+    if inner_sec is not None:
         def section(XP):
-            XP = np.asarray(XP, dtype=float)
-            rlo, rhi = rsup(XP / 2)
-            ssq = _sum_sq(XP)
-            return rlo ** 2 - ssq / 4, rhi ** 2 - ssq / 4
+            lo, hi = inner_sec(XP)
+            return np.maximum(lo, 0.0), np.maximum(hi, 0.0)
+    return ScalarField(field.n, lambda pts: field.eval_array(pts), "half",
+                       _clip_last(field.box), section_support=section)
 
-    return ScalarField(n, func, "full", None, section_support=section)
+
+def _clip_last(box):
+    """``box`` with its last interval clipped to [0, inf); None stays None."""
+    if box is None:
+        return None
+    return box[:-1] + ((max(box[-1][0], 0.0), max(box[-1][1], 0.0)),)
 
 
 def apply_chain(chain, field, spec=None):
@@ -370,6 +295,10 @@ _COMPOSITES = {
                                 OperatorId("restrict_positive"),
                                 OperatorId("square_pullback")),
 }
+
+#: profile_to_field after reading the profile as a half-space field in (x', r).
+_PROFILE_TO_FIELD = (OperatorId("sqrt_pullback"), OperatorId("zero_extend"),
+                     OperatorId("parabolic_unshear_scaled"))
 
 #: The preregistered factorization identities, chains in application order.
 CANONICAL_IDENTITIES = {

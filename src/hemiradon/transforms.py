@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fields import Point, ScalarField, SphereProfile, _coordinate_major
+from .fields import (Point, ScalarField, SphereProfile, _box_dist_sq,
+                     _coordinate_major)
 from .quadrature import (QuadratureSpec, _finite, _scratch, _windowed_sums,
                          line_rule, tensor_rule, tier_counts)
 
@@ -139,14 +140,7 @@ def sonar_profile(phi: ScalarField, spec=None) -> SphereProfile:
         box = phi.box
 
         def r_support(XP):
-            XP = np.asarray(XP, dtype=float)
-            lo2 = np.zeros(XP.shape[0])
-            hi2 = np.zeros(XP.shape[0])
-            for i, (a, b) in enumerate(box[:-1]):
-                gap = np.maximum(np.maximum(a - XP[:, i], XP[:, i] - b), 0.0)
-                far = np.maximum(np.abs(XP[:, i] - a), np.abs(XP[:, i] - b))
-                lo2 += gap ** 2
-                hi2 += far ** 2
+            lo2, hi2 = _box_dist_sq(np.asarray(XP, dtype=float), box[:-1])
             a, b = box[-1]
             lo2 += max(a, 0.0) ** 2
             hi2 += max(abs(a), abs(b)) ** 2
@@ -257,15 +251,7 @@ def parabolic_field(f: ScalarField, spec=None) -> ScalarField:
         box = f.box
 
         def section(XP):
-            XP = np.asarray(XP, dtype=float)
-            lo2 = np.zeros(XP.shape[0])
-            hi2 = np.zeros(XP.shape[0])
-            for i, (a, b) in enumerate(box[:-1]):
-                ylo = XP[:, i] - b
-                yhi = XP[:, i] - a
-                inside = (ylo <= 0) & (yhi >= 0)
-                lo2 += np.where(inside, 0.0, np.minimum(ylo ** 2, yhi ** 2))
-                hi2 += np.maximum(ylo ** 2, yhi ** 2)
+            lo2, hi2 = _box_dist_sq(np.asarray(XP, dtype=float), box[:-1])
             a, b = box[-1]
             return a + lo2, b + hi2
 
@@ -366,8 +352,11 @@ def _transversal_batch(psi, X, spec):
     smag = np.linalg.norm(sig, axis=1)
     live = smag > 1e-300
     if k == 1:
-        # the reflection below, for one axis: the slope's sign, 1 at slope 0
-        basis = np.where(live[:, None] & (sig < 0), -1.0, 1.0)[:, :, None]
+        # the reflection below, for one axis: the slope's sign, 1 at slope 0;
+        # the frame's 1 x 1 products are then elementwise
+        sign = np.where(live & (sig[:, 0] < 0), -1.0, 1.0)
+        mid = sign[:, None] * c
+        spread = h
     else:
         shat = np.where(live[:, None], sig / np.maximum(smag, 1e-300)[:, None], 0.0)
         # Householder frames mapping e_1 to the slope direction, batched; for
@@ -380,9 +369,9 @@ def _transversal_batch(psi, X, spec):
         # no reflection (slope along e_1, or slope 0): dividing by inf leaves I
         vnorm2 = np.where(live & (vnorm2 > 1e-28), vnorm2, np.inf)
         basis = np.eye(k) - 2 * v[:, :, None] * v[:, None, :] / vnorm2[:, None, None]
-    # frame-axis support windows of the box via its support function
-    mid = basis @ c                                    # (M, k) of axis . center
-    spread = np.abs(basis) @ h
+        # frame-axis support windows of the box via its support function
+        mid = basis @ c                                # (M, k) of axis . center
+        spread = np.abs(basis) @ h
     lo = mid - spread
     hi = mid + spread
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -404,7 +393,7 @@ def _transversal_batch(psi, X, spec):
         # y' = sum_j u_j basis_j: the frame rotated back to the original axes
         if k == 1:
             pts = _grid_points(u, n)
-            u.affine(0, pts[..., 0], basis[idx, 0, 0])
+            u.affine(0, pts[..., 0], sign[idx])
             u.affine(0, pts[..., 1], smag[idx], tau[idx])
             return _eval_grid(psi, pts)
         x = list(u)  # node arrays below the point buffer, as in the other charts

@@ -42,67 +42,140 @@ def test_operator_id_validation():
     assert ok.lam == (2.0, 3.0)
 
 
+# The value tests below compare every substitution, with ==, against its
+# formula from the tag table, written out in the operation order of the
+# per-tag code it replaced, on a batch of points in n = 2 and n = 3.
+
+def probe(n, domain="full"):
+    """A field whose value mixes every coordinate, computed column by column
+    so that its bits do not depend on the memory layout of the points."""
+    def func(pts):
+        out = 1.0 + pts[:, 0] * pts[:, -1]
+        for i in range(n):
+            out = out + (i + 2) * pts[:, i]
+        return out
+
+    return ScalarField(n, func, domain)
+
+
+def batch(n, half=False):
+    """16 points in [-2, 2]^n, their last coordinate in [0.05, 3] if half."""
+    rng = np.random.default_rng(n)
+    pts = rng.uniform(-2.0, 2.0, (16, n))
+    if half:
+        pts[:, -1] = rng.uniform(0.05, 3.0, 16)
+    return pts
+
+
+def sum_sq(lead):
+    return sum(lead[:, i] ** 2 for i in range(lead.shape[1]))
+
+
+def stack(lead, last):
+    return np.column_stack([lead, last])
+
+
+def assert_exact(got, want):
+    assert got.shape == want.shape
+    assert (got == want).all(), float(np.max(np.abs(got - want)))
+
+
 def test_parabolic_shear_pair():
-    f = linear_probe()
-    sheared = apply(OperatorId("parabolic_shear"), f)
-    x = (0.5, 1.2)
-    # f(x', x_n - |x'|^2)
-    assert sheared.eval(x) == pytest.approx(f.eval((0.5, 1.2 - 0.25)))
-    back = apply(OperatorId("parabolic_unshear"), sheared)
-    assert back.eval(x) == pytest.approx(f.eval(x), rel=1e-14)
+    for n in (2, 3):
+        f, X = probe(n), batch(n)
+        sheared = apply(OperatorId("parabolic_shear"), f)
+        # f(x', x_n - |x'|^2)
+        assert_exact(sheared.eval_array(X), f.eval_array(stack(X[:, :-1], X[:, -1] - sum_sq(X[:, :-1]))))
+        unsheared = apply(OperatorId("parabolic_unshear"), f)
+        assert_exact(unsheared.eval_array(X),
+                     f.eval_array(stack(X[:, :-1], X[:, -1] + sum_sq(X[:, :-1]))))
+        back = apply(OperatorId("parabolic_unshear"), sheared)
+        np.testing.assert_allclose(back.eval_array(X), f.eval_array(X), rtol=1e-13)
 
 
 def test_parabolic_scaled_pair():
-    f = linear_probe()
-    sheared = apply(OperatorId("parabolic_shear_scaled"), f)
-    x = (0.5, 1.2)
-    assert sheared.eval(x) == pytest.approx(f.eval((1.0, 1.2 - 0.25)))
-    back = apply(OperatorId("parabolic_unshear_scaled"), sheared)
-    assert back.eval(x) == pytest.approx(f.eval(x), rel=1e-14)
+    for n in (2, 3):
+        f, X = probe(n), batch(n)
+        sheared = apply(OperatorId("parabolic_shear_scaled"), f)
+        # F(2x', x_n - |x'|^2) and v(x'/2, x_n + |x'|^2/4)
+        assert_exact(sheared.eval_array(X),
+                     f.eval_array(stack(2.0 * X[:, :-1], X[:, -1] - sum_sq(X[:, :-1]))))
+        unsheared = apply(OperatorId("parabolic_unshear_scaled"), f)
+        assert_exact(unsheared.eval_array(X),
+                     f.eval_array(stack(0.5 * X[:, :-1], X[:, -1] + 0.25 * sum_sq(X[:, :-1]))))
+        back = apply(OperatorId("parabolic_unshear_scaled"), sheared)
+        np.testing.assert_allclose(back.eval_array(X), f.eval_array(X), rtol=1e-13)
 
 
 def test_sqrt_square_pullback_pair():
-    phi = linear_probe(domain="half")
-    pulled = apply(OperatorId("sqrt_pullback"), phi)
-    z = (0.3, 4.0)
-    # z_n^{-1/2} phi(z', sqrt(z_n))
-    assert pulled.eval(z) == pytest.approx(phi.eval((0.3, 2.0)) / 2.0)
-    back = apply(OperatorId("square_pullback"), pulled)
-    assert back.eval((0.3, 2.0)) == pytest.approx(phi.eval((0.3, 2.0)), rel=1e-14)
+    for n in (2, 3):
+        phi, Z = probe(n, "half"), batch(n, half=True)
+        pulled = apply(OperatorId("sqrt_pullback"), phi)
+        # z_n^{-1/2} phi(z', sqrt(z_n))
+        root = np.sqrt(Z[:, -1])
+        assert_exact(pulled.eval_array(Z), phi.eval_array(stack(Z[:, :-1], root)) / root)
+        squared = apply(OperatorId("square_pullback"), phi)
+        # x_n Phi(x', x_n^2)
+        xn = Z[:, -1]
+        assert_exact(squared.eval_array(Z), xn * phi.eval_array(stack(Z[:, :-1], xn ** 2)))
+        back = apply(OperatorId("square_pullback"), pulled)
+        np.testing.assert_allclose(back.eval_array(Z), phi.eval_array(Z), rtol=1e-14)
 
 
 def test_sqrt_pullback_shear_mapping():
-    phi = linear_probe(domain="half")
-    out = apply(OperatorId("sqrt_pullback_shear"), phi)
-    assert out.domain == "full"
-    x = (0.5, 1.25)  # x_n - |x'|^2 = 1.0
-    assert out.eval(x) == pytest.approx(phi.eval((0.5, 1.0)) / 1.0)
+    for n in (2, 3):
+        phi, X = probe(n, "half"), batch(n)
+        out = apply(OperatorId("sqrt_pullback_shear"), phi)
+        assert out.domain == "full"
+        # (x_n - |x'|^2)_+^{-1/2} phi(x', sqrt(.))
+        arg = X[:, -1] - sum_sq(X[:, :-1])
+        good = arg > 0
+        assert 0 < good.sum() < len(X)
+        want = np.zeros(len(X))
+        root = np.sqrt(arg[good])
+        want[good] = phi.eval_array(stack(X[good, :-1], root)) / root
+        assert_exact(out.eval_array(X), want)
+    out = apply(OperatorId("sqrt_pullback_shear"), probe(2, "half"))
     # nonpositive parabolic argument gives exact zero, not a pole
     assert out.eval((0.5, 0.25)) == 0.0
     assert out.eval((0.5, -3.0)) == 0.0
 
 
 def test_square_pullback_unshear_mapping():
-    psi = linear_probe()
-    out = apply(OperatorId("square_pullback_unshear"), psi)
-    assert out.domain == "half"
-    y = (0.5, 2.0)
-    assert out.eval(y) == pytest.approx(2.0 * psi.eval((0.5, 4.25)), rel=1e-14)
+    for n in (2, 3):
+        psi, Y = probe(n), batch(n, half=True)
+        out = apply(OperatorId("square_pullback_unshear"), psi)
+        assert out.domain == "half"
+        # y_n psi(y', y_n^2 + |y'|^2)
+        yn = Y[:, -1]
+        assert_exact(out.eval_array(Y),
+                     yn * psi.eval_array(stack(Y[:, :-1], yn ** 2 + sum_sq(Y[:, :-1]))))
 
 
 def test_field_to_profile_mapping():
-    f = linear_probe()
-    prof = apply(OperatorId("field_to_profile"), f)
-    assert isinstance(prof, SphereProfile)
-    # r f(2x', r^2 - |x'|^2)
-    assert prof.eval((0.5,), 2.0) == pytest.approx(2.0 * f.eval((1.0, 3.75)))
+    for n in (2, 3):
+        f, P = probe(n), batch(n, half=True)
+        prof = apply(OperatorId("field_to_profile"), f)
+        assert isinstance(prof, SphereProfile)
+        # r f(2x', r^2 - |x'|^2)
+        XP, R = P[:, :-1], P[:, -1]
+        assert_exact(prof.eval_array(XP, R),
+                     R * f.eval_array(stack(2 * XP, R ** 2 - sum_sq(XP))))
 
 
 def test_profile_to_field_mapping():
-    prof = SphereProfile(2, lambda XP, R: XP[:, 0] + R)
-    out = apply(OperatorId("profile_to_field"), prof)
-    x = (1.0, 3.75)  # arg = x_n + |x'|^2/4 = 4, sqrt = 2
-    assert out.eval(x) == pytest.approx((0.5 + 2.0) / 2.0)
+    for n in (2, 3):
+        prof = SphereProfile(n, lambda XP, R: 1.0 + XP[:, 0] * R + 3.0 * XP[:, -1] + R)
+        out = apply(OperatorId("profile_to_field"), prof)
+        X = batch(n)
+        # (x_n + |x'|^2/4)_+^{-1/2} Phi(x'/2, sqrt(.))
+        arg = X[:, -1] + sum_sq(X[:, :-1]) / 4
+        good = arg > 0
+        assert 0 < good.sum() < len(X)
+        want = np.zeros(len(X))
+        want[good] = prof.eval_array(X[good, :-1] / 2, np.sqrt(arg[good])) / np.sqrt(arg[good])
+        assert_exact(out.eval_array(X), want)
+    out = apply(OperatorId("profile_to_field"), SphereProfile(2, lambda XP, R: XP[:, 0] + R))
     assert out.eval((0.0, -1.0)) == 0.0
 
 
@@ -132,16 +205,24 @@ def test_zero_extend_and_restrict():
 
 
 def test_axis_dilate():
-    f = linear_probe()
-    g = apply(OperatorId("axis_dilate", (2.0, 0.5)), f)
-    assert g.eval((1.0, 4.0)) == pytest.approx(f.eval((2.0, 2.0)))
+    l1, l2 = 2.0, 0.5
+    for n in (2, 3):
+        for domain in ("full", "half"):
+            f, X = probe(n, domain), batch(n, half=domain == "half")
+            g = apply(OperatorId("axis_dilate", (l1, l2)), f)
+            assert g.domain == domain
+            # psi(l1 x', l2 x_n)
+            assert_exact(g.eval_array(X), f.eval_array(stack(l1 * X[:, :-1], l2 * X[:, -1])))
 
 
 def test_dual_dilate():
-    F = linear_probe()
-    G = apply(OperatorId("dual_dilate", (2.0, 3.0)), F)
-    # l1^{1-n} F((l2/l1) x', l2 x_n) with n = 2
-    assert G.eval((1.0, 1.0)) == pytest.approx(0.5 * F.eval((1.5, 3.0)))
+    l1, l2 = 2.0, 3.0
+    for n in (2, 3):
+        F, X = probe(n), batch(n)
+        G = apply(OperatorId("dual_dilate", (l1, l2)), F)
+        # l1^{1-n} F((l2/l1) x', l2 x_n)
+        assert_exact(G.eval_array(X),
+                     l1 ** (1 - n) * F.eval_array(stack((l2 / l1) * X[:, :-1], l2 * X[:, -1])))
 
 
 def test_domain_mismatch_raises():
@@ -252,8 +333,9 @@ def _box_bump(domain):
 
 _HINT_ROWS = np.array([[0.0, 0.0], [0.5, -0.25], [1.5, 0.75]])
 
-# box, then section (lo, hi) at _HINT_ROWS, of each shear and composite on
-# the bump; the sqrt_pullback_shear input is the half-space bump
+# box, then section (lo, hi) at _HINT_ROWS, of each shear and composite and
+# of the parabolic and sonar transforms on the bump; the sqrt_pullback_shear
+# and sonar input is the half-space bump
 _PINNED_HINTS = {
     "parabolic_shear": (
         ((0.29999999999999993, 1.1), (-0.7, 0.10000000000000003), (0.69, 3.1)),
@@ -274,15 +356,27 @@ _PINNED_HINTS = {
         ((0.29999999999999993, 1.1), (-0.7, 0.10000000000000003), (0.0, 1.1445523142259597)),
         (0.7745966692414834, 0.5361902647381804, 0.0),
         (1.1832159566199232, 1.0428326807307104, 0.0)),
+    # the transforms' own hints: the parabolic section and the sonar r_support
+    "parabolic": (
+        None, (0.69, 0.6, 1.1824999999999997), (3.1, 1.9625, 4.942500000000001)),
+    "sonar": (
+        None, (0.6708203932499369, 0.6, 0.9708243919473798),
+        (1.9131126469708992, 1.588238017426859, 2.34574082114798)),
 }
 
 
 @pytest.mark.parametrize("tag", sorted(_PINNED_HINTS))
 def test_shear_support_hints_pinned(tag):
     box, lo, hi = _PINNED_HINTS[tag]
-    out = apply(OperatorId(tag), _box_bump("half" if tag == "sqrt_pullback_shear" else "full"))
-    assert out.box == box
-    got_lo, got_hi = out.section_support(_HINT_ROWS)
+    step = tag if tag in ("parabolic", "sonar") else OperatorId(tag)
+    out = apply_chain((step,), _box_bump("half" if tag in ("sqrt_pullback_shear", "sonar")
+                                         else "full"))
+    if isinstance(out, SphereProfile):
+        got_box, hint = out.xprime_box, out.r_support
+    else:
+        got_box, hint = out.box, out.section_support
+    assert got_box == box
+    got_lo, got_hi = hint(_HINT_ROWS)
     assert tuple(got_lo) == lo and tuple(got_hi) == hi
 
 
@@ -303,9 +397,9 @@ def _hinted_outputs():
     outs.append(("profile_to_field", back))
     outs += [(f"{tag} of profile_to_field", apply(OperatorId(tag), back))
              for tag in ("parabolic_shear", "parabolic_unshear_scaled")]
-    outs.append(("square_pullback of a sectioned field",
-                 apply(OperatorId("square_pullback"), apply(OperatorId("restrict_positive"),
-                                                            dict(outs)["parabolic_shear"]))))
+    sectioned = apply(OperatorId("restrict_positive"), dict(outs)["parabolic_shear"])
+    outs += [(f"{tag} of a sectioned field", apply(OperatorId(tag), sectioned))
+             for tag in ("square_pullback", "sqrt_pullback")]
     return outs
 
 
