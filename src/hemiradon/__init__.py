@@ -23,8 +23,8 @@ from .errors import (
     HemiradonError,
     QuadratureError,
 )
-from .fields import Grid, Point, ScalarField, SphereProfile, make_test_field, sample_on_grid
-from .quadrature import QuadratureSpec, integrate
+from .fields import Point, ScalarField, SphereProfile, make_test_field
+from .quadrature import QuadratureSpec
 from .transforms import (
     classical_radon,
     parabolic_field,
@@ -68,11 +68,8 @@ __all__ = [
     "Point",
     "ScalarField",
     "SphereProfile",
-    "Grid",
     "make_test_field",
-    "sample_on_grid",
     "QuadratureSpec",
-    "integrate",
     "sonar_transform",
     "sonar_profile",
     "parabolic_transform",

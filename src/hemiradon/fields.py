@@ -181,8 +181,9 @@ class ScalarField:
             func = lambda pts: op(self._func(pts), other._func(pts))
             return ScalarField(self.n, func, self.domain, _box_union(self.box, other.box))
         c = float(other)
-        return ScalarField(self.n, lambda pts: op(self._func(pts), c), self.domain,
-                           self.box, self.section_support)
+        # a nonzero constant is nonzero everywhere: no support hint holds
+        kept = (self.box, self.section_support) if c == 0.0 else (None, None)
+        return ScalarField(self.n, lambda pts: op(self._func(pts), c), self.domain, *kept)
 
     def __add__(self, other):
         return self._combine(other, lambda a, b: a + b)
@@ -202,10 +203,12 @@ class SphereProfile:
     """A function of (x', r): center on the boundary hyperplane, radius r > 0.
 
     ``func`` must accept (XP: (N, n-1), R: (N,)) and return (N,).
-    ``r_support``, when present, maps XP to (lo, hi) bounds of the r-support.
+    ``r_support``, when present, maps XP to (lo, hi) bounds of the r-support;
+    ``r_box``, when present, is one (lo, hi) interval holding the r-support
+    at every x' of ``xprime_box``.
     """
 
-    def __init__(self, n: int, func, xprime_box=None, r_support=None):
+    def __init__(self, n: int, func, xprime_box=None, r_support=None, r_box=None):
         if n < 2:
             raise DomainError("profiles require n >= 2")
         self.n = int(n)
@@ -213,6 +216,7 @@ class SphereProfile:
         self.xprime_box = (None if xprime_box is None
                            else tuple((float(a), float(b)) for a, b in xprime_box))
         self.r_support = r_support
+        self.r_box = None if r_box is None else (float(r_box[0]), float(r_box[1]))
 
     def eval(self, xprime, r: float) -> float:
         xp = np.atleast_1d(np.asarray(xprime, dtype=float))[None, :]
@@ -229,38 +233,6 @@ class SphereProfile:
         if vals.shape != R.shape:
             raise DomainError(f"profile func returned shape {vals.shape}, expected {R.shape}")
         return vals
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Tensor grid: per-axis (lo, hi, count) with count >= 2 and lo < hi."""
-
-    axes: tuple
-
-    def __post_init__(self):
-        axes = tuple((float(lo), float(hi), int(cnt)) for lo, hi, cnt in self.axes)
-        for lo, hi, cnt in axes:
-            if cnt < 2:
-                raise ConfigError("grid node counts must be >= 2")
-            if not hi > lo:
-                raise ConfigError("grid ranges must be nondegenerate")
-        object.__setattr__(self, "axes", axes)
-
-    @property
-    def n(self) -> int:
-        return len(self.axes)
-
-    @property
-    def shape(self) -> tuple:
-        return tuple(cnt for _, _, cnt in self.axes)
-
-    def nodes(self, axis: int) -> np.ndarray:
-        lo, hi, cnt = self.axes[axis]
-        return np.linspace(lo, hi, cnt)
-
-    def points(self) -> np.ndarray:
-        grids = np.meshgrid(*[self.nodes(i) for i in range(self.n)], indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 def make_test_field(kind: str, n: int, center, scale: float,
@@ -327,11 +299,3 @@ def make_test_field(kind: str, n: int, center, scale: float,
     if domain == "half":
         box = box[:-1] + ((max(box[-1][0], 0.0), max(box[-1][1], 0.0)),)
     return ScalarField(n, func, domain=domain, box=box)
-
-
-def sample_on_grid(field: ScalarField, grid: Grid) -> np.ndarray:
-    """Pointwise field values on the grid, shaped like the grid (no smoothing)."""
-    if grid.n != field.n:
-        raise DomainError(f"grid dimension {grid.n} != field dimension {field.n}")
-    pts = grid.points()
-    return field.eval_array(pts).reshape(grid.shape)

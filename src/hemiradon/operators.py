@@ -168,8 +168,10 @@ def _substitute(field, domain, a, b, phi=None, phi_inv=None, w=None):
             return lo, hi
 
     if domain == "profile":
-        return SphereProfile(n, core, xprime_box=None if nbox is None else nbox[:-1],
-                             r_support=section)
+        if nbox is None:
+            return SphereProfile(n, core, r_support=section)
+        return SphereProfile(n, core, xprime_box=nbox[:-1], r_support=section,
+                             r_box=nbox[-1])
     return ScalarField(n, lambda pts: core(pts[:, :-1], pts[:, -1]), domain, nbox,
                        section_support=section)
 
@@ -202,9 +204,13 @@ def apply(op: OperatorId, field):
     if isinstance(field, SphereProfile):
         if tag != "profile_to_field":
             raise ChainError(f"{tag} consumes a ScalarField, got a SphereProfile")
-        # the profile read as a half-space field in (x', r)
+        # the profile read as a half-space field in (x', r), boxed when the
+        # profile knows both its x' box and its r interval
+        box = None
+        if field.xprime_box is not None and field.r_box is not None:
+            box = field.xprime_box + (field.r_box,)
         half = ScalarField(field.n, lambda pts: field.eval_array(pts[:, :-1], pts[:, -1]),
-                           "half", section_support=field.r_support)
+                           "half", box, section_support=field.r_support)
         return apply_chain(_PROFILE_TO_FIELD, half)
     if not isinstance(field, ScalarField):
         raise ChainError(f"cannot apply {tag} to {type(field).__name__}")

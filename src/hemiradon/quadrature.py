@@ -3,8 +3,8 @@
 All integrals in this package reduce to one of two patterns:
 
 * a fixed tensor-product rule, built by ``tensor_rule`` from per-axis
-  (nodes, weights) pairs: ``integrate`` over a truncated box, the classical
-  Radon transform over a hyperplane patch, the outer integral of a mixed norm;
+  (nodes, weights) pairs: the classical Radon transform over a hyperplane
+  patch, the outer integral of a mixed norm;
 * a batch of windowed rules, one box of per-axis windows per evaluation
   point, summed by ``_windowed_sums``: the forward transforms and the inner
   integral of a mixed norm. Each caller supplies only its geometry (the
@@ -165,30 +165,6 @@ def tensor_rule(axes):
     return pts, weights
 
 
-def integrate(integrand, k: int, spec: QuadratureSpec) -> float:
-    """Tensor-product quadrature of ``integrand`` over [-R_max, R_max]^k.
-
-    ``integrand`` maps a k-vector to a real; batched callables accepting an
-    (N, k) array (or (N,) when k == 1) are used directly, scalar callables
-    are looped.
-    """
-    if k < 1:
-        raise QuadratureError("dimension k must be >= 1")
-    if spec.m ** k > 2e8:
-        raise QuadratureError(f"tensor rule too large: m={spec.m}, k={k}")
-    pts, weights = tensor_rule([line_rule(-spec.R_max, spec.R_max, spec.m)] * k)
-    if k == 1:
-        pts = pts[:, 0]
-
-    vals = _eval_integrand(integrand, pts, k)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        i = int(np.argmax(bad))
-        node = (float(pts[i]),) if k == 1 else tuple(float(v) for v in pts[i])
-        raise QuadratureError(f"non-finite integrand value at node {node}", node=node)
-    return float(np.dot(vals, weights))
-
-
 def _finite(what, vals, points):
     """``vals``, the values of ``what`` at the rows of ``points``; raises
     QuadratureError naming the first point whose value is not finite (a
@@ -203,20 +179,6 @@ def _finite(what, vals, points):
     return vals
 
 
-def _eval_integrand(integrand, pts, k):
-    try:
-        vals = np.asarray(integrand(pts), dtype=float)
-        if vals.shape == (pts.shape[0],):
-            return vals
-    except TypeError:
-        # what a scalar callable raises when handed an array
-        pass
-    # scalar fallback, one point at a time
-    if k == 1:
-        return np.array([float(integrand(float(p))) for p in pts])
-    return np.array([float(integrand(np.asarray(p))) for p in pts])
-
-
 def tier_counts(lo, hi, m_ref: int, width_ref: float, min_nodes: int = 44,
                 max_nodes: int | None = None):
     """Quantized per-interval node counts for windowed rules.
@@ -225,8 +187,11 @@ def tier_counts(lo, hi, m_ref: int, width_ref: float, min_nodes: int = 44,
     width), quantized to min_nodes * 2^j and clipped to max_nodes (default
     m_ref); an empty interval (hi <= lo) gets the floor.
     The floor keeps narrow windows resolved: a window cut down by a slab
-    constraint still holds a full feature of the integrand, so its node
-    count must not shrink with its width. The quantization lets a batch of
+    constraint, or the arc under which a far disc is seen, still holds a
+    full feature of the integrand, so its node count must not shrink with
+    its width. A constant floor stops refinement in m there; the 3-D angle
+    axis therefore scales its floor with m (ceil(2m/5), see
+    ``transforms._polar_windows``). The quantization lets a batch of
     windows collapse to a handful of tensor shapes.
     """
     lo = np.asarray(lo, dtype=float)

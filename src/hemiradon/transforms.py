@@ -103,6 +103,14 @@ def _polar_windows(rlo, rhi, r_width, d, circ, m):
     radius ``circ`` centred at offset ``d`` (M, 2) from it, or the full
     circle [0, 2 pi], flagged periodic, when the pole lies inside the disc.
     Returns lo, hi and counts of shape (M, 2) and the periodic flags.
+
+    The angle axis holds m nodes per full turn, at least ceil(2m/5). The
+    full circle takes the midpoint rule, which converges geometrically on a
+    smooth periodic integrand (Trefethen and Weideman, SIAM Review 56,
+    2014), so m nodes suffice there. An arc holds the whole disc however far
+    the pole is, so its count must not fall with the distance, and its floor
+    grows with m so that refining m refines every arc (the 3-D polar tests
+    in ``tests/test_transforms.py``).
     """
     dist = np.linalg.norm(d, axis=1)
     full = dist <= circ
@@ -111,7 +119,7 @@ def _polar_windows(rlo, rhi, r_width, d, circ, m):
     alo = np.where(full, 0.0, alpha - halfang)
     ahi = np.where(full, 2 * np.pi, alpha + halfang)
     cnt_r = tier_counts(rlo, rhi, m, r_width)
-    cnt_a = tier_counts(alo, ahi, 2 * m, 2 * np.pi, min_nodes=16, max_nodes=2 * m)
+    cnt_a = tier_counts(alo, ahi, m, 2 * np.pi, min_nodes=-(-2 * m // 5), max_nodes=m)
     return (np.column_stack([rlo, alo]), np.column_stack([rhi, ahi]),
             np.column_stack([cnt_r, cnt_a]), full)
 

@@ -7,13 +7,12 @@ import pytest
 
 from hemiradon.errors import ConfigError, DomainError
 from hemiradon.fields import (
-    Grid,
     Point,
     ScalarField,
     SphereProfile,
     make_test_field,
-    sample_on_grid,
 )
+from hemiradon.transforms import transversal_transform
 
 
 def test_point_construction():
@@ -155,24 +154,14 @@ def test_sphere_profile_checks_what_its_func_returns():
         prof.eval_array(np.zeros((3, 1)), np.ones(3))
 
 
-def test_grid_and_sampling():
-    grid = Grid(((0.0, 1.0, 3), (0.0, 2.0, 5)))
-    assert grid.n == 2
-    assert grid.shape == (3, 5)
-    np.testing.assert_allclose(grid.nodes(0), [0.0, 0.5, 1.0])
-    assert grid.points().shape == (15, 2)
-
-    f = ScalarField(2, lambda pts: pts[:, 0] * 10 + pts[:, 1])
-    vals = sample_on_grid(f, grid)
-    assert vals.shape == (3, 5)
-    assert vals[1, 2] == pytest.approx(0.5 * 10 + 1.0)
-
-
-def test_grid_validation():
-    with pytest.raises(ConfigError):
-        Grid(((0.0, 1.0, 1),))
-    with pytest.raises(ConfigError):
-        Grid(((1.0, 1.0, 4),))
-    f3 = make_test_field("gaussian", 3, (0.0, 0.0, 0.0), 1.0)
-    with pytest.raises(DomainError):
-        sample_on_grid(f3, Grid(((0.0, 1.0, 3), (0.0, 1.0, 3))))
+def test_adding_a_constant_drops_the_support_hints():
+    # f + c is c outside f's support: a box there would make the transforms
+    # integrate only the bump (the transversal value at (0, 0) read 0.0)
+    bump = make_test_field("bump", 2, (0.0, 1.0), 0.4)
+    bump.section_support = lambda XP: (np.full(len(XP), 0.6), np.full(len(XP), 1.4))
+    for shifted in (bump + 1.0, bump - 1.0):
+        assert shifted.box is None and shifted.section_support is None
+    for same in (bump + 0.0, bump - 0.0, 2.0 * bump, bump * 0.5):
+        assert same.box == bump.box and same.section_support is bump.section_support
+    # box-less, the plane y_2 = 0 is integrated over [-R_max, R_max] = [-8, 8]
+    assert transversal_transform(bump + 1.0, (0.0, 0.0)) == pytest.approx(16.0, rel=1e-12)

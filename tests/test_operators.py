@@ -190,6 +190,23 @@ def test_profile_field_pair_inverts():
     assert back.eval((0.4, -0.2)) == 0.0
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_profile_field_pair_keeps_the_box(n):
+    """The round trip of the bump is the bump on its support, and carries a
+    box holding it, so its norm places its nodes as the bump's does. Without
+    the profile's r interval the box was None and the mixed norm read 3.4e-4
+    (2-D) and 6.1e-2 (3-D) off, its outer nodes spread over [-R_max, R_max]."""
+    f = make_test_field("bump", n, (0.0,) * (n - 1) + (1.0,), 0.4)
+    prof = apply(OperatorId("field_to_profile"), f)
+    assert prof.xprime_box is not None and prof.r_box is not None
+    back = apply(OperatorId("profile_to_field"), prof)
+    assert all(lo <= a and b <= hi for (lo, hi), (a, b) in zip(back.box, f.box))
+    assert mixed_norm(back, 3, 3) == pytest.approx(mixed_norm(f, 3, 3), rel=1e-12)
+    # a sonar profile knows no x' box, and its round trip stays box-less
+    half = make_test_field("bump", n, (0.0,) * (n - 1) + (1.0,), 0.4, domain="half")
+    assert apply(OperatorId("profile_to_field"), sonar_profile(half)).box is None
+
+
 def test_zero_extend_and_restrict():
     phi = make_test_field("bump", 2, (0.0, 1.0), 0.4, domain="half")
     ext = apply(OperatorId("zero_extend"), phi)
@@ -392,7 +409,7 @@ def _hinted_outputs():
     outs += [("axis_dilate", apply(OperatorId("axis_dilate", (2.0, 0.5)), f))
              for f in (full, half)]
     outs.append(("dual_dilate", apply(OperatorId("dual_dilate", (2.0, 3.0)), full)))
-    # profile_to_field has a section and no box, and so have its shears
+    # profile_to_field has the box of its profile's x' box and r interval
     back = apply(OperatorId("profile_to_field"), dict(outs)["field_to_profile"])
     outs.append(("profile_to_field", back))
     outs += [(f"{tag} of profile_to_field", apply(OperatorId(tag), back))
@@ -411,7 +428,7 @@ def _outside_hint(out, u, gap, above, lead):
     (``lead``) or past its last-axis window at x' (else); None if there is
     no such hint or no such point on the output's domain."""
     if isinstance(out, SphereProfile):
-        box, window = out.xprime_box + ((0.0, np.inf),), out.r_support
+        box, window = out.xprime_box + (out.r_box or (0.0, np.inf),), out.r_support
     elif out.box is not None:
         box, window = out.box, out.section_support
     elif lead or out.section_support is None:

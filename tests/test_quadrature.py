@@ -1,4 +1,4 @@
-"""Quadrature engine tests: rules, windowed sums, and the tensor integrator."""
+"""Quadrature engine tests: rules, node counts and windowed sums."""
 
 import math
 
@@ -7,13 +7,12 @@ import pytest
 
 import hemiradon as hr
 import hemiradon.quadrature as q
-from hemiradon.errors import DomainError, QuadratureError
+from hemiradon.errors import QuadratureError
 from hemiradon.fields import ScalarField
 from hemiradon.quadrature import (
     QuadratureSpec,
     _windowed_sums,
     gauss_rule,
-    integrate,
     line_rule,
     octave_edges,
     sphere_nodes,
@@ -49,53 +48,6 @@ def test_octave_edges_structure():
         octave_edges(0.0, 5.0)
     with pytest.raises(QuadratureError):
         octave_edges(5.0, 5.0)
-
-
-def test_integrate_gaussian_2d():
-    # separable closed form: (sqrt(pi) erf(8))^2
-    spec = QuadratureSpec()
-    got = integrate(lambda p: np.exp(-np.sum(p * p, axis=1)), 2, spec)
-    exact = (math.sqrt(math.pi) * math.erf(8.0)) ** 2
-    assert got == pytest.approx(exact, rel=1e-12)
-
-
-def test_integrate_quartic_decay_frozen():
-    # independent oracle: scipy.integrate.quad of exp(-t^2 - t^4) on [-4, 4]
-    spec = QuadratureSpec(R_max=4.0, m=120)
-    got = integrate(lambda t: np.exp(-t ** 2 - t ** 4), 1, spec)
-    assert got == pytest.approx(1.368426855735508, abs=1e-12)
-
-
-def test_integrate_scalar_fallback():
-    spec = QuadratureSpec(R_max=1.0, m=40)
-    got = integrate(lambda t: float(t) ** 2, 1, spec)
-    assert got == pytest.approx(2.0 / 3.0, rel=1e-12)
-
-
-@pytest.mark.parametrize("error", [DomainError, ZeroDivisionError])
-def test_integrate_raising_integrand_called_once(error):
-    # a batched integrand that raises is not retried one node at a time
-    calls = []
-
-    def integrand(p):
-        calls.append(len(p))
-        raise error("integrand failed")
-
-    with pytest.raises(error):
-        integrate(integrand, 2, QuadratureSpec(R_max=1.0, m=40))
-    assert calls == [1600]
-
-
-def test_integrate_rejects_nonfinite():
-    spec = QuadratureSpec(R_max=1.0, m=40)
-    with pytest.raises(QuadratureError):
-        integrate(lambda p: np.where(np.abs(p) < 0.5, np.inf, 0.0), 1, spec)
-
-
-def test_integrate_rejects_huge_tensor():
-    spec = QuadratureSpec(m=200)
-    with pytest.raises(QuadratureError):
-        integrate(lambda p: np.zeros(len(p)), 4, spec)
 
 
 def test_spec_validation():

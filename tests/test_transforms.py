@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import exp1
 
 import hemiradon.quadrature as q
 from hemiradon import (
@@ -129,7 +130,7 @@ def test_sonar_rejects_n4():
 @pytest.mark.parametrize("m", [6, 8, 80])
 def test_polar_rows_batch_like_single_rows(m):
     """A full-circle row and a partial-arc row evaluated together each get
-    their own angular rule; at m <= 8 both have 16 angular nodes."""
+    their own angular rule: m nodes on the circle, ceil(2m/5) on the arc."""
     spec = QuadratureSpec(m=m)
     bump3d_half = make_test_field("bump", 3, (0.0, 0.0, 1.0), 0.5, domain="half")
     prof = sonar_profile(bump3d_half, spec)
@@ -148,6 +149,59 @@ def test_polar_rows_batch_like_single_rows(m):
     for i in range(2):
         alone = field.eval_array(X[i:i + 1])[0]
         assert both[i] == pytest.approx(alone, rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# 3-D polar kernels: convergence in m
+# ---------------------------------------------------------------------------
+
+# Points x' = (d, 0.3) against the bump of scale 0.4 centred at (0, 0, 1),
+# on the surface through its centre: the parabolic transform at
+# (x', 1 + |x'|^2), the sonar transform at (x', r = sqrt(1 + |x'|^2)). From
+# d = 0 to 30 the angle window goes from the full circle to an arc of 0.04.
+_POLAR_D_PARABOLIC = (0.0, 0.2, 0.5, 2.0, 8.0, 30.0)
+_POLAR_D_SONAR = (0.0, 0.5, 2.0, 8.0, 30.0)
+
+# Parabolic references: scipy.integrate.dblquad(epsabs=1e-15, epsrel=1e-13)
+# of f(w, x_n - |x' - w|^2) over the bump's disc |w| < 0.4 in the plane of
+# its first two coordinates, w_2 between -+sqrt(0.16 - w_1^2).
+_POLAR_REF_PARABOLIC = (0.06256055807506154, 0.0597882397221278, 0.04875911259859508,
+                        0.017928660527887802, 0.004652974709974174, 0.0012438017470103376)
+
+
+def _sonar_bump_through_centre():
+    """The sonar value of the half bump on any sphere through its centre.
+
+    Such a sphere meets the ball of radius rho about the centre in a cap of
+    area pi rho^2 whatever its own radius (Archimedes' hat-box theorem), so
+    the value is the bump's integral over a plane through its centre,
+    2 pi int_0^s rho exp(-1 / (1 - rho^2/s^2)) drho = pi s^2 (1/e - E_1(1)).
+    scipy.integrate.dblquad over the cap chart agrees to 2e-15 at every d
+    here."""
+    return math.pi * 0.4 ** 2 * (math.exp(-1.0) - exp1(1.0))
+
+
+def _polar_errors(kind, m):
+    spec = QuadratureSpec.for_dimension(3, m=m)
+    if kind == "parabolic":
+        f = make_test_field("bump", 3, (0.0, 0.0, 1.0), 0.4)
+        return [abs(parabolic_transform(f, (d, 0.3, 1.09 + d * d), spec) / want - 1)
+                for d, want in zip(_POLAR_D_PARABOLIC, _POLAR_REF_PARABOLIC)]
+    phi = make_test_field("bump", 3, (0.0, 0.0, 1.0), 0.4, domain="half")
+    want = _sonar_bump_through_centre()
+    return [abs(sonar_transform(phi, (d, 0.3), math.sqrt(1.09 + d * d), spec) / want - 1)
+            for d in _POLAR_D_SONAR]
+
+
+@pytest.mark.parametrize("kind", ["parabolic", "sonar"])
+def test_3d_polar_kernel_converges_in_m_at_every_distance(kind):
+    """The angle axis holds m nodes per full turn, with a floor of ceil(2m/5)
+    nodes: a far point's narrow arc, which holds the whole bump, gains nodes
+    with m as the full circle does. A constant floor of 16 left 1.1e-3 at
+    d = 8 and 30 for every m."""
+    coarse, fine = _polar_errors(kind, 80), _polar_errors(kind, 160)
+    assert max(coarse) <= 1e-4, coarse
+    assert all(b < a for a, b in zip(coarse, fine)), (coarse, fine)
 
 
 # ---------------------------------------------------------------------------
