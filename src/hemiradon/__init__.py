@@ -44,7 +44,7 @@ from .operators import (
     scaling_exponents,
     verify_identity,
 )
-from .norms import MixedNormTriple, admissible, lp_norm, mixed_norm, scaling_scan
+from .norms import lp_norm, mixed_norm, scaling_scan
 from .inversion import (
     ReconstructionConfig,
     backprojection,
@@ -87,8 +87,6 @@ __all__ = [
     "scaling_exponents",
     "lp_norm",
     "mixed_norm",
-    "MixedNormTriple",
-    "admissible",
     "scaling_scan",
     "backprojection",
     "backprojection_field",

@@ -234,6 +234,16 @@ class SphereProfile:
             raise DomainError(f"profile func returned shape {vals.shape}, expected {R.shape}")
         return vals
 
+    def as_field(self) -> ScalarField:
+        """The profile read as the half-space field (x', r) -> Phi(x', r),
+        with ``r_support`` as its section, boxed by ``xprime_box`` times
+        ``r_box`` when the profile knows both."""
+        box = None
+        if self.xprime_box is not None and self.r_box is not None:
+            box = self.xprime_box + (self.r_box,)
+        return ScalarField(self.n, lambda pts: self.eval_array(pts[:, :-1], pts[:, -1]),
+                           "half", box, section_support=self.r_support)
+
 
 def make_test_field(kind: str, n: int, center, scale: float,
                     domain: str = "full") -> ScalarField:

@@ -38,10 +38,13 @@ convergent integral, taken by Gauss panels from 0 over the half circle or
 hemisphere of directions; beyond the outer radius it is closed form, from
 g ~ M/|x| with M = integral of f / sigma_n fitted to sphere means of g.
 
-The parabolic and hemispherical kernels are the transversal kernel after
-the slope substitution y' = 2z'; the backprojection grid for transversal
-data is therefore the doubled copy of the grid used for the other kinds,
-which keeps the substitution exact at the level of quadrature sums.
+Parabolic and sonar data are inverted as the transversal data they are:
+parabolic data P is the transversal data (u, s) -> P(u/2, s + |u|^2/4)
+(``parabolic_unshear_scaled``, criterion 2's identity), and a sonar profile
+the transversal data ``profile_to_field`` makes of it (criterion 3's). The
+entry points apply that operator and run the one backprojection of
+transversal data, on slopes u = 2z of the grid's nodes z; the output side
+(``_targets``) alone still depends on the kind.
 
 Everything here is pure: reconstructions at different output points are
 independent and may run concurrently.
@@ -54,13 +57,20 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma
 
 from .errors import ConfigError, DomainError, QuadratureError
 from .fields import ScalarField, SphereProfile, _as_points_array
+from .operators import OperatorId, apply
 from .quadrature import QuadratureSpec, line_rule, octave_edges, sphere_nodes
 
-_KINDS = ("transversal", "parabolic", "sonar")
+#: per kind: the operator that reads the data as transversal data, and the
+#: factor from that data's slope u to the slope of the caller's data (u = 2z)
+_AS_TRANSVERSAL = {
+    "transversal": (None, 1.0),
+    "parabolic": (OperatorId("parabolic_unshear_scaled"), 0.5),
+    "sonar": (OperatorId("profile_to_field"), 0.5),
+}
+
 _METHODS = ("hypersingular", "laplacian_power")
 
 
@@ -93,13 +103,10 @@ class ReconstructionConfig:
         beyond it comes from a far-field model of g fitted to its means over
         spheres of radius 8 to 16 about x, so y_radius should be at least 8
         there.
-    hyper_radial_nodes / hyper_angular_nodes:
+    hyper_radial_nodes:
         Gauss nodes per radial panel of that integral (panels on the octave
         edges 0, 0.25, 0.5, ..., y_radius): in 2-D ``invert`` the nodes per
-        panel of the 1-D rule. The second configures only
-        ``hypersingular_apply``: the count of its directions on the upper
-        half circle (n = 2); for n = 3 the hemisphere rule takes that many
-        polar cosines times twice as many azimuths.
+        panel of the 1-D rule.
     bp_stop:
         Slope cutoff of the backprojection: only slopes |z| <= bp_stop
         (|u| <= 2 bp_stop for transversal data) enter, the polar angle
@@ -123,7 +130,6 @@ class ReconstructionConfig:
     exponent: float | None = None
     y_radius: float = 8.0
     hyper_radial_nodes: int = 8
-    hyper_angular_nodes: int = 8
     bp_stop: float = math.inf
     bp_angular_nodes: int = 24
     g_spec: QuadratureSpec | None = None
@@ -137,8 +143,7 @@ class ReconstructionConfig:
             raise ConfigError("exponent must be positive when given")
         if not self.y_radius > _FIRST_EDGE:
             raise ConfigError(f"y_radius must exceed {_FIRST_EDGE}")
-        if min(self.hyper_radial_nodes, self.hyper_angular_nodes,
-               self.bp_angular_nodes) < 4:
+        if min(self.hyper_radial_nodes, self.bp_angular_nodes) < 4:
             raise ConfigError("node counts must be >= 4")
         if not self.bp_stop > 0:
             raise ConfigError("bp_stop must be positive")
@@ -146,13 +151,9 @@ class ReconstructionConfig:
     @classmethod
     def for_dimension(cls, n: int, **overrides) -> "ReconstructionConfig":
         """Defaults per dimension: ell = n-1 for even n, ell = n for odd n,
-        and the direction counts of the hypersingular and backprojection
-        rules."""
+        and the polar nodes of the backprojection's direction grid."""
         params = {
             "ell": n - 1 if n % 2 == 0 else n,
-            # 8 half-circle directions; 4 polar cosines times 8 azimuths on
-            # the hemisphere
-            "hyper_angular_nodes": 8 if n == 2 else 4,
             # polar nodes of the direction grid: doubling them moves each
             # kind's reconstruction by less than a tenth of its error
             "g_spec": QuadratureSpec.for_dimension(n).with_(m=96 if n == 2 else 48),
@@ -210,8 +211,9 @@ def _slope_grid(n: int, m: int, stop: float, azimuths: int):
     cos(theta), the integrand is the bounded classical backprojection over
     directions.
 
-    Returns (Z, W) with Z of shape (N, n-1). The grid is shared by all
-    backprojection kinds; transversal data reads it scaled by 2.
+    Returns (Z, W) with Z of shape (N, n-1): the slopes z of parabolic and
+    sonar data, at which the backprojection reads its transversal data at
+    u = 2z.
     """
     top = math.atan(2.0 * stop)
     if n == 2:
@@ -243,7 +245,7 @@ def _ring_azimuths(theta, widest):
 
 
 def _check_bp_data(kind, data, n):
-    if kind not in _KINDS:
+    if kind not in _AS_TRANSVERSAL:
         raise DomainError(f"unknown backprojection kind {kind!r}")
     if kind == "sonar":
         if not isinstance(data, SphereProfile):
@@ -292,36 +294,37 @@ def _intercept_rule(k, cfg, c):
     return offsets, w[:, None] / (math.pi * c[None, :])
 
 
-def _bp_batch(kind, data, X, cfg, k=0, names=None) -> np.ndarray:
-    """(-Delta)^k of the backprojection at an (M, n) batch of points X; a
-    non-finite data read names the row of ``names`` (default X) it was for.
+def _as_transversal(kind, data):
+    """The data of ``kind`` as transversal data, and its slope factor."""
+    op, slope_scale = _AS_TRANSVERSAL[kind]
+    return (data if op is None else apply(op, data)), slope_scale
 
-    Each direction's term depends on x only through the data's intercept s
-    (r^2 for sonar data), which is linear in x with |grad s| = c =
-    sqrt(1 + 4|z|^2), so (-Delta)^k passes inside the integral as
-    c^(2k) (-d^2/ds^2)^k: the data is read at the offsets of
-    ``_intercept_rule`` about s and combined with its weights. k = 0 is the
-    backprojection itself, an integer k a central difference, k = 1/2 the
-    1-D hypersingular integral (n = 2).
+
+def _bp_batch(data, slope_scale, X, cfg, k=0, names=None) -> np.ndarray:
+    """(-Delta)^k of the backprojection of transversal data at an (M, n)
+    batch of points X; a non-finite data read names the row of ``names``
+    (default X) it was for and the slope u read, times ``slope_scale``.
+
+    Each direction's term depends on x only through the data's intercept
+    s = x_n - x'.u, whose gradient has length c = sqrt(1 + |u|^2), so
+    (-Delta)^k passes inside the integral as c^(2k) (-d^2/ds^2)^k: the data
+    is read at the offsets of ``_intercept_rule`` about s and combined with
+    its weights. k = 0 is the backprojection itself, an integer k a central
+    difference, k = 1/2 the 1-D hypersingular integral (n = 2).
     """
     n = X.shape[1]
     names = X if names is None else names
     Z, W = _slope_grid(n, cfg.g_spec.m, cfg.bp_stop, cfg.bp_angular_nodes)
-    if kind == "transversal":
-        U = 2.0 * Z
-        Wn = 2.0 ** (n - 1) * W
-        pref = (2 * np.pi) ** (1 - n)
-    else:
-        U = Z
-        Wn = W
-        pref = np.pi ** (1 - n)
+    U = 2.0 * Z
     zsq = np.sum(Z * Z, axis=1)
     # the kernel (1 + 4|z|^2)^(-(n-1)/2) times |grad s|^(2k)
     kernel = (1.0 + 4.0 * zsq) ** (k - (n - 1) / 2.0)
     offsets, weights = _intercept_rule(k, cfg, np.sqrt(1.0 + 4.0 * zsq))
-    Wk = (weights * (Wn * kernel)[None, :]).ravel()
+    # du = 2^(n-1) dz
+    Wk = (weights * (2.0 ** (n - 1) * W * kernel)[None, :]).ravel()
     S, N = offsets.shape[0], Z.shape[0]
     R = N * S                                         # data reads per point
+    pref = (2 * np.pi) ** (1 - n)
     out = np.empty(X.shape[0])
     # Each data eval fans out into a windowed quadrature whose node count
     # grows with n - 1, so the eval-batch budget shrinks accordingly.
@@ -330,29 +333,17 @@ def _bp_batch(kind, data, X, cfg, k=0, names=None) -> np.ndarray:
     for i0 in range(0, X.shape[0], step):
         Xc = X[i0:i0 + step]
         B = Xc.shape[0]
-        dots = Xc[:, :-1] @ U.T                       # (B, N)
-        if kind == "transversal":
-            sec = Xc[:, -1][:, None] - dots
-        else:
-            sec = (Xc[:, -1][:, None] - 2.0 * dots) + zsq[None, :]
+        sec = Xc[:, -1][:, None] - Xc[:, :-1] @ U.T   # (B, N)
         sec = (sec[:, None, :] + offsets).ravel()     # (B, S, N)
         ZP = np.broadcast_to(U, (B * S, N, n - 1)).reshape(-1, n - 1)
-        if kind == "sonar":
-            vals = np.zeros(B * R)
-            good = sec > 0
-            if good.any():
-                r = np.sqrt(sec[good])
-                vals[good] = data.eval_array(ZP[good], r) / r
-        else:
-            vals = data.eval_array(np.concatenate([ZP, sec[:, None]], axis=1))
+        vals = data.eval_array(np.concatenate([ZP, sec[:, None]], axis=1))
         bad = ~np.isfinite(vals)
         if bad.any():
             b, j = divmod(int(np.argmax(bad)), R)
-            slope = tuple(float(v) for v in U[j % N])
+            slope = tuple(float(v) for v in slope_scale * U[j % N])
             point = tuple(float(v) for v in names[i0 + b])
             raise QuadratureError(
-                f"non-finite {kind} data at slope {slope} for point {point}",
-                node=slope)
+                f"non-finite data at slope {slope} for point {point}", node=slope)
         # one product per point, so that a point's value does not depend on
         # the batch it came in
         out[i0:i0 + step] = pref * (vals.reshape(B, 1, R) @ Wk)[:, 0]
@@ -368,12 +359,16 @@ def backprojection(kind: str, data, x, *, cfg=None) -> float:
         data(z', x_n - 2 z'.x' + |z'|^2) (1+4|z'|^2)^(-(n-1)/2) dz';
     kind "sonar": as parabolic with the profile read at r = sqrt(arg) and an
         extra arg^(-1/2) factor, the integrand vanishing where arg <= 0.
+
+    The last two are the transversal backprojection of the transversal data
+    that ``parabolic_unshear_scaled`` and ``profile_to_field`` make of the
+    data (criterion 13), which is how they are computed.
     """
     n = data.n
     _check_bp_data(kind, data, n)
     cfg = _resolve_cfg(n, cfg)
     X = _as_points_array(x, n)
-    return float(_bp_batch(kind, data, X, cfg)[0])
+    return float(_bp_batch(*_as_transversal(kind, data), X, cfg)[0])
 
 
 def backprojection_field(kind: str, data, cfg=None) -> ScalarField:
@@ -381,7 +376,8 @@ def backprojection_field(kind: str, data, cfg=None) -> ScalarField:
     n = data.n
     _check_bp_data(kind, data, n)
     cfg = _resolve_cfg(n, cfg)
-    return ScalarField(n, lambda pts: _bp_batch(kind, data, pts, cfg),
+    tdata, slope_scale = _as_transversal(kind, data)
+    return ScalarField(n, lambda pts: _bp_batch(tdata, slope_scale, pts, cfg),
                        domain="full", box=None)
 
 
@@ -439,7 +435,7 @@ _FIRST_EDGE = 0.25
 
 
 def _sphere_area(n: int) -> float:
-    return 2 * math.pi ** (n / 2) / gamma(n / 2)
+    return 2 * math.pi ** (n / 2) / math.gamma(n / 2)
 
 
 def _hyper_nodes(n: int, cfg, exponent: float):
@@ -447,12 +443,14 @@ def _hyper_nodes(n: int, cfg, exponent: float):
     weights of |y|^(-exponent) dy over the whole ball |y| < y_radius.
 
     The radial rule is Gauss panels on the octave edges 0, 0.25, 0.5, ...,
-    y_radius; the directions are the upper half of sphere_nodes(n-1, 2k),
-    k = hyper_angular_nodes, a rule that maps onto itself under y -> -y, so
-    the weights integrate an even function of y over the whole ball.
+    y_radius; the directions are the upper half of sphere_nodes(n-1, 2k), a
+    rule that maps onto itself under y -> -y, so the weights integrate an
+    even function of y over the whole ball: k = 8 gives 8 directions on the
+    half circle (n = 2), k = 4 gives 4 polar cosines times 8 azimuths on the
+    hemisphere (n = 3).
     """
     rn, rw = _radial_rule(cfg)
-    dirs, aw = sphere_nodes(n - 1, 2 * cfg.hyper_angular_nodes)
+    dirs, aw = sphere_nodes(n - 1, 16 if n == 2 else 8)
     up = dirs[:, -1] > 0
     Y = (rn[:, None, None] * dirs[up][None, :, :]).reshape(-1, n)
     W = ((rw * rn ** (n - 1 - exponent))[:, None] * (2.0 * aw[up])[None, :]).ravel()
@@ -532,7 +530,7 @@ def sqrt_laplacian_constant(n: int) -> float:
     singular integral; at n = 2 it is 1 / hypersingular_constant(2, 1)."""
     if n < 1:
         raise DomainError("dimension must be >= 1")
-    return float(gamma((n + 1) / 2) / math.pi ** ((n + 1) / 2))
+    return float(math.gamma((n + 1) / 2) / math.pi ** ((n + 1) / 2))
 
 
 def _check_ell(n: int, ell: int):
@@ -566,7 +564,7 @@ def hypersingular_constant(n: int, ell: int) -> float:
         num = math.fsum(terms)
         den = math.sin(math.pi * a / 2)
     return float(math.pi ** (1 + n / 2) * num
-                 / (2 ** a * gamma(1 + a / 2) * gamma((n + a) / 2) * den))
+                 / (2 ** a * math.gamma(1 + a / 2) * math.gamma((n + a) / 2) * den))
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +603,7 @@ def _invert_batch(kind: str, data, P: np.ndarray, method: str,
     if method == "hypersingular":
         hypersingular_constant(n, cfg.ell)            # checks ell
     Z, mult = _targets(kind, P)
-    return mult * _bp_batch(kind, data, Z, cfg, (n - 1) / 2, names=P)
+    return mult * _bp_batch(*_as_transversal(kind, data), Z, cfg, (n - 1) / 2, names=P)
 
 
 def _inversion_cfg(kind: str, data, cfg) -> ReconstructionConfig:

@@ -1,10 +1,11 @@
 """Plain, weighted, and mixed Lebesgue norms, plus the scaling scans that
 probe which exponent triples admit a bounded transform.
 
-Mixed norms are iterated: an inner integral in the last coordinate (or the
-radius, for profiles) raised to s, then an outer L^q integral over the
-leading coordinates. The weighted norms insert t^(1-p) (half-space
-fields) or r^(1-s) (profiles) into the inner integral.
+Mixed norms are iterated: an inner integral in the last coordinate raised
+to s, then an outer L^q integral over the leading coordinates. A profile is
+read as its half-space field in (x', r), so its inner integral runs over the
+radius. The weighted norms insert t^(1-p) (half-space fields) or r^(1-s)
+(profiles) into the inner integral.
 
 Truncation policy: the outer integral runs over ``outer_box`` (defaulting to
 the data's own support box, else the quadrature R_max). Identity tests that
@@ -17,13 +18,12 @@ truncation discards.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, QuadratureError
-from .fields import ScalarField, SphereProfile, _coordinate_major, _stack_last
+from .fields import ScalarField, SphereProfile, _stack_last
 from .operators import OperatorId, apply
 from .quadrature import (QuadratureSpec, _finite, _scratch, _windowed_sums,
                          line_rule, tensor_rule, tier_counts)
@@ -31,51 +31,6 @@ from .transforms import parabolic_field, sonar_profile, transversal_field
 
 _LP_WEIGHTS = (None, "half_space_weight")
 _MIXED_WEIGHTS = (None, "profile_weight")
-
-AdmissibleTriple = namedtuple("AdmissibleTriple", ["q", "s", "valid"])
-
-
-@dataclass(frozen=True)
-class MixedNormTriple:
-    """Exponent triple (p, q, s) in dimension n."""
-
-    p: float
-    q: float
-    s: float
-    n: int
-
-    @property
-    def admissible(self) -> bool:
-        q, s, valid = admissible(self.p, self.n)
-        return valid and math.isclose(q, self.q) and math.isclose(s, self.s)
-
-    @classmethod
-    def from_p(cls, p: float, n: int) -> "MixedNormTriple":
-        q, s, _ = admissible(p, n)
-        return cls(p=p, q=q, s=s, n=n)
-
-
-def admissible(p: float, n: int):
-    """The (q, s) forced by p via duality and the scaling relation.
-
-    q is the conjugate exponent of p and 1/s = 1 - n/q; the triple is valid
-    exactly when 1 <= p < n/(n-1) (equivalently q > n), which keeps s finite
-    and positive.
-    """
-    if n < 2:
-        raise DomainError("admissible requires n >= 2")
-    if p < 1:
-        return AdmissibleTriple(float("nan"), float("nan"), False)
-    q = math.inf if p == 1 else p / (p - 1)
-    inv_s = 1.0 if math.isinf(q) else 1.0 - n / q
-    if inv_s > 0:
-        s = 1.0 / inv_s
-    elif inv_s == 0:
-        s = math.inf
-    else:
-        s = 1.0 / inv_s
-    valid = 1 <= p < n / (n - 1)
-    return AdmissibleTriple(q, s, valid)
 
 
 def _normalize_outer_box(outer_box, k, default):
@@ -119,43 +74,25 @@ def _iterated_power(data, s_exp, weight_exp, spec, outer_box, min_nodes=64):
     n = data.n
     k = n - 1
     R = spec.R_max
-    if isinstance(data, SphereProfile):
-        default = data.xprime_box if data.xprime_box is not None \
-            else tuple((-R, R) for _ in range(k))
-        obox = _normalize_outer_box(outer_box, k, default)
-        XP, W = tensor_rule([line_rule(lo, hi, spec.m) for lo, hi in obox])
-        if data.r_support is not None:
-            lo, hi = data.r_support(XP)
-        else:
-            lo = np.zeros(XP.shape[0])
-            hi = np.full(XP.shape[0], R)
+    default = tuple(data.box[:-1]) if data.box is not None \
+        else tuple((-R, R) for _ in range(k))
+    obox = _normalize_outer_box(outer_box, k, default)
+    XP, W = tensor_rule([line_rule(lo, hi, spec.m) for lo, hi in obox])
+    if data.section_support is not None:
+        lo, hi = data.section_support(XP)
+    elif data.box is not None:
+        lo = np.full(XP.shape[0], data.box[-1][0])
+        hi = np.full(XP.shape[0], data.box[-1][1])
+    else:
+        lo = np.full(XP.shape[0], -R)
+        hi = np.full(XP.shape[0], R)
+    if data.domain == "half":
         lo = np.maximum(lo, 1e-12)
 
-        def eval_inner(idx, nodes):
-            XPrep = _coordinate_major(nodes.shape + (k,))
-            XPrep[...] = XP[idx, None, :]
-            return data.eval_array(XPrep.reshape(-1, k), nodes.ravel()).reshape(nodes.shape)
-
-    else:
-        default = tuple(data.box[:-1]) if data.box is not None \
-            else tuple((-R, R) for _ in range(k))
-        obox = _normalize_outer_box(outer_box, k, default)
-        XP, W = tensor_rule([line_rule(lo, hi, spec.m) for lo, hi in obox])
-        if data.section_support is not None:
-            lo, hi = data.section_support(XP)
-        elif data.box is not None:
-            lo = np.full(XP.shape[0], data.box[-1][0])
-            hi = np.full(XP.shape[0], data.box[-1][1])
-        else:
-            lo = np.full(XP.shape[0], -R)
-            hi = np.full(XP.shape[0], R)
-        if data.domain == "half":
-            lo = np.maximum(lo, 1e-12)
-
-        def eval_inner(idx, nodes):
-            lead = np.broadcast_to(XP[idx, None, :], nodes.shape + (k,))
-            pts = _stack_last(lead, nodes).reshape(-1, n)
-            return data.eval_array(pts).reshape(nodes.shape)
+    def eval_inner(idx, nodes):
+        lead = np.broadcast_to(XP[idx, None, :], nodes.shape + (k,))
+        pts = _stack_last(lead, nodes).reshape(-1, n)
+        return data.eval_array(pts).reshape(nodes.shape)
 
     inner = _inner_sums(eval_inner, lo, hi, s_exp, weight_exp, spec, min_nodes)
     if weight_exp < 0:
@@ -208,6 +145,12 @@ def mixed_norm(data, q: float, s: float, weight=None, spec=None, *,
         raise DomainError("profile_weight requires a SphereProfile")
     if not isinstance(data, (ScalarField, SphereProfile)):
         raise DomainError("mixed_norm consumes a ScalarField or SphereProfile")
+    if isinstance(data, SphereProfile):
+        # its x' box bounds the outer integral even when its r interval, and
+        # so the box of its field, is unknown
+        if outer_box is None:
+            outer_box = data.xprime_box
+        data = data.as_field()
     n = data.n
     spec = spec if spec is not None else QuadratureSpec.for_dimension(n)
     weight_exp = (1.0 - s) if weight == "profile_weight" else 0.0

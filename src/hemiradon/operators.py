@@ -39,8 +39,8 @@ by one rule. Per tag, (a, b, phi(t), w): the four shears at (a, b) = (1, -1),
 The other tags are chains (``_COMPOSITES``, ``_PROFILE_TO_FIELD``):
 sqrt_pullback_shear is sqrt_pullback, zero_extend, parabolic_shear;
 square_pullback_unshear is parabolic_unshear, restrict_positive,
-square_pullback; profile_to_field reads the profile as a half-space field in
-(x', r) whose section is its r_support, then applies sqrt_pullback,
+square_pullback; profile_to_field reads the profile as its half-space field
+in (x', r) (``SphereProfile.as_field``), then applies sqrt_pullback,
 zero_extend, parabolic_unshear_scaled. Only zero_extend and
 restrict_positive, which change the domain and not the coordinates, have
 code of their own.
@@ -204,14 +204,7 @@ def apply(op: OperatorId, field):
     if isinstance(field, SphereProfile):
         if tag != "profile_to_field":
             raise ChainError(f"{tag} consumes a ScalarField, got a SphereProfile")
-        # the profile read as a half-space field in (x', r), boxed when the
-        # profile knows both its x' box and its r interval
-        box = None
-        if field.xprime_box is not None and field.r_box is not None:
-            box = field.xprime_box + (field.r_box,)
-        half = ScalarField(field.n, lambda pts: field.eval_array(pts[:, :-1], pts[:, -1]),
-                           "half", box, section_support=field.r_support)
-        return apply_chain(_PROFILE_TO_FIELD, half)
+        return apply_chain(_PROFILE_TO_FIELD, field.as_field())
     if not isinstance(field, ScalarField):
         raise ChainError(f"cannot apply {tag} to {type(field).__name__}")
     if tag == "profile_to_field":
@@ -302,7 +295,7 @@ _COMPOSITES = {
                                 OperatorId("square_pullback")),
 }
 
-#: profile_to_field after reading the profile as a half-space field in (x', r).
+#: profile_to_field after reading the profile as its half-space field.
 _PROFILE_TO_FIELD = (OperatorId("sqrt_pullback"), OperatorId("zero_extend"),
                      OperatorId("parabolic_unshear_scaled"))
 

@@ -8,6 +8,11 @@ window explicitly; quad error estimates were below 1e-10 throughout.
 """
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,13 +59,11 @@ class TestReconstructionConfig:
         assert c2.ell == 1
         assert c2.bp_stop == math.inf
         assert c2.g_spec.m == 96
-        assert c2.hyper_angular_nodes == 8
         c3 = hr.ReconstructionConfig.for_dimension(3)
         assert c3.ell == 3
         assert c3.bp_stop == math.inf
         assert c3.g_spec.m == 48
         assert c3.bp_angular_nodes == 24
-        assert c3.hyper_angular_nodes == 4
 
     def test_refined_sharpens_each_control(self):
         c = hr.ReconstructionConfig.for_dimension(2)
@@ -99,7 +102,6 @@ class TestReconstructionConfig:
         {"ell": 0},
         {"ell": 1.5},
         {"y_radius": 0.25},
-        {"hyper_angular_nodes": 3},
         {"stencil_h": 0.0},
         {"exponent": 0.0},
         {"y_radius": 0.1},
@@ -425,6 +427,8 @@ class TestHalfPowerInBackprojection:
                            match=rf"slope .* point \({x[0]}, {x[1]}\)$") as ei:
             hr.invert(kind, data, x)
         assert abs(ei.value.node[0]) > 1.0
+        # the slope of the caller's data, z, not the u = 2z it is read at
+        assert ei.value.node[0] in _slope_grid(2, 96, math.inf, 24)[0][:, 0]
 
     def test_gaussian_far_from_its_centre(self):
         # the 1-D integral reaches T = 8 intercept widths, so no far-field
@@ -694,3 +698,21 @@ class TestInvert:
         cfg = hr.ReconstructionConfig.for_dimension(2).with_(ell=2)
         with pytest.raises(DomainError, match="ell"):
             hr.invert("transversal", data, (0.0, 0.0), cfg=cfg)
+
+
+def test_library_needs_no_scipy():
+    # scipy is a test dependency only: with it blocked, the package imports,
+    # reconstructs from sonar data and evaluates the normalizer
+    code = textwrap.dedent("""
+        import math, sys
+        sys.modules["scipy"] = None
+        import hemiradon as hr
+        bump = hr.make_test_field("bump", 2, (0.0, 1.0), 0.4, domain="half")
+        val = hr.reconstruct("sonar", hr.sonar_profile(bump), [(0.0, 1.0)])[0]
+        assert abs(val - math.exp(-1.0)) < 1e-3, val
+        assert abs(hr.hypersingular_constant(2, 1) - 2 * math.pi) < 1e-12
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr

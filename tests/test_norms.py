@@ -7,14 +7,9 @@ import pytest
 
 from hemiradon import QuadratureSpec, make_test_field, sonar_profile
 from hemiradon.errors import DomainError, QuadratureError
-from hemiradon.fields import ScalarField, SphereProfile
-from hemiradon.norms import (
-    MixedNormTriple,
-    admissible,
-    lp_norm,
-    mixed_norm,
-    scaling_scan,
-)
+from hemiradon.fields import ScalarField, SphereProfile, _coordinate_major
+from hemiradon.norms import _inner_sums, lp_norm, mixed_norm, scaling_scan
+from hemiradon.quadrature import line_rule, tensor_rule
 
 
 def test_lp_norm_gaussian_closed_form():
@@ -147,23 +142,53 @@ def test_non_finite_field_names_outer_node(norm):
     assert -0.5 < x1 < -0.49
 
 
-def test_admissible_line():
-    q, s, valid = admissible(1.5, 2)
-    assert q == pytest.approx(3.0) and s == pytest.approx(3.0) and valid
-    q, s, valid = admissible(1.0, 2)
-    assert math.isinf(q) and s == 1.0 and valid
-    q, s, valid = admissible(2.0, 2)
-    assert not valid
-    assert not admissible(0.8, 2).valid
-    with pytest.raises(DomainError):
-        admissible(1.5, 1)
+def _profile_branch_reference(prof, q, s, weight_exp, spec, obox):
+    """The mixed norm of a profile as its own evaluation path computed it
+    before profiles were read through their half-space field: outer Gauss
+    nodes over obox, inner windows on r_support clipped at 1e-12, and the
+    profile called with the x' rows and the radii (no singular-weight
+    refinement, which the profiles below never reach)."""
+    k = prof.n - 1
+    XP, W = tensor_rule([line_rule(lo, hi, spec.m) for lo, hi in obox])
+    lo, hi = prof.r_support(XP)
+    lo = np.maximum(lo, 1e-12)
+    assert np.all(lo >= 0.05 * (hi - lo))
+
+    def eval_inner(idx, nodes):
+        XPrep = _coordinate_major(nodes.shape + (k,))
+        XPrep[...] = XP[idx, None, :]
+        return prof.eval_array(XPrep.reshape(-1, k), nodes.ravel()).reshape(nodes.shape)
+
+    inner = _inner_sums(eval_inner, lo, hi, s, weight_exp, spec, 64)
+    return float(np.dot(W, inner ** (q / s)) ** (1.0 / q))
 
 
-def test_mixed_norm_triple():
-    t = MixedNormTriple.from_p(1.5, 2)
-    assert t.q == pytest.approx(3.0) and t.s == pytest.approx(3.0)
-    assert t.admissible
-    assert not MixedNormTriple(p=1.2, q=3.0, s=3.0, n=2).admissible
+def test_profile_norm_is_its_half_space_field_norm():
+    # a profile's mixed norms are those of the field (x', r) -> Phi(x', r),
+    # to the bit, plain and with the r^(1-s) weight
+    spec = QuadratureSpec.for_dimension(2).with_(m=24)
+    bump = make_test_field("bump", 2, (0.1, 1.0), 0.4, domain="half")
+    prof = sonar_profile(bump, spec)
+    obox = ((-1.0, 1.2),)
+    plain = mixed_norm(prof, 3.0, 3.0, spec=spec, outer_box=obox)
+    assert plain == mixed_norm(prof.as_field(), 3.0, 3.0, spec=spec, outer_box=obox)
+    assert plain == _profile_branch_reference(prof, 3.0, 3.0, 0.0, spec, obox)
+    weighted = mixed_norm(prof, 3.0, 3.0, "profile_weight", spec, outer_box=obox)
+    assert weighted == _profile_branch_reference(prof, 3.0, 3.0, -2.0, spec, obox)
+    assert weighted != plain
+
+
+def test_profile_without_r_box_bounds_outer_integral_by_its_xprime_box():
+    # the field of a profile with no r_box has no box, yet the outer
+    # integral still runs over the profile's x' box, not over R_max
+    prof = SphereProfile(
+        2, lambda XP, R: np.exp(-XP[:, 0] ** 2 - R ** 2),
+        xprime_box=((0.5, 1.0),), r_support=lambda XP: (
+            np.zeros(len(XP)), np.full(len(XP), 8.0)))
+    assert prof.r_box is None and prof.as_field().box is None
+    got = mixed_norm(prof, 3.0, 3.0)
+    assert got == mixed_norm(prof, 3.0, 3.0, outer_box=((0.5, 1.0),))
+    assert got < 0.8 * mixed_norm(prof, 3.0, 3.0, outer_box=((-8.0, 8.0),))
 
 
 def test_scaling_scan_flat_on_admissible_triple():
