@@ -102,6 +102,7 @@ class TestReconstructionConfig:
         {"ell": 0},
         {"ell": 1.5},
         {"y_radius": 0.25},
+        {"bp_stop": math.nan},
         {"stencil_h": 0.0},
         {"exponent": 0.0},
         {"y_radius": 0.1},
