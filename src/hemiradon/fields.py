@@ -164,10 +164,11 @@ class ScalarField:
 
     def eval_array(self, pts) -> np.ndarray:
         pts = _as_points_array(pts, self.n)
-        if self.domain == "half" and pts.shape[0] and np.min(pts[:, -1]) <= 0:
+        # not "<= 0": a NaN x_n must be refused as well
+        if self.domain == "half" and pts.shape[0] and not np.min(pts[:, -1]) > 0:
             i = int(np.argmin(pts[:, -1]))
-            raise DomainError(
-                f"half-space field evaluated at x_n = {pts[i, -1]} <= 0 (point {tuple(pts[i])})")
+            raise DomainError(f"half-space field needs x_n > 0, got x_n = {float(pts[i, -1])} "
+                              f"(point {tuple(float(v) for v in pts[i])})")
         vals = np.asarray(self._func(pts), dtype=float)
         if vals.shape != (pts.shape[0],):
             raise DomainError(f"field func returned shape {vals.shape}, expected ({pts.shape[0]},)")

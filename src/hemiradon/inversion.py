@@ -38,13 +38,14 @@ convergent integral, taken by Gauss panels from 0 over the half circle or
 hemisphere of directions; beyond the outer radius it is closed form, from
 g ~ M/|x| with M = integral of f / sigma_n fitted to sphere means of g.
 
-Parabolic and sonar data are inverted as the transversal data they are:
-parabolic data P is the transversal data (u, s) -> P(u/2, s + |u|^2/4)
-(``parabolic_unshear_scaled``, criterion 2's identity), and a sonar profile
-the transversal data ``profile_to_field`` makes of it (criterion 3's). The
-entry points apply that operator and run the one backprojection of
-transversal data, on slopes u = 2z of the grid's nodes z; the output side
-(``_targets``) alone still depends on the kind.
+Every kind is inverted through the transversal one, as the paper derives
+its sonar and parabolic formulas. A kind's row of ``_KINDS`` names the
+operator that reads its data as transversal data (parabolic data by
+``parabolic_unshear_scaled``, criterion 2's identity; sonar profiles by
+``profile_to_field``, criterion 3's), backprojected on slopes u = 2z of the
+grid's nodes z, and the chain that takes that data's inversion back to the
+function the data came from (``parabolic_unshear``,
+``square_pullback_unshear``).
 
 Everything here is pure: reconstructions at different output points are
 independent and may run concurrently.
@@ -60,15 +61,18 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, QuadratureError
 from .fields import ScalarField, SphereProfile, _as_points_array
-from .operators import OperatorId, apply
+from .operators import OperatorId, apply_chain
 from .quadrature import QuadratureSpec, line_rule, octave_edges, sphere_nodes
 
-#: per kind: the operator that reads the data as transversal data, and the
-#: factor from that data's slope u to the slope of the caller's data (u = 2z)
-_AS_TRANSVERSAL = {
-    "transversal": (None, 1.0),
-    "parabolic": (OperatorId("parabolic_unshear_scaled"), 0.5),
-    "sonar": (OperatorId("profile_to_field"), 0.5),
+#: per kind: the data type it consumes, the chain that reads it as
+#: transversal data, the factor from that data's slope u to the caller's slope
+#: z (u = 2z), and the chain from the inversion back to the data's function
+_KINDS = {
+    "transversal": (ScalarField, (), 1.0, ()),
+    "parabolic": (ScalarField, (OperatorId("parabolic_unshear_scaled"),), 0.5,
+                  (OperatorId("parabolic_unshear"),)),
+    "sonar": (SphereProfile, (OperatorId("profile_to_field"),), 0.5,
+              (OperatorId("square_pullback_unshear"),)),
 }
 
 _METHODS = ("hypersingular", "laplacian_power")
@@ -219,12 +223,10 @@ def _slope_grid(n: int, m: int, stop: float, azimuths: int):
     if n == 2:
         theta, ws = line_rule(-top, top, m)
         rings = [(np.ones((1, 1)), np.ones(1))] * m
-    elif n == 3:
+    else:
         c, ws = line_rule(math.cos(top), 1.0, m)
         theta = np.arccos(c)
         rings = [sphere_nodes(1, a) for a in _ring_azimuths(theta, azimuths)]
-    else:
-        raise DomainError("backprojection implemented for n in {2, 3}")
     wz = ws / (2.0 ** (n - 1) * np.cos(theta) ** n)
     Z = np.concatenate([0.5 * t * omega for t, (omega, _) in zip(np.tan(theta), rings)])
     W = np.concatenate([w * aw for w, (_, aw) in zip(wz, rings)])
@@ -244,18 +246,15 @@ def _ring_azimuths(theta, widest):
     return np.minimum(widest, np.ceil(widest * np.sin(theta)).astype(int) + 4)
 
 
-def _check_bp_data(kind, data, n):
-    if kind not in _AS_TRANSVERSAL:
+def _check_bp_data(kind, data):
+    if kind not in _KINDS:
         raise DomainError(f"unknown backprojection kind {kind!r}")
-    if kind == "sonar":
-        if not isinstance(data, SphereProfile):
-            raise DomainError("sonar backprojection consumes a SphereProfile")
-    else:
-        if not isinstance(data, ScalarField):
-            raise DomainError(f"{kind} backprojection consumes a ScalarField")
-        if data.domain != "full":
-            raise DomainError("backprojection data must live on the full space")
-    if n not in (2, 3):
+    consumes = _KINDS[kind][0]
+    if not isinstance(data, consumes):
+        raise DomainError(f"{kind} backprojection consumes a {consumes.__name__}")
+    if isinstance(data, ScalarField) and data.domain != "full":
+        raise DomainError("backprojection data must live on the full space")
+    if data.n not in (2, 3):
         raise DomainError("backprojection implemented for n in {2, 3}")
 
 
@@ -296,8 +295,8 @@ def _intercept_rule(k, cfg, c):
 
 def _as_transversal(kind, data):
     """The data of ``kind`` as transversal data, and its slope factor."""
-    op, slope_scale = _AS_TRANSVERSAL[kind]
-    return (data if op is None else apply(op, data)), slope_scale
+    _, reads, slope_scale, _ = _KINDS[kind]
+    return apply_chain(reads, data), slope_scale
 
 
 def _bp_batch(data, slope_scale, X, cfg, k=0, names=None) -> np.ndarray:
@@ -326,10 +325,9 @@ def _bp_batch(data, slope_scale, X, cfg, k=0, names=None) -> np.ndarray:
     R = N * S                                         # data reads per point
     pref = (2 * np.pi) ** (1 - n)
     out = np.empty(X.shape[0])
-    # Each data eval fans out into a windowed quadrature whose node count
-    # grows with n - 1, so the eval-batch budget shrinks accordingly.
-    budget = 200_000 if n == 2 else 40_000
-    step = max(1, budget // R)
+    # at most 200k data reads per batch: the nested kernel caps its own
+    # batches, so this bounds only the read points
+    step = max(1, 200_000 // R)
     for i0 in range(0, X.shape[0], step):
         Xc = X[i0:i0 + step]
         B = Xc.shape[0]
@@ -364,20 +362,18 @@ def backprojection(kind: str, data, x, *, cfg=None) -> float:
     that ``parabolic_unshear_scaled`` and ``profile_to_field`` make of the
     data (criterion 13), which is how they are computed.
     """
-    n = data.n
-    _check_bp_data(kind, data, n)
-    cfg = _resolve_cfg(n, cfg)
-    X = _as_points_array(x, n)
+    _check_bp_data(kind, data)
+    cfg = _resolve_cfg(data.n, cfg)
+    X = _as_points_array(x, data.n)
     return float(_bp_batch(*_as_transversal(kind, data), X, cfg)[0])
 
 
 def backprojection_field(kind: str, data, cfg=None) -> ScalarField:
     """The backprojection as a lazily evaluated field on R^n."""
-    n = data.n
-    _check_bp_data(kind, data, n)
-    cfg = _resolve_cfg(n, cfg)
+    _check_bp_data(kind, data)
+    cfg = _resolve_cfg(data.n, cfg)
     tdata, slope_scale = _as_transversal(kind, data)
-    return ScalarField(n, lambda pts: _bp_batch(tdata, slope_scale, pts, cfg),
+    return ScalarField(data.n, lambda pts: _bp_batch(tdata, slope_scale, pts, cfg),
                        domain="full", box=None)
 
 
@@ -571,46 +567,31 @@ def hypersingular_constant(n: int, ell: int) -> float:
 # composed inverters
 # ---------------------------------------------------------------------------
 
-def _targets(kind: str, P: np.ndarray):
-    """The points z at which the inversion of g is read for the output points
-    P, and the factor on each value: z = x for transversal data,
-    (x', x_n + |x'|^2) for parabolic data, (y', y_n^2 + |y'|^2) with the
-    factor y_n > 0 for sonar data."""
-    ssq = np.sum(P[:, :-1] ** 2, axis=1)
-    Z = P.copy()
-    mult = np.ones(P.shape[0])
-    if kind == "sonar":
-        if not np.all(P[:, -1] > 0):
-            raise DomainError("sonar inversion target must satisfy x_n > 0")
-        mult = P[:, -1]
-        Z[:, -1] = mult * mult + ssq
-    elif kind == "parabolic":
-        Z[:, -1] = P[:, -1] + ssq
-    return Z, mult
-
-
 def _invert_batch(kind: str, data, P: np.ndarray, method: str,
                   cfg: ReconstructionConfig) -> np.ndarray:
     """Reconstructed values at the (M, n) output points P, in one batch.
 
     (-Delta)^((n-1)/2) of g runs inside the backprojection for both methods
     and every n, so they return the same value; ``hypersingular`` only
-    checks ell against n first.
+    checks ell against n first. The kind's output chain maps rows one to
+    one, so a non-finite read names the row of P it was for.
     """
     if method not in _METHODS:
         raise ConfigError(f"unknown inversion method {method!r}")
     n = data.n
     if method == "hypersingular":
         hypersingular_constant(n, cfg.ell)            # checks ell
-    Z, mult = _targets(kind, P)
-    return mult * _bp_batch(*_as_transversal(kind, data), Z, cfg, (n - 1) / 2, names=P)
+    tdata, slope_scale = _as_transversal(kind, data)
+    inverse = ScalarField(
+        n, lambda Z: _bp_batch(tdata, slope_scale, Z, cfg, (n - 1) / 2, names=P))
+    return apply_chain(_KINDS[kind][3], inverse).eval_array(P)
 
 
 def _inversion_cfg(kind: str, data, cfg) -> ReconstructionConfig:
     """The resolved configuration of ``invert`` and ``reconstruct``, whose
     hypersingular normalizer holds only for the kernel power 2n-1."""
+    _check_bp_data(kind, data)
     n = data.n
-    _check_bp_data(kind, data, n)
     cfg = _resolve_cfg(n, cfg)
     if cfg.exponent is not None and cfg.exponent != 2 * n - 1:
         raise ConfigError(f"exponent must be 2n-1 = {2 * n - 1}, got {cfg.exponent}")
@@ -619,23 +600,24 @@ def _inversion_cfg(kind: str, data, cfg) -> ReconstructionConfig:
 
 def invert(kind: str, data, x_out, method: str = "hypersingular",
            cfg=None) -> float:
-    """Reconstruct the original function at one point from its transform.
-
-    The value is (-Delta)^((n-1)/2) of the backprojection g, taken inside the
-    backprojection on the data (both methods run this route; see the module
-    docstring): at x_out for kind "transversal", at (x', x_n + |x'|^2) for
-    kind "parabolic", and at (y', y_n^2 + |y'|^2) times y_n for kind "sonar"
-    (which requires y_n > 0). A set cfg.exponent must be 2n-1.
-    """
-    cfg = _inversion_cfg(kind, data, cfg)
-    return float(_invert_batch(kind, data, _as_points_array(x_out, data.n)[:1],
-                               method, cfg)[0])
+    """Reconstruct the original function at one point from its transform:
+    ``reconstruct`` at the one point x_out."""
+    return float(reconstruct(kind, data, [x_out], method, cfg)[0])
 
 
 def reconstruct(kind: str, data, points, method: str = "hypersingular",
                 cfg=None) -> np.ndarray:
-    """Reconstructed values at many points, as ``invert`` at each, in one
-    batch."""
+    """Reconstructed values at many points, in one batch.
+
+    The inversion v = (-Delta)^((n-1)/2) g of the backprojection g of the
+    data read as transversal data is taken inside the backprojection (both
+    methods run this route; see the module docstring). The kind's output
+    chain takes v back to the function the data came from: v itself for kind
+    "transversal", ``parabolic_unshear`` of it, v(x', x_n + |x'|^2), for
+    "parabolic", and ``square_pullback_unshear`` of it,
+    y_n v(y', y_n^2 + |y'|^2), for "sonar", a half-space field that needs
+    y_n > 0. A set cfg.exponent must be 2n-1.
+    """
     cfg = _inversion_cfg(kind, data, cfg)
     n = data.n
     P = np.array([_as_points_array(p, n)[0] for p in points]).reshape(-1, n)

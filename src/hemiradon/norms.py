@@ -193,6 +193,8 @@ def scaling_scan(transform: str, p: float, q: float, s: float, n: int,
         raise DomainError(f"unknown transform {transform!r} for scaling_scan")
     if base.box is None:
         raise DomainError("scaling_scan needs a base field with a support box")
+    if n != base.n:
+        raise DomainError(f"scaling_scan in n = {n} got a base field in n = {base.n}")
     spec = spec if spec is not None else QuadratureSpec.for_dimension(n)
     entries = []
     for lam in lambdas:

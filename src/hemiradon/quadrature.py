@@ -140,13 +140,13 @@ def line_rule(a: float, b: float, m: int):
     return a + half * (x + 1.0), half * w
 
 
-def octave_edges(start: float, stop: float, factor: float = 2.0):
-    """Geometric edges from start to stop (last panel clipped at stop)."""
+def octave_edges(start: float, stop: float):
+    """Doubling edges from start to stop (last panel clipped at stop)."""
     if not (stop > start > 0):
         raise QuadratureError("octave_edges needs 0 < start < stop")
     edges = [start]
-    while edges[-1] * factor < stop:
-        edges.append(edges[-1] * factor)
+    while edges[-1] * 2 < stop:
+        edges.append(edges[-1] * 2)
     edges.append(stop)
     return np.asarray(edges)
 

@@ -95,6 +95,23 @@ def _eval_grid(field, pts):
     return field.eval_array(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape[:-1])
 
 
+def _reflections(D, axis):
+    """Householder reflections (M, k, k) mapping e_axis to each unit row of
+    D (M, k), batched; a zero row, or one at e_axis, gets the identity.
+
+    The entry of D - e_axis on the axis is taken in the cancellation-free
+    form -|rest|^2 / (1 + D_axis) when D_axis > 0, so that rows near e_axis
+    keep their digits."""
+    v = D.copy()
+    a = D[:, axis]
+    rest2 = np.sum(np.delete(D, axis, axis=1) ** 2, axis=1)
+    v[:, axis] = np.where(a > 0, -rest2 / (1 + np.abs(a)), a - 1)
+    vnorm2 = np.sum(v ** 2, axis=1)
+    # no reflection: dividing by inf leaves I
+    vnorm2 = np.where(D.any(axis=1) & (vnorm2 > 1e-28), vnorm2, np.inf)
+    return np.eye(D.shape[1]) - 2 * v[:, :, None] * v[:, None, :] / vnorm2[:, None, None]
+
+
 def _polar_windows(rlo, rhi, r_width, d, circ, m):
     """Windows of a (radius or polar cosine) x angle chart in the plane.
 
@@ -253,6 +270,8 @@ def parabolic_field(f: ScalarField, spec=None) -> ScalarField:
     """The parabolic transform as a lazily evaluated field on R^n."""
     if f.domain != "full":
         raise DomainError("parabolic transform consumes a full-space field")
+    if f.n not in (2, 3):
+        raise DomainError("parabolic transform implemented for n in {2, 3}")
     spec = _default_spec(f.n, spec)
     section = None
     if f.box is not None:
@@ -268,8 +287,6 @@ def parabolic_field(f: ScalarField, spec=None) -> ScalarField:
 
 
 def _parabolic_batch(f, X, spec):
-    if f.n not in (2, 3):
-        raise DomainError("parabolic transform implemented for n in {2, 3}")
     box = _box_or_default(f, spec)
     xn = X[:, -1]
     b2lo, b2hi = box[-1]
@@ -367,16 +384,7 @@ def _transversal_batch(psi, X, spec):
         spread = h
     else:
         shat = np.where(live[:, None], sig / np.maximum(smag, 1e-300)[:, None], 0.0)
-        # Householder frames mapping e_1 to the slope direction, batched; for
-        # slopes near e_1 the first entry of shat - e_1 is taken in the
-        # cancellation-free form -|rest|^2 / (1 + shat_1)
-        v = shat.copy()
-        rest2 = np.sum(shat[:, 1:] ** 2, axis=1)
-        v[:, 0] = np.where(shat[:, 0] > 0, -rest2 / (1 + np.abs(shat[:, 0])), shat[:, 0] - 1)
-        vnorm2 = np.sum(v ** 2, axis=1)
-        # no reflection (slope along e_1, or slope 0): dividing by inf leaves I
-        vnorm2 = np.where(live & (vnorm2 > 1e-28), vnorm2, np.inf)
-        basis = np.eye(k) - 2 * v[:, :, None] * v[:, None, :] / vnorm2[:, None, None]
+        basis = _reflections(shat, 0)                  # (M, k, k), symmetric
         # frame-axis support windows of the box via its support function
         mid = basis @ c                                # (M, k) of axis . center
         spread = np.abs(basis) @ h
@@ -441,23 +449,6 @@ class RadonPlane:
         return len(self.theta)
 
 
-def _householder_tangent_basis(theta: np.ndarray) -> np.ndarray:
-    """Columns: an orthonormal basis of the hyperplane normal to theta.
-
-    Deterministic completion via the reflection that maps e_n to theta.
-    """
-    n = theta.shape[0]
-    v = theta.copy()
-    # theta_n - 1 without cancellation when theta is near e_n
-    tn = theta[-1]
-    v[-1] = -float(theta[:-1] @ theta[:-1]) / (1 + tn) if tn > 0 else tn - 1
-    vn2 = float(v @ v)
-    H = np.eye(n)
-    if vn2 > 1e-28:
-        H -= 2 * np.outer(v, v) / vn2
-    return H[:, :n - 1]
-
-
 def classical_radon(f: ScalarField, plane: RadonPlane, spec=None) -> float:
     """Integral of f over the hyperplane y . theta = t."""
     if plane.n != f.n:
@@ -466,7 +457,7 @@ def classical_radon(f: ScalarField, plane: RadonPlane, spec=None) -> float:
         raise DomainError("classical Radon transform consumes a full-space field")
     spec = _default_spec(f.n, spec)
     theta = np.asarray(plane.theta)
-    B = _householder_tangent_basis(theta)             # (n, n-1)
+    B = _reflections(theta[None, :], f.n - 1)[0, :, :-1]  # (n, n-1)
     box = _box_or_default(f, spec)
     c, h = _center_halfwidth(box)
     offset = c - plane.t * theta

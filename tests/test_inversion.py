@@ -689,6 +689,12 @@ class TestInvert:
         with pytest.raises(DomainError, match="x_n > 0"):
             hr.invert("sonar", prof, (0.0, -1.0))
 
+    def test_sonar_target_must_not_be_nan(self):
+        prof = hr.sonar_profile(
+            hr.make_test_field("bump", 2, (0.0, 1.0), 0.4, domain="half"))
+        with pytest.raises(DomainError, match="got x_n = nan"):
+            hr.reconstruct("sonar", prof, [(0.0, 0.5), (0.0, math.nan)])
+
     def test_unknown_method(self):
         data = hr.transversal_field(self.f)
         with pytest.raises(ConfigError, match="method"):

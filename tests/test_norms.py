@@ -220,3 +220,9 @@ def test_scaling_scan_validation():
     boxless = ScalarField(2, lambda pts: np.exp(-np.sum(pts ** 2, axis=1)))
     with pytest.raises(DomainError):
         scaling_scan("transversal", 1.5, 3.0, 3.0, 2, [(1.0, 1.0)], boxless)
+
+
+def test_scaling_scan_names_both_dimensions_on_mismatch():
+    f = make_test_field("gaussian", 2, (0.0, 0.0), 1.0)
+    with pytest.raises(DomainError, match="n = 3 got a base field in n = 2"):
+        scaling_scan("transversal", 1.5, 3.0, 3.0, 3, [(1.0, 1.0)], f)

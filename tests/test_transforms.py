@@ -127,6 +127,12 @@ def test_sonar_rejects_n4():
         sonar_profile(phi)
 
 
+def test_parabolic_rejects_n4_when_built():
+    f = make_test_field("bump", 4, (0.0, 0.0, 0.0, 1.0), 0.5)
+    with pytest.raises(DomainError, match="n in"):
+        parabolic_field(f)
+
+
 @pytest.mark.parametrize("m", [6, 8, 80])
 def test_polar_rows_batch_like_single_rows(m):
     """A full-circle row and a partial-arc row evaluated together each get
