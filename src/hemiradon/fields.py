@@ -68,6 +68,17 @@ def _as_points_array(pts, n: int) -> np.ndarray:
     return arr
 
 
+def _finite_points(what, pts, names=None):
+    """``pts``; raises DomainError naming the row of ``names`` (default
+    ``pts``) of the first point that is not finite."""
+    bad = ~np.isfinite(pts).all(axis=1)
+    if bad.any():
+        names = pts if names is None else names
+        point = tuple(float(v) for v in names[int(np.argmax(bad))])
+        raise DomainError(f"{what} at non-finite point {point}")
+    return pts
+
+
 def _coordinate_major(shape):
     """Uninitialized float array of ``shape`` (..., n) whose last index is its
     slowest: each coordinate is one contiguous run of memory, so filling or

@@ -1,27 +1,30 @@
 """Backprojection of transformed data and the inversion built on it.
 
-Each forward transform is inverted through the same intermediate field g: a
-kernel-weighted backprojection of the data over all slopes (or paraboloid
-centers). Under the slope-intercept relation u = tan(theta) the slope
-integral is the classical backprojection over the half circle (n = 2) or
-hemisphere (n = 3) of directions, where the integrand is smooth and
-bounded; the slope nodes are therefore a Gauss rule in the polar angle
-and, for n = 3, on each polar ring a uniform azimuth rule sized by the
-ring's circumference, weighted by the exact Jacobian, with no truncation
-unless a slope cutoff is asked for. The target function is then
-recovered from g by the power (-Delta)^((n-1)/2), taken inside the
-backprojection: every direction's term depends on x only through the
-data's intercept s, with |grad s| = c = sqrt(1 + 4|z|^2), so the power is
-c^(n-1) times the 1-D power (-d^2/ds^2)^((n-1)/2) of the data in s (the
-filtered backprojection; Natterer, *The Mathematics of Computerized
-Tomography*, 1986, ch. II). One route realizes it for every n:
+Every entry point here evaluates one field, built by ``_inverse_field``: x
+-> (-Delta)^k g(x), with g the kernel-weighted backprojection of the data
+over all slopes (or paraboloid centers). At k = 0 it is the backprojection
+(``backprojection``, ``backprojection_field``); at k = (n-1)/2, followed by
+the kind's output chain, it is the inversion (``reconstruct``, ``invert``).
 
-* odd n: the integer power, a central difference of the data in s of
-  spacing ``stencil_h``, 2k+1 reads per direction;
-* n = 2: the eps-limit integral of the first difference against |y|^(-3),
-  divided by the closed form of Samko's normalizer d = 2 pi = 2 d_(1,1)
-  (``hypersingular_constant``; Samko, *Hypersingular Integrals*, 2002),
-  which is the 1-D integral (1/pi) integral_0^inf (2h(s) - h(s+t) -
+Under the slope-intercept relation u = tan(theta) the slope integral is the
+classical backprojection over the half circle (n = 2) or hemisphere (n = 3)
+of directions, where the integrand is smooth and bounded; the slope nodes
+are therefore a Gauss rule in the polar angle and, for n = 3, on each polar
+ring a uniform azimuth rule sized by the ring's circumference, weighted by
+the exact Jacobian, with no truncation unless a slope cutoff is asked for.
+
+The power is taken inside the backprojection: every direction's term
+depends on x only through the data's intercept s, with |grad s| = c =
+sqrt(1 + 4|z|^2), so the power is c^(2k) times the 1-D power
+(-d^2/ds^2)^k of the data in s (the filtered backprojection; Natterer, *The
+Mathematics of Computerized Tomography*, 1986, ch. II):
+
+* integer k: a central difference of the data in s of spacing
+  ``stencil_h``, 2k+1 reads per direction (one read at k = 0);
+* k = 1/2 (n = 2): the eps-limit integral of the first difference against
+  |y|^(-3), divided by the closed form of Samko's normalizer d = 2 pi =
+  2 d_(1,1) (``hypersingular_constant``; Samko, *Hypersingular Integrals*,
+  2002), which is the 1-D integral (1/pi) integral_0^inf (2h(s) - h(s+t) -
   h(s-t)) / t^2 dt of the data h in s, on q Gauss nodes in panels from 0
   with t scaled by c, plus its exact tail: 2q+1 reads per direction.
 
@@ -43,8 +46,8 @@ its sonar and parabolic formulas. A kind's row of ``_KINDS`` names the
 operator that reads its data as transversal data (parabolic data by
 ``parabolic_unshear_scaled``, criterion 2's identity; sonar profiles by
 ``profile_to_field``, criterion 3's), backprojected on slopes u = 2z of the
-grid's nodes z, and the chain that takes that data's inversion back to the
-function the data came from (``parabolic_unshear``,
+grid's nodes z, and the output chain that takes the inversion of that data
+back to the function the data came from (``parabolic_unshear``,
 ``square_pullback_unshear``).
 
 Everything here is pure: reconstructions at different output points are
@@ -60,9 +63,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DomainError, QuadratureError
-from .fields import ScalarField, SphereProfile, _as_points_array
+from .fields import ScalarField, SphereProfile, _as_points_array, _finite_points
 from .operators import OperatorId, apply_chain
-from .quadrature import QuadratureSpec, line_rule, octave_edges, sphere_nodes
+from .quadrature import QuadratureSpec, _finite, line_rule, octave_edges, sphere_nodes
 
 #: per kind: the data type it consumes, the chain that reads it as
 #: transversal data, the factor from that data's slope u to the caller's slope
@@ -182,16 +185,6 @@ class ReconstructionConfig:
         return replace(self, **overrides)
 
 
-def _resolve_cfg(n: int, cfg) -> ReconstructionConfig:
-    """cfg, or the dimension's defaults; an unset g_spec takes the
-    dimension's direction grid."""
-    if cfg is None:
-        return ReconstructionConfig.for_dimension(n)
-    if cfg.g_spec is None:
-        cfg = cfg.with_(g_spec=ReconstructionConfig.for_dimension(n).g_spec)
-    return cfg
-
-
 # ---------------------------------------------------------------------------
 # backprojection
 # ---------------------------------------------------------------------------
@@ -246,7 +239,10 @@ def _ring_azimuths(theta, widest):
     return np.minimum(widest, np.ceil(widest * np.sin(theta)).astype(int) + 4)
 
 
-def _check_bp_data(kind, data):
+def _checked_cfg(kind, data, cfg) -> ReconstructionConfig:
+    """Checks that ``kind`` backprojects ``data``; returns cfg, or the
+    dimension's defaults, with an unset g_spec taking the dimension's
+    direction grid."""
     if kind not in _KINDS:
         raise DomainError(f"unknown backprojection kind {kind!r}")
     consumes = _KINDS[kind][0]
@@ -256,6 +252,11 @@ def _check_bp_data(kind, data):
         raise DomainError("backprojection data must live on the full space")
     if data.n not in (2, 3):
         raise DomainError("backprojection implemented for n in {2, 3}")
+    if cfg is None:
+        return ReconstructionConfig.for_dimension(data.n)
+    if cfg.g_spec is None:
+        cfg = cfg.with_(g_spec=ReconstructionConfig.for_dimension(data.n).g_spec)
+    return cfg
 
 
 def _radial_rule(cfg):
@@ -293,16 +294,11 @@ def _intercept_rule(k, cfg, c):
     return offsets, w[:, None] / (math.pi * c[None, :])
 
 
-def _as_transversal(kind, data):
-    """The data of ``kind`` as transversal data, and its slope factor."""
-    _, reads, slope_scale, _ = _KINDS[kind]
-    return apply_chain(reads, data), slope_scale
-
-
 def _bp_batch(data, slope_scale, X, cfg, k=0, names=None) -> np.ndarray:
     """(-Delta)^k of the backprojection of transversal data at an (M, n)
-    batch of points X; a non-finite data read names the row of ``names``
-    (default X) it was for and the slope u read, times ``slope_scale``.
+    batch of points X; a non-finite point or data read names the row of
+    ``names`` (default X) it was for, a read also the slope u read, times
+    ``slope_scale``.
 
     Each direction's term depends on x only through the data's intercept
     s = x_n - x'.u, whose gradient has length c = sqrt(1 + |u|^2), so
@@ -313,6 +309,7 @@ def _bp_batch(data, slope_scale, X, cfg, k=0, names=None) -> np.ndarray:
     """
     n = X.shape[1]
     names = X if names is None else names
+    _finite_points("backprojection", X, names)
     Z, W = _slope_grid(n, cfg.g_spec.m, cfg.bp_stop, cfg.bp_angular_nodes)
     U = 2.0 * Z
     zsq = np.sum(Z * Z, axis=1)
@@ -348,8 +345,20 @@ def _bp_batch(data, slope_scale, X, cfg, k=0, names=None) -> np.ndarray:
     return out
 
 
+def _inverse_field(kind, data, cfg, k, names=None) -> ScalarField:
+    """x -> (-Delta)^k of the backprojection of the data of ``kind``, read as
+    transversal data through the kind's ``_KINDS`` row, for a checked and
+    resolved cfg: k = 0 is the backprojection, k = (n-1)/2 the inversion of
+    the transversal data. A non-finite point or read names its row of
+    ``names`` (default the points evaluated)."""
+    _, reads, slope_scale, _ = _KINDS[kind]
+    tdata = apply_chain(reads, data)
+    return ScalarField(data.n, lambda X: _bp_batch(tdata, slope_scale, X, cfg, k, names))
+
+
 def backprojection(kind: str, data, x, *, cfg=None) -> float:
-    """Kernel-weighted slope integral of the data, evaluated at one point.
+    """Kernel-weighted slope integral of the data at one point: the field of
+    ``backprojection_field`` there.
 
     kind "transversal": (2 pi)^(1-n) * integral of
         data(y', x_n - y'.x') (1+|y'|^2)^(-(n-1)/2) dy';
@@ -362,19 +371,13 @@ def backprojection(kind: str, data, x, *, cfg=None) -> float:
     that ``parabolic_unshear_scaled`` and ``profile_to_field`` make of the
     data (criterion 13), which is how they are computed.
     """
-    _check_bp_data(kind, data)
-    cfg = _resolve_cfg(data.n, cfg)
-    X = _as_points_array(x, data.n)
-    return float(_bp_batch(*_as_transversal(kind, data), X, cfg)[0])
+    return backprojection_field(kind, data, cfg).eval(x)
 
 
 def backprojection_field(kind: str, data, cfg=None) -> ScalarField:
-    """The backprojection as a lazily evaluated field on R^n."""
-    _check_bp_data(kind, data)
-    cfg = _resolve_cfg(data.n, cfg)
-    tdata, slope_scale = _as_transversal(kind, data)
-    return ScalarField(data.n, lambda pts: _bp_batch(tdata, slope_scale, pts, cfg),
-                       domain="full", box=None)
+    """The backprojection as a lazily evaluated field on R^n: the inverse
+    field at k = 0."""
+    return _inverse_field(kind, data, _checked_cfg(kind, data, cfg), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -453,18 +456,6 @@ def _hyper_nodes(n: int, cfg, exponent: float):
     return Y, W
 
 
-def _read(g: ScalarField, x0, offsets) -> np.ndarray:
-    """g at x0 + offsets, raising QuadratureError at the first non-finite read."""
-    vals = g.eval_array(x0[None, :] + offsets)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        y = tuple(float(v) for v in offsets[int(np.argmax(bad))])
-        raise QuadratureError(
-            f"non-finite g at offset {y} from point "
-            f"{tuple(float(v) for v in x0)}", node=y)
-    return vals
-
-
 def _far_field(g: ScalarField, x0) -> np.ndarray:
     """Coefficients c_k of the far-field model A(rho) = sum_k c_k rho^(-1-2k)
     of the mean of g over the sphere |z - x0| = rho.
@@ -479,7 +470,8 @@ def _far_field(g: ScalarField, x0) -> np.ndarray:
     dirs, w = sphere_nodes(n - 1, _FIT_NODES)
     rho = _FIT_RADII
     offs = (rho[:, None, None] * dirs[None, :, :]).reshape(-1, n)
-    means = _read(g, x0, offs).reshape(rho.size, -1) @ w / _sphere_area(n)
+    vals = _finite(f"g from point {tuple(float(v) for v in x0)}", g.eval_array(x0 + offs), offs)
+    means = vals.reshape(rho.size, -1) @ w / _sphere_area(n)
     return np.linalg.solve(np.vander(rho ** -2.0, rho.size, increasing=True),
                            rho * means)
 
@@ -493,7 +485,8 @@ def hypersingular_apply(g: ScalarField, x, cfg: ReconstructionConfig) -> float:
     sum_j C(ell,j) (-1)^j (g(x - jy) + g(x + jy)) / 2 |y|^(-exponent),
     taken on the rule of ``_hyper_nodes``. Beyond y_radius the j = 0 term is
     exact and every j >= 1 term reads the far-field model of ``_far_field``.
-    Raises QuadratureError when g is not finite at a read.
+    Raises QuadratureError naming x and the offset of the first read at
+    which g is not finite.
     """
     n = g.n
     e = cfg.exponent if cfg.exponent is not None else 2.0 * n - 1.0
@@ -504,7 +497,8 @@ def hypersingular_apply(g: ScalarField, x, cfg: ReconstructionConfig) -> float:
     j = np.arange(1, cfg.ell + 1.0)
     coef = np.array([(-1.0) ** i * math.comb(cfg.ell, i) for i in range(1, cfg.ell + 1)])
     jY = (j[:, None, None] * Y[None, :, :]).reshape(-1, n)
-    vals = _read(g, x0, np.concatenate([np.zeros((1, n)), -jY, jY]))
+    offs = np.concatenate([np.zeros((1, n)), -jY, jY])
+    vals = _finite(f"g from point {tuple(float(v) for v in x0)}", g.eval_array(x0 + offs), offs)
     gx = vals[0]
     pairs = vals[1:].reshape(2, cfg.ell, -1).sum(axis=0)
     body = W @ (gx + 0.5 * (coef @ pairs))
@@ -567,37 +561,6 @@ def hypersingular_constant(n: int, ell: int) -> float:
 # composed inverters
 # ---------------------------------------------------------------------------
 
-def _invert_batch(kind: str, data, P: np.ndarray, method: str,
-                  cfg: ReconstructionConfig) -> np.ndarray:
-    """Reconstructed values at the (M, n) output points P, in one batch.
-
-    (-Delta)^((n-1)/2) of g runs inside the backprojection for both methods
-    and every n, so they return the same value; ``hypersingular`` only
-    checks ell against n first. The kind's output chain maps rows one to
-    one, so a non-finite read names the row of P it was for.
-    """
-    if method not in _METHODS:
-        raise ConfigError(f"unknown inversion method {method!r}")
-    n = data.n
-    if method == "hypersingular":
-        hypersingular_constant(n, cfg.ell)            # checks ell
-    tdata, slope_scale = _as_transversal(kind, data)
-    inverse = ScalarField(
-        n, lambda Z: _bp_batch(tdata, slope_scale, Z, cfg, (n - 1) / 2, names=P))
-    return apply_chain(_KINDS[kind][3], inverse).eval_array(P)
-
-
-def _inversion_cfg(kind: str, data, cfg) -> ReconstructionConfig:
-    """The resolved configuration of ``invert`` and ``reconstruct``, whose
-    hypersingular normalizer holds only for the kernel power 2n-1."""
-    _check_bp_data(kind, data)
-    n = data.n
-    cfg = _resolve_cfg(n, cfg)
-    if cfg.exponent is not None and cfg.exponent != 2 * n - 1:
-        raise ConfigError(f"exponent must be 2n-1 = {2 * n - 1}, got {cfg.exponent}")
-    return cfg
-
-
 def invert(kind: str, data, x_out, method: str = "hypersingular",
            cfg=None) -> float:
     """Reconstruct the original function at one point from its transform:
@@ -609,16 +572,26 @@ def reconstruct(kind: str, data, points, method: str = "hypersingular",
                 cfg=None) -> np.ndarray:
     """Reconstructed values at many points, in one batch.
 
-    The inversion v = (-Delta)^((n-1)/2) g of the backprojection g of the
-    data read as transversal data is taken inside the backprojection (both
-    methods run this route; see the module docstring). The kind's output
-    chain takes v back to the function the data came from: v itself for kind
+    The inverse field at k = (n-1)/2, v = (-Delta)^((n-1)/2) g of the
+    backprojection g of the data read as transversal data, taken inside the
+    backprojection (both methods run this route and return the same value;
+    see the module docstring), followed by the kind's output chain, which
+    takes v back to the function the data came from: v itself for kind
     "transversal", ``parabolic_unshear`` of it, v(x', x_n + |x'|^2), for
     "parabolic", and ``square_pullback_unshear`` of it,
     y_n v(y', y_n^2 + |y'|^2), for "sonar", a half-space field that needs
-    y_n > 0. A set cfg.exponent must be 2n-1.
+    y_n > 0. A set cfg.exponent must be 2n-1; ``hypersingular`` checks ell
+    against n. The chain maps rows one to one, so a non-finite point or data
+    read names the row of ``points`` it was for.
     """
-    cfg = _inversion_cfg(kind, data, cfg)
+    cfg = _checked_cfg(kind, data, cfg)
     n = data.n
+    if cfg.exponent is not None and cfg.exponent != 2 * n - 1:
+        raise ConfigError(f"exponent must be 2n-1 = {2 * n - 1}, got {cfg.exponent}")
+    if method not in _METHODS:
+        raise ConfigError(f"unknown inversion method {method!r}")
+    if method == "hypersingular":
+        _check_ell(n, cfg.ell)
     P = np.array([_as_points_array(p, n)[0] for p in points]).reshape(-1, n)
-    return _invert_batch(kind, data, P, method, cfg)
+    inverse = _inverse_field(kind, data, cfg, (n - 1) / 2, names=P)
+    return apply_chain(_KINDS[kind][3], inverse).eval_array(P)

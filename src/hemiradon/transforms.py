@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fields import (Point, ScalarField, SphereProfile, _box_dist_sq,
-                     _coordinate_major)
+                     _coordinate_major, _finite_points)
 from .quadrature import (QuadratureSpec, _finite, _scratch, _windowed_sums,
                          line_rule, tensor_rule, tier_counts)
 
@@ -183,6 +183,7 @@ def _check_sonar_field(phi):
 
 
 def _sonar_batch(phi, XP, R, spec):
+    _finite_points("sonar transform", np.column_stack([XP, R]))
     if phi.n == 2:
         x = XP[:, 0]
         windows = [(np.zeros(len(R)), np.full(len(R), np.pi))]
@@ -287,6 +288,7 @@ def parabolic_field(f: ScalarField, spec=None) -> ScalarField:
 
 
 def _parabolic_batch(f, X, spec):
+    _finite_points("parabolic transform", X)
     box = _box_or_default(f, spec)
     xn = X[:, -1]
     b2lo, b2hi = box[-1]
@@ -367,6 +369,7 @@ def transversal_field(psi: ScalarField, spec=None) -> ScalarField:
 def _transversal_batch(psi, X, spec):
     """Rotated-frame evaluation: the first frame axis is the slope direction,
     so the hyperplane constraint becomes a 1-D slab in that coordinate."""
+    _finite_points("transversal transform", X)
     n = psi.n
     k = n - 1
     sig = X[:, :k]
@@ -438,6 +441,7 @@ class RadonPlane:
 
     def __post_init__(self):
         th = tuple(float(v) for v in np.atleast_1d(self.theta))
+        _finite_points("plane (theta, t)", np.array([th + (float(self.t),)]))
         norm = float(np.linalg.norm(th))
         if abs(norm - 1.0) > 1e-12:
             raise DomainError(f"theta must be a unit vector, |theta| = {norm}")

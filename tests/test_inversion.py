@@ -695,6 +695,20 @@ class TestInvert:
         with pytest.raises(DomainError, match="got x_n = nan"):
             hr.reconstruct("sonar", prof, [(0.0, 0.5), (0.0, math.nan)])
 
+    @pytest.mark.parametrize("kind,x", [
+        ("transversal", (math.nan, 0.1)),
+        ("parabolic", (math.nan, 0.1)),
+        ("transversal", (math.inf, 0.1)),
+        ("sonar", (math.nan, 0.5)),
+    ])
+    def test_non_finite_point_is_refused(self, kind, x):
+        data = {"transversal": lambda: hr.transversal_field(self.f),
+                "parabolic": lambda: hr.parabolic_field(self.f),
+                "sonar": lambda: hr.sonar_profile(hr.make_test_field(
+                    "bump", 2, (0.0, 1.0), 0.4, domain="half"))}[kind]()
+        with pytest.raises(DomainError, match=rf"non-finite point \({x[0]}, {x[1]}\)"):
+            hr.reconstruct(kind, data, [(0.0, 0.5), x])
+
     def test_unknown_method(self):
         data = hr.transversal_field(self.f)
         with pytest.raises(ConfigError, match="method"):

@@ -213,6 +213,31 @@ def test_scaling_scan_power_law_on_inadmissible_triple():
     assert r[1] / r[0] == pytest.approx(2 ** (1 / 3), rel=1e-9)
 
 
+@pytest.mark.parametrize("transform", ["parabolic", "sonar"])
+@pytest.mark.parametrize("p", [1.5, 1.2])
+def test_scaling_scan_follows_dilation_law(transform, p):
+    """The parabolic and sonar scans along their own dilation paths.
+
+    With f_lam(x) = f(lam1 x', lam2 x_n): on lam2 = lam1^2 the parabolic
+    transform is lam1^(1-n) (Pf)(lam1 x', lam2 x_n), so its (q, s) norm goes
+    like lam1^(1-n-(n-1)/q) lam2^(-1/s); on lam1 = lam2 = lam the sonar
+    transform is lam^(1-n) (Sf)(lam x', lam r), whose r^(1-s)-weighted norm
+    goes like lam^(2-n-2/s-(n-1)/q). The input norms go like
+    lam1^((1-n)/p) lam2^(-1/p) and, with the t^(1-p) weight, lam^(1-(n+1)/p).
+    Along either path the ratio goes like lam^e with the same
+    e = (n+1)/p + 1-n - (n-1)/q - 2/s: 0 at (1.5, 3, 3), 1/2 at (1.2, 3, 3).
+    """
+    n, q, s = 2, 3.0, 3.0
+    domain = "half" if transform == "sonar" else "full"
+    f = make_test_field("bump", n, (0.0, 1.0), 0.4, domain=domain)
+    lams = [(lam, lam ** 2 if transform == "parabolic" else lam) for lam in (0.5, 1.0, 2.0)]
+    r = [e.ratio for e in scaling_scan(transform, p, q, s, n, lams, f)]
+    e = (n + 1) / p + 1 - n - (n - 1) / q - 2 / s
+    assert e == pytest.approx(0.0 if p == 1.5 else 0.5, abs=1e-12)
+    assert r[2] / r[1] == pytest.approx(2 ** e, rel=1e-9)
+    assert r[1] / r[0] == pytest.approx(2 ** e, rel=1e-9)
+
+
 def test_scaling_scan_validation():
     f = make_test_field("gaussian", 2, (0.0, 0.0), 1.0)
     with pytest.raises(DomainError):

@@ -279,6 +279,18 @@ def test_transversal_gaussian_closed_form_3d():
         assert got == pytest.approx(transversal_gaussian_exact(u, 0.4), rel=1e-9)
 
 
+def test_transversal_gaussian_closed_form_4d():
+    # n = 4 is the first n whose frame has a third slope axis, the term
+    # that only n >= 4 adds to each coordinate's fill; the closed form is
+    # pi^((n-1)/2) (1+|u|^2)^(-1/2) exp(-t^2/(1+|u|^2))
+    psi = make_test_field("gaussian", 4, (0.0,) * 4, 1.0)
+    X = np.random.default_rng(4).uniform(-1.5, 1.5, (4, 4))
+    got = transversal_field(psi, QuadratureSpec(m=80)).eval_array(X)
+    want = [transversal_gaussian_exact(x[:-1], x[-1]) for x in X]
+    # the tolerance of the 3-D test: here 2.3e-10 at t = -1.26, 1e-15 at the rest
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
 def test_transversal_extreme_slope_accuracy():
     # narrow support windows at steep slopes must stay resolved
     psi = make_test_field("gaussian", 2, (0.0, 0.0), 1.0)
@@ -439,6 +451,22 @@ def test_non_finite_phantom_names_transform_point(kind, n):
         with pytest.raises(QuadratureError, match=kind) as ei:
             field.eval_array(pts)
     assert ei.value.node == (0.0,) * (n - 1) + (1.0,)
+
+
+@pytest.mark.parametrize("kind", ["transversal", "parabolic", "sonar", "classical"])
+def test_non_finite_point_is_refused(kind):
+    # refused before a window's node count reads it
+    g2 = make_test_field("gaussian", 2, (0.0, 0.0), 1.0)
+    with pytest.raises(DomainError, match=r"non-finite point \(.*nan"):
+        if kind == "transversal":
+            transversal_transform(g2, (0.1, math.nan))
+        elif kind == "parabolic":
+            parabolic_transform(make_test_field("bump", 2, (0.0, 1.0), 0.4), (0.1, math.nan))
+        elif kind == "sonar":
+            bump = make_test_field("bump", 2, (0.0, 1.0), 0.4, domain="half")
+            sonar_transform(bump, (math.nan,), 1.0)
+        else:
+            classical_radon(g2, RadonPlane((1.0, 0.0), math.nan))
 
 
 # ---------------------------------------------------------------------------
