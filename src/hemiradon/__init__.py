@@ -26,6 +26,7 @@ from .errors import (
 from .fields import Point, ScalarField, SphereProfile, make_test_field
 from .quadrature import QuadratureSpec
 from .transforms import (
+    RadonPlane,
     classical_radon,
     parabolic_field,
     parabolic_transform,
@@ -77,6 +78,7 @@ __all__ = [
     "transversal_transform",
     "transversal_field",
     "classical_radon",
+    "RadonPlane",
     "slope_intercept_relation",
     "OperatorId",
     "apply",

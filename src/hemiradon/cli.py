@@ -203,13 +203,9 @@ def _table(P, *columns) -> list:
 def _resolve_spec(p: Params, n: int) -> QuadratureSpec:
     spec = QuadratureSpec.for_dimension(n)
     m = p.get("m", int)
-    r = p.get("R_max", float)
     if m is not None:
         spec = spec.with_(m=m)
-    if r is not None:
-        spec = spec.with_(R_max=r)
     p.resolved["m"] = spec.m
-    p.resolved["R_max"] = spec.R_max
     return spec
 
 
@@ -388,7 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--center", help="comma-separated phantom center")
         sp.add_argument("--scale", help="phantom scale")
         sp.add_argument("--m", help="quadrature nodes per axis override")
-        sp.add_argument("--R-max", dest="R_max", help="quadrature box radius override")
         if points:
             sp.add_argument("--points", help="semicolon-separated comma tuples")
         return sp

@@ -8,13 +8,14 @@ only, with no interpolation term.
 A field may carry two kinds of support metadata used to place quadrature
 nodes:
 
-* ``box``: per-axis interval hull of the support (``None`` = unknown),
+* ``box``: per-axis interval hull of the support, finite (``None`` = unknown),
 * ``section_support``: for fields whose support in the last coordinate
   depends on the leading coordinates, a vectorized map from leading
   coordinates to (lo, hi) bounds of the last-axis support slice.
 
 Both are conservative hints, not hard masks; evaluation outside them simply
-returns whatever the formula gives (usually zero).
+returns whatever the formula gives (usually zero). They also bound every
+integral over an unbounded domain, which is refused without them.
 """
 
 from __future__ import annotations
@@ -98,6 +99,17 @@ def _stack_last(lead, last):
     return pts
 
 
+def _checked_box(box, what):
+    """``box`` as float (lo, hi) pairs, None kept; DomainError naming ``what``
+    when a bound is NaN or infinite."""
+    if box is None:
+        return None
+    box = tuple((float(a), float(b)) for a, b in box)
+    if not np.isfinite(box).all():
+        raise DomainError(f"{what} must have finite bounds, got {box}")
+    return box
+
+
 def _box_dist_sq(P, box):
     """Least and greatest squared distances from each row of P (N, k) to the
     box of k intervals, added up one axis at a time."""
@@ -164,7 +176,7 @@ class ScalarField:
         self.n = int(n)
         self.domain = domain
         self._func = func
-        self.box = None if box is None else tuple((float(a), float(b)) for a, b in box)
+        self.box = _checked_box(box, "box")
         self.section_support = section_support
 
     def eval(self, point) -> float:
@@ -225,10 +237,9 @@ class SphereProfile:
             raise DomainError("profiles require n >= 2")
         self.n = int(n)
         self._func = func
-        self.xprime_box = (None if xprime_box is None
-                           else tuple((float(a), float(b)) for a, b in xprime_box))
+        self.xprime_box = _checked_box(xprime_box, "xprime_box")
         self.r_support = r_support
-        self.r_box = None if r_box is None else (float(r_box[0]), float(r_box[1]))
+        self.r_box = None if r_box is None else _checked_box((r_box,), "r_box")[0]
 
     def eval(self, xprime, r: float) -> float:
         xp = np.atleast_1d(np.asarray(xprime, dtype=float))[None, :]
@@ -303,7 +314,7 @@ def make_test_field(kind: str, n: int, center, scale: float,
             np.subtract(1.0, v, out=v)
             np.divide(-1.0, v, out=v)
             np.exp(v, out=v)
-            u.fill(0.0)
+            u *= 0.0                # 0 outside, NaN kept at a NaN point
             u[inside] = v
             return u
 

@@ -8,7 +8,8 @@ radius. The weighted norms insert t^(1-p) (half-space fields) or r^(1-s)
 (profiles) into the inner integral.
 
 Truncation policy: the outer integral runs over ``outer_box`` (defaulting to
-the data's own support box, else the quadrature R_max). Identity tests that
+the data's own support box), the inner one over the data's section, else its
+box; an integral with neither bound raises ``DomainError``. Identity tests that
 compare two norms of substitution-related fields should pass outer boxes
 related by the same substitution; the truncated norms then satisfy the
 identity exactly, so the comparison does not depend on how much mass the
@@ -31,19 +32,6 @@ from .transforms import parabolic_field, sonar_profile, transversal_field
 
 _LP_WEIGHTS = (None, "half_space_weight")
 _MIXED_WEIGHTS = (None, "profile_weight")
-
-
-def _normalize_outer_box(outer_box, k, default):
-    if outer_box is None:
-        return default
-    box = np.asarray(outer_box, dtype=float)
-    if box.ndim == 1:
-        box = box[None, :]
-    if box.shape == (1, 2) and k > 1:
-        box = np.repeat(box, k, axis=0)
-    if box.shape != (k, 2):
-        raise DomainError(f"outer_box must give (lo, hi) for {k} axes")
-    return tuple((float(a), float(b)) for a, b in box)
 
 
 def _inner_sums(eval_inner, lo, hi, s_exp, weight_exp, spec, min_nodes):
@@ -69,23 +57,26 @@ def _inner_sums(eval_inner, lo, hi, s_exp, weight_exp, spec, min_nodes):
 def _iterated_power(data, s_exp, weight_exp, spec, outer_box, min_nodes=64):
     """Outer nodes XP, outer weights W, and inner integrals at each XP.
 
-    Raises QuadratureError naming the outer node whose inner integral is not
+    Raises DomainError for an integral with no bound (module docstring) and
+    QuadratureError naming the outer node whose inner integral is not
     finite (data that is NaN or inf inside its support)."""
     n = data.n
     k = n - 1
-    R = spec.R_max
-    default = tuple(data.box[:-1]) if data.box is not None \
-        else tuple((-R, R) for _ in range(k))
-    obox = _normalize_outer_box(outer_box, k, default)
-    XP, W = tensor_rule([line_rule(lo, hi, spec.m) for lo, hi in obox])
+    if outer_box is None:
+        if data.box is None:
+            raise DomainError("norm needs an outer_box or a support box")
+        outer_box = data.box[:-1]
+    if data.section_support is None and data.box is None:
+        raise DomainError("norm needs a section or a support box for its inner integral")
+    obox = np.asarray(outer_box, dtype=float)
+    if obox.shape != (k, 2) or not np.isfinite(obox).all():
+        raise DomainError(f"outer_box must be {k} finite (lo, hi) pairs, got {outer_box}")
+    XP, W = tensor_rule([line_rule(lo, hi, spec.m) for lo, hi in obox.tolist()])
     if data.section_support is not None:
         lo, hi = data.section_support(XP)
-    elif data.box is not None:
+    else:
         lo = np.full(XP.shape[0], data.box[-1][0])
         hi = np.full(XP.shape[0], data.box[-1][1])
-    else:
-        lo = np.full(XP.shape[0], -R)
-        hi = np.full(XP.shape[0], R)
     if data.domain == "half":
         lo = np.maximum(lo, 1e-12)
 

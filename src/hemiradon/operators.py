@@ -113,8 +113,9 @@ class IdentityReport:
 
 def _substitute(field, domain, a, b, phi=None, phi_inv=None, w=None):
     """F -> w(x_n, F(a x', phi(x_n) + b|x'|^2)) for a > 0 and an increasing
-    phi (None: the identity; called as phi(x_n, out=...)), as a field on
-    ``domain`` or, for domain "profile", as a profile in (x', r = x_n).
+    phi (None: the identity, for b != 0 only; called as phi(x_n, out=...)),
+    as a field on ``domain`` or, for domain "profile", as a profile in
+    (x', r = x_n).
 
     The box and the section follow F's by one rule: x' runs over F's x' box
     divided by a, and at x' the last coordinate over phi^-1(s - b|x'|^2) for
@@ -132,8 +133,6 @@ def _substitute(field, domain, a, b, phi=None, phi_inv=None, w=None):
         s = t if phi is None else phi(t, out=last)
         if shift is not None:
             np.add(s, shift, out=last)
-        elif phi is None:
-            last[...] = t
         vals = field.eval_array(pts)
         return vals if w is None else w(t, vals)
 

@@ -99,21 +99,18 @@ class QuadratureSpec:
 
     Parameters
     ----------
-    R_max:
-        Truncation radius for integrals over unbounded domains when the
-        integrand carries no support box of its own.
     m:
         Nodes per axis at the reference width.
+
+    No control truncates an unbounded integral: the integrand's support box
+    bounds it, and one without a box is refused.
     """
 
-    R_max: float = 8.0
     m: int = 200
 
     def __post_init__(self):
         if self.m < 2:
             raise QuadratureError("m must be >= 2")
-        if not self.R_max > 0:
-            raise QuadratureError("R_max must be positive")
 
     @classmethod
     def for_dimension(cls, n: int, **overrides) -> "QuadratureSpec":
@@ -179,13 +176,12 @@ def _finite(what, vals, points):
     return vals
 
 
-def tier_counts(lo, hi, m_ref: int, width_ref: float, min_nodes: int = 44,
-                max_nodes: int | None = None):
+def tier_counts(lo, hi, m_ref: int, width_ref: float, min_nodes: int = 44):
     """Quantized per-interval node counts for windowed rules.
 
     Counts scale with the width against ``width_ref`` (m_ref nodes at that
-    width), quantized to min_nodes * 2^j and clipped to max_nodes (default
-    m_ref); an empty interval (hi <= lo) gets the floor.
+    width), quantized to min_nodes * 2^j and clipped to m_ref; an empty
+    interval (hi <= lo) gets the floor.
     The floor keeps narrow windows resolved: a window cut down by a slab
     constraint, or the arc under which a far disc is seen, still holds a
     full feature of the integrand, so its node count must not shrink with
@@ -196,18 +192,16 @@ def tier_counts(lo, hi, m_ref: int, width_ref: float, min_nodes: int = 44,
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    if max_nodes is None:
-        max_nodes = m_ref
     want = np.ceil(m_ref * np.maximum(hi - lo, 0) / max(width_ref, 1e-300))
-    return _tier_levels(min_nodes, max_nodes)[np.clip(want, min_nodes, max_nodes).astype(int)]
+    return _tier_levels(min_nodes, m_ref)[np.clip(want, min_nodes, m_ref).astype(int)]
 
 
 @lru_cache(maxsize=64)
-def _tier_levels(min_nodes: int, max_nodes: int):
-    """Lookup table of ``tier_counts`` by clipped node count 0 .. max_nodes."""
-    want = np.arange(max_nodes + 1.0)
+def _tier_levels(min_nodes: int, m_ref: int):
+    """Lookup table of ``tier_counts`` by clipped node count 0 .. m_ref."""
+    want = np.arange(m_ref + 1.0)
     tiers = np.ceil(np.log2(np.maximum(want / min_nodes, 1.0))).astype(int)
-    return np.minimum(min_nodes * 2 ** tiers, max_nodes)
+    return np.minimum(min_nodes * 2 ** tiers, m_ref)
 
 
 @lru_cache(maxsize=256)

@@ -21,7 +21,10 @@ R^{n-1}: its restriction to |y'| < sqrt(x_n) is the transform of
 Every windowed transform is one call of the shared kernel
 ``quadrature._windowed_sums``: the transform supplies only its geometry, the
 per-point support windows derived from the input field's support box and the
-map from window coordinates to integrand values. Node counts scale with the
+map from window coordinates to integrand values. The parabolic, transversal
+and classical transforms refuse a field without a support box (their domains
+are unbounded and never truncated); the sonar hemisphere is compact, so any
+field has one. Node counts scale with the
 window width, so the cost tracks the geometry instead of the bounding box.
 The sonar and parabolic transforms are implemented for n in {2, 3}; the
 transversal transform for every n >= 2.
@@ -44,11 +47,13 @@ def _default_spec(n: int, spec):
     return spec if spec is not None else QuadratureSpec.for_dimension(n)
 
 
-def _box_or_default(field, spec):
-    if field.box is not None:
-        return field.box
-    R = spec.R_max
-    return tuple((-R, R) for _ in range(field.n))
+def _check_boxed_full(f, what):
+    """Refuse a field off the full space or without a support box, the only
+    bound of the transform's unbounded integral."""
+    if f.domain != "full":
+        raise DomainError(f"{what} consumes a full-space field")
+    if f.box is None:
+        raise DomainError(f"{what} needs a support box: its integral is unbounded")
 
 
 def _center_halfwidth(box):
@@ -136,7 +141,7 @@ def _polar_windows(rlo, rhi, r_width, d, circ, m):
     alo = np.where(full, 0.0, alpha - halfang)
     ahi = np.where(full, 2 * np.pi, alpha + halfang)
     cnt_r = tier_counts(rlo, rhi, m, r_width)
-    cnt_a = tier_counts(alo, ahi, m, 2 * np.pi, min_nodes=-(-2 * m // 5), max_nodes=m)
+    cnt_a = tier_counts(alo, ahi, m, 2 * np.pi, min_nodes=-(-2 * m // 5))
     return (np.column_stack([rlo, alo]), np.column_stack([rhi, ahi]),
             np.column_stack([cnt_r, cnt_a]), full)
 
@@ -269,19 +274,15 @@ def parabolic_transform(f: ScalarField, x, spec=None) -> float:
 
 def parabolic_field(f: ScalarField, spec=None) -> ScalarField:
     """The parabolic transform as a lazily evaluated field on R^n."""
-    if f.domain != "full":
-        raise DomainError("parabolic transform consumes a full-space field")
+    _check_boxed_full(f, "parabolic transform")
     if f.n not in (2, 3):
         raise DomainError("parabolic transform implemented for n in {2, 3}")
     spec = _default_spec(f.n, spec)
-    section = None
-    if f.box is not None:
-        box = f.box
 
-        def section(XP):
-            lo2, hi2 = _box_dist_sq(np.asarray(XP, dtype=float), box[:-1])
-            a, b = box[-1]
-            return a + lo2, b + hi2
+    def section(XP):
+        lo2, hi2 = _box_dist_sq(np.asarray(XP, dtype=float), f.box[:-1])
+        a, b = f.box[-1]
+        return a + lo2, b + hi2
 
     return ScalarField(f.n, lambda pts: _parabolic_batch(f, pts, spec),
                        domain="full", box=None, section_support=section)
@@ -289,7 +290,7 @@ def parabolic_field(f: ScalarField, spec=None) -> ScalarField:
 
 def _parabolic_batch(f, X, spec):
     _finite_points("parabolic transform", X)
-    box = _box_or_default(f, spec)
+    box = f.box
     xn = X[:, -1]
     b2lo, b2hi = box[-1]
     rlo = np.sqrt(np.maximum(xn - b2hi, 0.0))
@@ -348,19 +349,15 @@ def transversal_transform(psi: ScalarField, x, spec=None) -> float:
 
 def transversal_field(psi: ScalarField, spec=None) -> ScalarField:
     """The transversal transform as a lazily evaluated field in (slope, intercept)."""
-    if psi.domain != "full":
-        raise DomainError("transversal transform consumes a full-space field")
+    _check_boxed_full(psi, "transversal transform")
     spec = _default_spec(psi.n, spec)
-    section = None
-    if psi.box is not None:
-        box = psi.box
-        c, h = _center_halfwidth(box[:-1])
+    c, h = _center_halfwidth(psi.box[:-1])
 
-        def section(XP):
-            XP = np.asarray(XP, dtype=float)
-            mid = XP @ c
-            spread = np.abs(XP) @ h
-            return box[-1][0] - mid - spread, box[-1][1] - mid + spread
+    def section(XP):
+        XP = np.asarray(XP, dtype=float)
+        mid = XP @ c
+        spread = np.abs(XP) @ h
+        return psi.box[-1][0] - mid - spread, psi.box[-1][1] - mid + spread
 
     return ScalarField(psi.n, lambda pts: _transversal_batch(psi, pts, spec),
                        domain="full", box=None, section_support=section)
@@ -374,7 +371,7 @@ def _transversal_batch(psi, X, spec):
     k = n - 1
     sig = X[:, :k]
     tau = X[:, -1]
-    box = _box_or_default(psi, spec)
+    box = psi.box
     c, h = _center_halfwidth(box[:-1])
     b2lo, b2hi = box[-1]
     smag = np.linalg.norm(sig, axis=1)
@@ -457,13 +454,11 @@ def classical_radon(f: ScalarField, plane: RadonPlane, spec=None) -> float:
     """Integral of f over the hyperplane y . theta = t."""
     if plane.n != f.n:
         raise DomainError("plane dimension does not match the field")
-    if f.domain != "full":
-        raise DomainError("classical Radon transform consumes a full-space field")
+    _check_boxed_full(f, "classical Radon transform")
     spec = _default_spec(f.n, spec)
     theta = np.asarray(plane.theta)
     B = _reflections(theta[None, :], f.n - 1)[0, :, :-1]  # (n, n-1)
-    box = _box_or_default(f, spec)
-    c, h = _center_halfwidth(box)
+    c, h = _center_halfwidth(f.box)
     offset = c - plane.t * theta
     mid = B.T @ offset
     spread = np.abs(B.T) @ h

@@ -136,6 +136,7 @@ class TestConfigFile:
         ("[constants]\nm = 40\n", "m", 2),   # a key constants does not read
         ("stencil-hh = 9\n", "stencil_hh", 1),   # read by no subcommand
         ("[invert]\nmethod = hypersingular\n", "method", 2),   # retired
+        ("m = 48\nR_max = 3\n", "R_max", 2),   # retired
     ])
     def test_unknown_key_names_key_and_line(self, tmp_path, capsys, text, key, lineno):
         cfg = tmp_path / "run.cfg"
@@ -171,6 +172,17 @@ class TestConfigFile:
         for command, keys in _KEYS.items():
             dests = {a.dest for a in subparsers.choices[command]._actions}
             assert keys <= dests, command
+
+
+    @pytest.mark.parametrize("command", ["forward", "invert", "verify", "norm-scan"])
+    def test_no_R_max_flag(self, tmp_path, capsys, command):
+        # an unbounded integral runs over the phantom's support box, so
+        # there is no truncation radius to set
+        with pytest.raises(SystemExit) as ei:
+            main([command, "--R-max", "3", "--out", str(tmp_path)])
+        assert ei.value.code == 2
+        assert "--R-max" in capsys.readouterr().err
+        assert not (tmp_path / "result.csv").exists()
 
 
 class TestVerify:

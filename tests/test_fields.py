@@ -12,7 +12,8 @@ from hemiradon.fields import (
     SphereProfile,
     make_test_field,
 )
-from hemiradon.transforms import transversal_transform
+from hemiradon.norms import mixed_norm
+from hemiradon.transforms import transversal_field, transversal_transform
 
 
 def test_point_construction():
@@ -154,6 +155,33 @@ def test_sphere_profile_checks_what_its_func_returns():
         prof.eval_array(np.zeros((3, 1)), np.ones(3))
 
 
+@pytest.mark.parametrize("bound", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+@pytest.mark.parametrize("what", ["box", "xprime_box", "r_box", "outer_box"])
+def test_non_finite_box_is_refused(what, bound):
+    # refused where it is declared: a non-finite bound once reached the node
+    # counts of the transforms and norms and raised a raw IndexError there
+    with pytest.raises(DomainError, match=rf"^{what} must"):
+        if what == "box":
+            ScalarField(2, lambda p: p[:, 0], box=((-1.0, 1.0), bound))
+        elif what == "xprime_box":
+            SphereProfile(2, lambda XP, R: R, xprime_box=(bound,))
+        elif what == "r_box":
+            SphereProfile(2, lambda XP, R: R, r_box=bound)
+        else:
+            g = make_test_field("gaussian", 2, (0.0, 0.0), 1.0)
+            mixed_norm(transversal_field(g), 3.0, 3.0, outer_box=(bound,))
+
+
+def test_bump_is_nan_at_a_nan_point():
+    # as the Gaussian is: its "inside the ball" mask is False at NaN, which
+    # once read as 0 outside the ball
+    bump = make_test_field("bump", 2, (0.0, 1.0), 0.4)
+    vals = bump.eval_array(np.array([[0.0, 1.0], [1.0, 1.0], [math.nan, 1.0]]))
+    assert vals[0] == math.exp(-1.0)
+    assert vals[1] == 0.0 and math.copysign(1.0, vals[1]) == 1.0
+    assert math.isnan(vals[2])
+
+
 def test_adding_a_constant_drops_the_support_hints():
     # f + c is c outside f's support: a box there would make the transforms
     # integrate only the bump (the transversal value at (0, 0) read 0.0)
@@ -163,5 +191,7 @@ def test_adding_a_constant_drops_the_support_hints():
         assert shifted.box is None and shifted.section_support is None
     for same in (bump + 0.0, bump - 0.0, 2.0 * bump, bump * 0.5):
         assert same.box == bump.box and same.section_support is bump.section_support
-    # box-less, the plane y_2 = 0 is integrated over [-R_max, R_max] = [-8, 8]
-    assert transversal_transform(bump + 1.0, (0.0, 0.0)) == pytest.approx(16.0, rel=1e-12)
+    # box-less, the integral over the plane y_2 = 0 diverges: it is refused,
+    # not truncated
+    with pytest.raises(DomainError, match="support box"):
+        transversal_transform(bump + 1.0, (0.0, 0.0))

@@ -26,7 +26,8 @@ from hemiradon.inversion import _far_field, _slope_grid
 
 
 def gaussian_field(n):
-    return hr.ScalarField(n, lambda p: np.exp(-np.sum(p * p, axis=1)))
+    return hr.ScalarField(n, lambda p: np.exp(-np.sum(p * p, axis=1)),
+                          box=((-8.0, 8.0),) * n)
 
 
 def gaussian_backprojection(n, center=None, scale=1.0):

@@ -53,16 +53,12 @@ def test_octave_edges_structure():
 def test_spec_validation():
     with pytest.raises(QuadratureError):
         QuadratureSpec(m=1)
-    with pytest.raises(QuadratureError):
-        QuadratureSpec(R_max=0.0)
 
 
 def test_spec_for_dimension_defaults():
     assert QuadratureSpec.for_dimension(2).m == 200
     assert QuadratureSpec.for_dimension(3).m == 80
     assert QuadratureSpec.for_dimension(3, m=64).m == 64
-    spec = QuadratureSpec().with_(R_max=4.0)
-    assert spec.R_max == 4.0 and spec.m == 200
 
 
 def test_windowed_sums_polynomial_exactness():
@@ -199,14 +195,13 @@ def _window_sizes(lo, hi, counts):
 def test_window_buckets_tier_quantization():
     lo = np.zeros(3)
     hi = np.array([0.1, 5.0, 10.0])
-    sizes = _window_sizes(lo, hi, tier_counts(lo, hi, 64, 10.0, min_nodes=8, max_nodes=64))
+    sizes = _window_sizes(lo, hi, tier_counts(lo, hi, 64, 10.0, min_nodes=8))
     # narrow window floors at min_nodes, counts grow as min_nodes * 2^j
     assert sizes[0] == 8
     assert sizes[1] in (32, 64)
     assert sizes[2] == 64
-    # and stop at max_nodes (m_ref by default)
+    # and stop at m_ref
     assert list(tier_counts(lo, hi, 64, 10.0, min_nodes=8)) == [8, 32, 64]
-    assert list(tier_counts(lo, hi, 64, 10.0, min_nodes=8, max_nodes=16)) == [8, 16, 16]
 
 
 def test_tier_counts_matches_window_buckets_policy():

@@ -16,11 +16,14 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import exp1
 
+import hemiradon as hr
 import hemiradon.quadrature as q
 from hemiradon import (
     QuadratureSpec,
     classical_radon,
+    lp_norm,
     make_test_field,
+    mixed_norm,
     parabolic_field,
     parabolic_transform,
     reconstruct,
@@ -467,6 +470,40 @@ def test_non_finite_point_is_refused(kind):
             sonar_transform(bump, (math.nan,), 1.0)
         else:
             classical_radon(g2, RadonPlane((1.0, 0.0), math.nan))
+
+
+def _extremizer():
+    """f = (1 + |x|^2)^(-1) in 2-D, the endpoint extremizer of the classical
+    Radon inequality: slow tails and no support box."""
+    return ScalarField(2, lambda p: 1.0 / (1.0 + p[:, 0] ** 2 + p[:, 1] ** 2))
+
+
+@pytest.mark.parametrize("call", ["transversal", "parabolic", "classical", "lp_norm",
+                                  "mixed_norm"])
+def test_boxless_unbounded_integral_is_refused(call):
+    # each once read a finite wrong value, its integral cut at |y| <= 8:
+    # T f(0, 0) = 2.8929 against pi, ||f||_1.5 = 3.1462 against (2 pi)^(2/3)
+    f = _extremizer()
+    with pytest.raises(DomainError, match="support box"):
+        if call == "transversal":
+            transversal_field(f).eval((0.0, 0.0))
+        elif call == "parabolic":
+            parabolic_field(f).eval((0.0, 1.0))
+        elif call == "classical":
+            classical_radon(f, hr.RadonPlane((0.6, 0.8), 0.5))
+        elif call == "lp_norm":
+            lp_norm(f, 1.5)
+        else:
+            # the transform of a boxed field has a section but no box: its
+            # slopes are unbounded and need an outer_box
+            g = make_test_field("gaussian", 2, (0.0, 0.0), 1.0)
+            mixed_norm(transversal_field(g), 3.0, 3.0)
+
+
+def test_boxless_field_has_a_sonar_transform():
+    # the hemisphere is compact: nothing to truncate, so no box is needed
+    one = ScalarField(2, lambda p: np.ones(len(p)), domain="half")
+    assert sonar_transform(one, (0.3,), 0.7) == pytest.approx(0.7 * math.pi, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
