@@ -250,8 +250,9 @@ class SphereProfile:
         R = np.asarray(R, dtype=float)
         if XP.ndim != 2 or XP.shape[1] != self.n - 1 or R.shape != (XP.shape[0],):
             raise DomainError(f"profile expects XP (N,{self.n - 1}) and R (N,)")
-        if R.size and np.min(R) <= 0:
-            raise DomainError(f"profile evaluated at r = {np.min(R)} <= 0")
+        # not "<= 0": a NaN r must be refused as well
+        if R.size and not np.min(R) > 0:
+            raise DomainError(f"profile needs r > 0, got r = {float(R[np.argmin(R)])}")
         vals = np.asarray(self._func(XP, R), dtype=float)
         if vals.shape != R.shape:
             raise DomainError(f"profile func returned shape {vals.shape}, expected {R.shape}")

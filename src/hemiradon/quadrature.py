@@ -183,12 +183,11 @@ def tier_counts(lo, hi, m_ref: int, width_ref: float, min_nodes: int = 44):
     width), quantized to min_nodes * 2^j and clipped to m_ref; an empty
     interval (hi <= lo) gets the floor.
     The floor keeps narrow windows resolved: a window cut down by a slab
-    constraint, or the arc under which a far disc is seen, still holds a
-    full feature of the integrand, so its node count must not shrink with
-    its width. A constant floor stops refinement in m there; the 3-D angle
-    axis therefore scales its floor with m (ceil(2m/5), see
-    ``transforms._polar_windows``). The quantization lets a batch of
-    windows collapse to a handful of tensor shapes.
+    constraint still holds a full feature of the integrand, so its node
+    count must not shrink with its width. A constant floor stops refinement
+    in m there; the 3-D polar charts therefore take m nodes on both axes of
+    every row instead (``transforms._polar_windows``). The quantization lets
+    a batch of windows collapse to a handful of tensor shapes.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)

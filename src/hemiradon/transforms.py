@@ -24,8 +24,8 @@ per-point support windows derived from the input field's support box and the
 map from window coordinates to integrand values. The parabolic, transversal
 and classical transforms refuse a field without a support box (their domains
 are unbounded and never truncated); the sonar hemisphere is compact, so any
-field has one. Node counts scale with the
-window width, so the cost tracks the geometry instead of the bounding box.
+field has one. Node counts scale with the window width, so the cost tracks
+the geometry instead of the bounding box; the 3-D polar charts take m per axis.
 The sonar and parabolic transforms are implemented for n in {2, 3}; the
 transversal transform for every n >= 2.
 """
@@ -117,22 +117,22 @@ def _reflections(D, axis):
     return np.eye(D.shape[1]) - 2 * v[:, :, None] * v[:, None, :] / vnorm2[:, None, None]
 
 
-def _polar_windows(rlo, rhi, r_width, d, circ, m):
+def _polar_windows(rlo, rhi, d, circ, m):
     """Windows of a (radius or polar cosine) x angle chart in the plane.
 
-    The first axis gets [rlo, rhi], with reference width ``r_width``. The
-    angle axis gets the arc of directions from the pole toward the disc of
-    radius ``circ`` centred at offset ``d`` (M, 2) from it, or the full
-    circle [0, 2 pi], flagged periodic, when the pole lies inside the disc.
-    Returns lo, hi and counts of shape (M, 2) and the periodic flags.
+    The first axis gets [rlo, rhi]. The angle axis gets the arc of
+    directions from the pole toward the disc of radius ``circ`` centred at
+    offset ``d`` (M, 2) from it, or the full circle [0, 2 pi], flagged
+    periodic, when the pole lies inside the disc. Returns lo, hi and counts
+    of shape (M, 2) and the periodic flags.
 
-    The angle axis holds m nodes per full turn, at least ceil(2m/5). The
-    full circle takes the midpoint rule, which converges geometrically on a
-    smooth periodic integrand (Trefethen and Weideman, SIAM Review 56,
-    2014), so m nodes suffice there. An arc holds the whole disc however far
-    the pole is, so its count must not fall with the distance, and its floor
-    grows with m so that refining m refines every arc (the 3-D polar tests
-    in ``tests/test_transforms.py``).
+    Every row holds m nodes on both axes. The full circle takes the midpoint
+    rule, which converges geometrically on a smooth periodic integrand
+    (Trefethen and Weideman, SIAM Review 56, 2014). An arc holds the whole
+    disc however far the pole is, and is widest when the pole lies just
+    outside it, so it gets no fewer nodes than the circle. The first axis
+    takes m too: a polar-cosine window narrow against [0, 1] still crosses
+    the whole support (the 3-D polar tests in ``tests/test_transforms.py``).
     """
     dist = np.linalg.norm(d, axis=1)
     full = dist <= circ
@@ -140,10 +140,8 @@ def _polar_windows(rlo, rhi, r_width, d, circ, m):
     halfang = np.arcsin(np.clip(circ / np.maximum(dist, 1e-300), 0, 1))
     alo = np.where(full, 0.0, alpha - halfang)
     ahi = np.where(full, 2 * np.pi, alpha + halfang)
-    cnt_r = tier_counts(rlo, rhi, m, r_width)
-    cnt_a = tier_counts(alo, ahi, m, 2 * np.pi, min_nodes=-(-2 * m // 5))
     return (np.column_stack([rlo, alo]), np.column_stack([rhi, ahi]),
-            np.column_stack([cnt_r, cnt_a]), full)
+            np.full((len(dist), 2), m), full)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +245,7 @@ def _sonar_batch(phi, XP, R, spec):
         farr = np.clip((dist + circ) / R, 0.0, 1.0)
         chi = np.where(near < 1.0, np.minimum(chi, np.sqrt(np.clip(1 - near ** 2, 0, 1))), clo)
         clo = np.maximum(clo, np.sqrt(np.clip(1 - farr ** 2, 0, 1)))
-    lo, hi, counts, full = _polar_windows(clo, chi, 1.0, d, circ, spec.m)
+    lo, hi, counts, full = _polar_windows(clo, chi, d, circ, spec.m)
 
     def cap(idx, nodes):
         cn, an = nodes
@@ -323,7 +321,7 @@ def _parabolic_batch(f, X, spec):
     dist = np.linalg.norm(d, axis=1)
     rlo = np.maximum(rlo, np.maximum(dist - circ, 0.0))
     rhi = np.minimum(rhi, dist + circ)
-    lo, hi, counts, full = _polar_windows(rlo, rhi, 2 * circ, d, circ, spec.m)
+    lo, hi, counts, full = _polar_windows(rlo, rhi, d, circ, spec.m)
 
     def disc(idx, nodes):
         rn, an = nodes

@@ -13,6 +13,7 @@ from hemiradon.fields import (
     make_test_field,
 )
 from hemiradon.norms import mixed_norm
+from hemiradon.operators import OperatorId, apply
 from hemiradon.transforms import transversal_field, transversal_transform
 
 
@@ -153,6 +154,15 @@ def test_sphere_profile_checks_what_its_func_returns():
     prof = SphereProfile(2, lambda XP, R: 1.0)
     with pytest.raises(DomainError, match=r"shape \(\), expected \(3,\)"):
         prof.eval_array(np.zeros((3, 1)), np.ones(3))
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan])
+def test_sphere_profile_refuses_r_not_positive(r):
+    # a NaN radius passed "min(R) <= 0" and the profile read NaN
+    bump = make_test_field("bump", 2, (0.0, 1.0), 0.4)
+    prof = apply(OperatorId("field_to_profile"), bump)
+    with pytest.raises(DomainError, match=f"r > 0, got r = {r}"):
+        prof.eval_array(np.zeros((2, 1)), np.array([1.0, r]))
 
 
 @pytest.mark.parametrize("bound", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])

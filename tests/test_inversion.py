@@ -60,11 +60,13 @@ class TestReconstructionConfig:
         assert c2.ell == 1
         assert c2.bp_stop == math.inf
         assert c2.g_spec.m == 96
+        assert c2.stencil_h == 0.02
         c3 = hr.ReconstructionConfig.for_dimension(3)
         assert c3.ell == 3
         assert c3.bp_stop == math.inf
-        assert c3.g_spec.m == 48
+        assert c3.g_spec.m == 16
         assert c3.bp_angular_nodes == 24
+        assert c3.stencil_h == 0.01
 
     def test_refined_sharpens_each_control(self):
         c = hr.ReconstructionConfig.for_dimension(2)
@@ -73,10 +75,11 @@ class TestReconstructionConfig:
         assert r.y_radius == 2 * c.y_radius
         assert r.g_spec.m == 2 * c.g_spec.m
 
-    @pytest.mark.parametrize("n,ell,m", [(2, 1, 96), (3, 3, 48)])
-    def test_unset_grid_takes_dimension_default(self, n, ell, m):
+    @pytest.mark.parametrize("n,ell", [(2, 1), (3, 3)])
+    def test_unset_grid_takes_dimension_default(self, n, ell):
         # a config without g_spec reads the data at the for_dimension
-        # direction grid of m polar nodes, not at the forward spec's m
+        # direction grid, not at the forward spec's m
+        m = hr.ReconstructionConfig.for_dimension(n).g_spec.m
         directions = _slope_grid(n, m, math.inf, 24)[0].shape[0]
         reads = []
 
@@ -268,10 +271,11 @@ class TestLaplacianInBackprojection:
         for kind in ("transversal", "parabolic", "sonar")])
     def test_three_reads_per_direction(self, kind, method):
         # (-Delta) g is a second difference of the data in its intercept,
-        # for both methods: 3 reads for each direction of the grid (970 on
-        # 48 polar rings), not a 7-point stencil of backprojections nor the
-        # hypersingular integral of 9729 of them
-        budget = 3 * _slope_grid(3, 48, math.inf, 24)[0].shape[0]
+        # for both methods: 3 reads for each direction of the default grid
+        # (325 on 16 polar rings), not a 7-point stencil of backprojections
+        # nor the hypersingular integral of 9729 of them
+        m = hr.ReconstructionConfig.for_dimension(3).g_spec.m
+        budget = 3 * _slope_grid(3, m, math.inf, 24)[0].shape[0]
         reads = []
 
         def count(size):
@@ -295,7 +299,7 @@ class TestLaplacianInBackprojection:
         assert sum(reads) == budget
 
     def test_ring_azimuths_follow_circumference(self):
-        # polar ring j of the default 3-D grid holds min(24, ceil(24 sin
+        # polar ring j of a 48-ring 3-D grid holds min(24, ceil(24 sin
         # theta_j) + 4) azimuths: 970 directions, not 48 x 24
         Z, W = _slope_grid(3, 48, math.inf, 24)
         radius, counts = np.unique(np.round(np.linalg.norm(Z, axis=1), 10),
@@ -350,6 +354,24 @@ class TestLaplacianInBackprojection:
             errs.append(float(np.max(np.abs(got - want) / want)))
         assert errs[0] <= 1e-4
         assert 3.9 <= errs[0] / errs[1] <= 4.1
+
+    @pytest.mark.parametrize("kind", ["parabolic", "sonar"])
+    def test_bump_error_falls_when_h_halves(self, kind):
+        # at the benchmark's first point (seed 1) on the default grid, the
+        # data is accurate enough that the stencil's h^2 term leads: halving
+        # h lowers the error. On 48 rings, with the charts' arcs on a floor
+        # of ceil(2m/5) angle nodes, it rose (parabolic 1.67e-4 to 2.89e-4,
+        # sonar 1.89e-4 to 2.35e-4): the data error cancelled part of it
+        x = (-0.002498139202885086, -0.0003860931125854998, 0.9966271136889562)
+        bump = hr.make_test_field("bump", 3, (0.0, 0.0, 1.0), 0.4,
+                                  domain="half" if kind == "sonar" else "full")
+        data = (hr.sonar_profile if kind == "sonar" else hr.parabolic_field)(bump)
+        want = bump.eval_array(np.array([x]))[0]
+        base = hr.ReconstructionConfig.for_dimension(3)
+        errs = [abs(hr.reconstruct(kind, data, [x], method="laplacian_power",
+                                   cfg=base.with_(stencil_h=h))[0] / want - 1)
+                for h in (0.02, 0.01)]
+        assert errs[1] < errs[0], errs
 
 
 # ---------------------------------------------------------------------------

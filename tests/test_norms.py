@@ -180,7 +180,8 @@ def test_profile_norm_is_its_half_space_field_norm():
 
 def test_profile_without_r_box_bounds_outer_integral_by_its_xprime_box():
     # the field of a profile with no r_box has no box, yet the outer
-    # integral still runs over the profile's x' box, not over R_max
+    # integral still runs over the profile's x' box, not over a default
+    # truncation interval
     prof = SphereProfile(
         2, lambda XP, R: np.exp(-XP[:, 0] ** 2 - R ** 2),
         xprime_box=((0.5, 1.0),), r_support=lambda XP: (

@@ -195,7 +195,8 @@ def test_profile_field_pair_keeps_the_box(n):
     """The round trip of the bump is the bump on its support, and carries a
     box holding it, so its norm places its nodes as the bump's does. Without
     the profile's r interval the box was None and the mixed norm read 3.4e-4
-    (2-D) and 6.1e-2 (3-D) off, its outer nodes spread over [-R_max, R_max]."""
+    (2-D) and 6.1e-2 (3-D) off, its outer nodes spread over a default
+    truncation interval [-8, 8]."""
     f = make_test_field("bump", n, (0.0,) * (n - 1) + (1.0,), 0.4)
     prof = apply(OperatorId("field_to_profile"), f)
     assert prof.xprime_box is not None and prof.r_box is not None
@@ -466,7 +467,8 @@ def test_operator_output_vanishes_outside_its_hints(u, gap, above, lead):
 def test_shear_of_boxless_field_keeps_its_section():
     """The right side of the parabolic factorization is a shear of the
     box-less transversal field: its inner integral must follow that field's
-    section, not stop at +-R_max (2.4e-2 off when it did)."""
+    section, not stop at a default truncation radius (2.4e-2 off when it
+    did)."""
     f = make_test_field("bump", 2, (0.0, 1.0), 0.4)
     rhs = apply_chain(CANONICAL_IDENTITIES["parabolic_via_transversal"][1], f)
     got = mixed_norm(rhs, 3, 3, outer_box=((-6, 6),))

@@ -139,7 +139,8 @@ def test_parabolic_rejects_n4_when_built():
 @pytest.mark.parametrize("m", [6, 8, 80])
 def test_polar_rows_batch_like_single_rows(m):
     """A full-circle row and a partial-arc row evaluated together each get
-    their own angular rule: m nodes on the circle, ceil(2m/5) on the arc."""
+    their own angular rule: the midpoint rule on the circle, Gauss-Legendre
+    on the arc, m nodes each."""
     spec = QuadratureSpec(m=m)
     bump3d_half = make_test_field("bump", 3, (0.0, 0.0, 1.0), 0.5, domain="half")
     prof = sonar_profile(bump3d_half, spec)
@@ -204,13 +205,32 @@ def _polar_errors(kind, m):
 
 @pytest.mark.parametrize("kind", ["parabolic", "sonar"])
 def test_3d_polar_kernel_converges_in_m_at_every_distance(kind):
-    """The angle axis holds m nodes per full turn, with a floor of ceil(2m/5)
-    nodes: a far point's narrow arc, which holds the whole bump, gains nodes
-    with m as the full circle does. A constant floor of 16 left 1.1e-3 at
-    d = 8 and 30 for every m."""
+    """Every row holds m nodes on both axes: a far point's narrow arc, which
+    holds the whole bump, gains nodes with m as the full circle does. A
+    constant floor of 16 angle nodes left 1.1e-3 at d = 8 and 30 for every
+    m."""
     coarse, fine = _polar_errors(kind, 80), _polar_errors(kind, 160)
     assert max(coarse) <= 1e-4, coarse
     assert all(b < a for a, b in zip(coarse, fine)), (coarse, fine)
+
+
+# The sonar transform of the half bump of scale 0.4 centred at (0, 0, 1) at
+# x' = (0.5, 0.5), r = 1.2: the pole x' lies just outside the disc about the
+# support box (0.71 from its centre, radius 0.57), so the azimuth window is
+# the widest arc. scipy.integrate.dblquad(epsabs=1e-15, epsrel=1e-13) of
+# r^2 phi over the cap chart: the polar cosine c over [0.5, 1], and inside
+# it the azimuths, about the direction from x' to the bump's axis, at which
+# the circle of radius r sqrt(1 - c^2) about x' meets the bump's disc at
+# height r c. m = 640 reads 0.0724418728363.
+_NEAR_POLE_SONAR = 0.07244187283607922
+
+
+def test_3d_sonar_near_pole_arc():
+    """An arc from a pole just outside the support disc gets m angle nodes,
+    as the full circle does. On a floor of ceil(2m/5) nodes it read 3.38e-5
+    off at the default m = 80."""
+    phi = make_test_field("bump", 3, (0.0, 0.0, 1.0), 0.4, domain="half")
+    assert sonar_transform(phi, (0.5, 0.5), 1.2) == pytest.approx(_NEAR_POLE_SONAR, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +645,7 @@ def test_3d_chart_fills_never_depend_on_batching(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["transversal", "parabolic", "sonar"])
 def test_3d_kernels_hand_the_field_cache_sized_batches(kind):
-    # one 3-D laplacian_power reconstruction reads its data at 3 x 970
+    # one 3-D laplacian_power reconstruction reads its data at 3 x 325
     # slopes in one call; the kernels must cut that into batches that stay
     # in cache instead of handing the field millions of points at once
     rows = []
