@@ -226,17 +226,17 @@ def _resolve_phantom(p: Params, n: int, kind_needs_half: bool):
 
 
 def _resolve_recon_cfg(p: Params, n: int):
-    """The reconstruction config. y_radius bounds the hypersingular integral
-    of even n; the odd-n route has none, so there it is an error."""
-    if n % 2 and p.get("y_radius", float) is not None:
-        raise ConfigError(f"key 'y_radius': the n = {n} inversion has no "
-                          "hypersingular integral for it to bound")
+    """The reconstruction config. The odd-n route reads stencil_h, the
+    spacing of its difference; the even-n one y_radius, the bound of its
+    hypersingular integral. The key a route does not read is an error."""
+    key, unread = ("stencil_h", "y_radius") if n % 2 else ("y_radius", "stencil_h")
+    if p.get(unread, float) is not None:
+        raise ConfigError(f"key {unread!r}: the n = {n} inversion does not read it")
     cfg = ReconstructionConfig.for_dimension(n)
-    for key in ("stencil_h",) if n % 2 else ("stencil_h", "y_radius"):
-        val = p.get(key, float)
-        if val is not None:
-            cfg = cfg.with_(**{key: val})
-        p.resolved[key] = getattr(cfg, key)
+    val = p.get(key, float)
+    if val is not None:
+        cfg = cfg.with_(**{key: val})
+    p.resolved[key] = getattr(cfg, key)
     p.resolved["bp_direction_nodes"] = cfg.g_spec.m
     return cfg
 

@@ -128,8 +128,8 @@ class ReconstructionConfig:
         QuadratureSpec whose ``m`` is the number of Gauss nodes in the polar
         angle of the direction grid: the m directions of the half circle
         for n = 2, m polar rings (polar cosines) for n = 3, whose azimuths
-        ``bp_angular_nodes`` sets; the defaults, 16 rings of at most 24,
-        give 325 directions. None takes the ``for_dimension`` grid.
+        ``bp_angular_nodes`` sets; the defaults, 10 rings of at most 24,
+        give 204 directions. None takes the ``for_dimension`` grid.
     """
 
     ell: int = 1
@@ -162,10 +162,10 @@ class ReconstructionConfig:
         params = {
             "ell": n - 1 if n % 2 == 0 else n,
             "stencil_h": 0.02 if n % 2 == 0 else 0.01,
-            # polar nodes of the direction grid. In 3-D the m = 80 forward data
-            # sets the error: the benchmark's bump reconstructions read 1.2e-4,
-            # 1.6e-4 and 1.4e-4 at worst over seeds 1-10 on 16, 20 and 24 rings
-            "g_spec": QuadratureSpec.for_dimension(n).with_(m=96 if n == 2 else 16),
+            # polar nodes of the direction grid. The 3-D rule has converged at
+            # 10 rings (m = 160 bump data reads within 4e-6 of 32 rings); more
+            # rings amplify the m = 80 data's error by the steepest ring's c^2
+            "g_spec": QuadratureSpec.for_dimension(n).with_(m=96 if n == 2 else 10),
         }
         params.update(overrides)
         return cls(**params)
@@ -234,10 +234,10 @@ def _ring_azimuths(theta, widest):
     count follows its circumference (Gorski et al., "HEALPix", ApJ 622 (2005)
     759). The 4 above the circumference rule keep the rings near the pole,
     whose directions cross the whole support, about as accurate as 24
-    azimuths on every ring: on 16 rings the 3-D backprojection of the
-    Gaussian out to |x| = 3 reads 4.5e-9 off its closed form (5.1e-9 with
-    24 everywhere), where max(8, ceil(24 sin(theta))) left 4.0e-7 and 16
-    everywhere 1.0e-5."""
+    azimuths on every ring: on 10 rings the 3-D backprojection of the
+    Gaussian out to |x| = 3 reads 9.3e-9 off its closed form (4.8e-9 with
+    24 everywhere), where max(8, ceil(24 sin(theta))) left 5.4e-7, 16
+    everywhere 1.0e-5 and no pad 3.1e-5."""
     return np.minimum(widest, np.ceil(widest * np.sin(theta)).astype(int) + 4)
 
 

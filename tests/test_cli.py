@@ -376,6 +376,32 @@ class TestInvert:
         assert main(argv2) == 0
         assert manifest_dict(tmp_path / "out2" / "manifest.txt")["y_radius"] == "9"
 
+    @pytest.mark.parametrize("via", ["flag", "config key"])
+    def test_stencil_h_refused_for_even_n(self, tmp_path, capsys, via):
+        # the even-n route takes the hypersingular integral, which has no
+        # stencil for stencil_h to space
+        argv = ["invert", "--m", "40", "--points", "0.3,-0.1",
+                "--out", str(tmp_path / "out")]
+        if via == "flag":
+            argv += ["--stencil-h", "0.5"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("[invert]\nstencil_h = 0.5\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        assert "key 'stencil_h'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "result.csv").exists()
+
+    def test_stencil_h_in_manifest_only_for_odd_n(self, tmp_path):
+        argv = ["invert", "--m", "40", "--points", "0.3,-0.1",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert "stencil_h" not in manifest_dict(tmp_path / "out" / "manifest.txt")
+        argv3 = ["invert", "--n", "3", "--m", "40", "--points", "0,0,0",
+                 "--stencil-h", "0.02", "--out", str(tmp_path / "out3")]
+        assert main(argv3) == 0
+        assert manifest_dict(tmp_path / "out3" / "manifest.txt")["stencil_h"] == "0.02"
+
 
 class TestFailurePaths:
     def test_numerical_failure_appends_to_manifest(self, tmp_path, capsys):

@@ -645,7 +645,7 @@ def test_3d_chart_fills_never_depend_on_batching(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["transversal", "parabolic", "sonar"])
 def test_3d_kernels_hand_the_field_cache_sized_batches(kind):
-    # one 3-D laplacian_power reconstruction reads its data at 3 x 325
+    # one 3-D laplacian_power reconstruction reads its data at 3 x 204
     # slopes in one call; the kernels must cut that into batches that stay
     # in cache instead of handing the field millions of points at once
     rows = []
