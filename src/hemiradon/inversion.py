@@ -65,7 +65,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, QuadratureError
 from .fields import ScalarField, SphereProfile, _as_points_array, _finite_points
 from .operators import OperatorId, apply_chain
-from .quadrature import QuadratureSpec, _finite, line_rule, octave_edges, sphere_nodes
+from .quadrature import QuadratureSpec, _finite, line_rule, octave_edges, panel_rule, sphere_nodes
 
 #: per kind: the data type it consumes, the chain that reads it as
 #: transversal data, the factor from that data's slope u to the caller's slope
@@ -262,12 +262,9 @@ def _checked_cfg(kind, data, cfg) -> ReconstructionConfig:
 
 
 def _radial_rule(cfg):
-    """Gauss panels of ``hyper_radial_nodes`` nodes each on the octave edges
-    0, 0.25, 0.5, ..., y_radius: (nodes, weights)."""
-    edges = np.concatenate([[0.0], octave_edges(_FIRST_EDGE, cfg.y_radius)])
-    rules = [line_rule(a, b, cfg.hyper_radial_nodes)
-             for a, b in zip(edges[:-1], edges[1:])]
-    return np.concatenate([r for r, _ in rules]), np.concatenate([w for _, w in rules])
+    """Gauss panels of ``hyper_radial_nodes`` nodes on the edges 0, 0.25, 0.5, ..., y_radius."""
+    return panel_rule(np.concatenate([[0.0], octave_edges(_FIRST_EDGE, cfg.y_radius)]),
+                      cfg.hyper_radial_nodes)
 
 
 def _intercept_rule(k, cfg, c):

@@ -9,11 +9,18 @@ radius. The weighted norms insert t^(1-p) (half-space fields) or r^(1-s)
 
 Truncation policy: the outer integral runs over ``outer_box`` (defaulting to
 the data's own support box), the inner one over the data's section, else its
-box; an integral with neither bound raises ``DomainError``. Identity tests that
-compare two norms of substitution-related fields should pass outer boxes
-related by the same substitution; the truncated norms then satisfy the
-identity exactly, so the comparison does not depend on how much mass the
-truncation discards.
+box; an integral with neither bound, or an outer interval without lo < hi,
+raises ``DomainError``. The inner rule's floor is ceil(m/2) nodes. The outer
+rule is m Gauss nodes per axis for data with a support box (zero off it).
+Data without one (transversal and parabolic fields, a profile without
+``r_box``) has a tail past the box, so each axis takes 13 Gauss panels of
+max(4, ceil(m/25)) nodes (four keep an octave panel near 1e-6 on an
+algebraic tail) on the edges c +- hw 2^(j-6), j = 0..6, about the box's
+centre c; they scale with the box, so the scans' dilation laws hold to
+rounding. Identity tests that compare two norms of substitution-related
+fields should pass outer boxes related by the same substitution; the
+truncated norms then satisfy the identity exactly, so the comparison does
+not depend on how much mass the truncation discards.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .errors import DomainError, QuadratureError
 from .fields import ScalarField, SphereProfile, _stack_last
 from .operators import OperatorId, apply
 from .quadrature import (QuadratureSpec, _finite, _scratch, _windowed_sums,
-                         line_rule, tensor_rule, tier_counts)
+                         line_rule, octave_edges, panel_rule, tensor_rule, tier_counts)
 from .transforms import parabolic_field, sonar_profile, transversal_field
 
 _LP_WEIGHTS = (None, "half_space_weight")
@@ -54,12 +61,12 @@ def _inner_sums(eval_inner, lo, hi, s_exp, weight_exp, spec, min_nodes):
     return _windowed_sums(lo[:, None], hi[:, None], counts[:, None], integrand)
 
 
-def _iterated_power(data, s_exp, weight_exp, spec, outer_box, min_nodes=64):
+def _iterated_power(data, s_exp, weight_exp, spec, outer_box):
     """Outer nodes XP, outer weights W, and inner integrals at each XP.
 
-    Raises DomainError for an integral with no bound (module docstring) and
-    QuadratureError naming the outer node whose inner integral is not
-    finite (data that is NaN or inf inside its support)."""
+    Raises DomainError for an integral with no bound or a bad outer box
+    (module docstring) and QuadratureError naming the outer node whose inner
+    integral is not finite (data that is NaN or inf inside its support)."""
     n = data.n
     k = n - 1
     if outer_box is None:
@@ -71,7 +78,17 @@ def _iterated_power(data, s_exp, weight_exp, spec, outer_box, min_nodes=64):
     obox = np.asarray(outer_box, dtype=float)
     if obox.shape != (k, 2) or not np.isfinite(obox).all():
         raise DomainError(f"outer_box must be {k} finite (lo, hi) pairs, got {outer_box}")
-    XP, W = tensor_rule([line_rule(lo, hi, spec.m) for lo, hi in obox.tolist()])
+    axes = []
+    for axis, (a, b) in enumerate(obox.tolist()):
+        if not a < b:
+            raise DomainError(f"outer_box axis {axis} needs lo < hi, got ({a}, {b})")
+        if data.box is not None:
+            axes.append(line_rule(a, b, spec.m))
+        else:
+            half = octave_edges((b - a) / 128, (b - a) / 2)
+            axes.append(panel_rule(0.5 * (a + b) + np.concatenate([-half[::-1], half]),
+                                   max(4, math.ceil(spec.m / 25))))
+    XP, W = tensor_rule(axes)
     if data.section_support is not None:
         lo, hi = data.section_support(XP)
     else:
@@ -85,14 +102,14 @@ def _iterated_power(data, s_exp, weight_exp, spec, outer_box, min_nodes=64):
         pts = _stack_last(lead, nodes).reshape(-1, n)
         return data.eval_array(pts).reshape(nodes.shape)
 
-    inner = _inner_sums(eval_inner, lo, hi, s_exp, weight_exp, spec, min_nodes)
+    inner = _inner_sums(eval_inner, lo, hi, s_exp, weight_exp, spec, math.ceil(spec.m / 2))
     if weight_exp < 0:
         # singular-weight guard: double the nodes where the window nears 0
         near = np.nonzero(lo < 0.05 * np.maximum(hi - lo, 1e-300))[0]
         if near.size:
             refined = _inner_sums(lambda idx, t: eval_inner(near[idx], t),
                                   lo[near], hi[near], s_exp, weight_exp, spec,
-                                  2 * min_nodes)
+                                  2 * math.ceil(spec.m / 2))
             base = inner[near]
             scale = float(np.max(np.abs(refined), initial=0.0))
             if scale > 0 and np.max(np.abs(refined - base)) > 1e-4 * scale:

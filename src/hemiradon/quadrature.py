@@ -100,7 +100,7 @@ class QuadratureSpec:
     Parameters
     ----------
     m:
-        Nodes per axis at the reference width.
+        Nodes per axis at the reference width; also sets the norms' panels.
 
     No control truncates an unbounded integral: the integrand's support box
     bounds it, and one without a box is refused.
@@ -146,6 +146,12 @@ def octave_edges(start: float, stop: float):
         edges.append(edges[-1] * 2)
     edges.append(stop)
     return np.asarray(edges)
+
+
+def panel_rule(edges, m: int):
+    """Gauss-Legendre panels of m nodes between consecutive ``edges``."""
+    rules = [line_rule(a, b, m) for a, b in zip(edges[:-1], edges[1:])]
+    return np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules])
 
 
 def tensor_rule(axes):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from hemiradon import QuadratureSpec, make_test_field, sonar_profile
+from hemiradon import (QuadratureSpec, make_test_field, parabolic_field, sonar_profile,
+                       transversal_field)
 from hemiradon.errors import DomainError, QuadratureError
 from hemiradon.fields import ScalarField, SphereProfile, _coordinate_major
 from hemiradon.norms import _inner_sums, lp_norm, mixed_norm, scaling_scan
@@ -103,6 +104,39 @@ def test_mixed_norm_validation():
         mixed_norm(f, 3.0, 3.0, outer_box=((0.0, 1.0), (0.0, 1.0)))
 
 
+def test_transversal_norm_of_gaussian_closed_form():
+    # the transversal transform of exp(-|x|^2) in n = 2 is
+    # sqrt(pi / (1 + u^2)) exp(-t^2 / (1 + u^2)); the integral of its cube
+    # over t is pi^2 / sqrt(3) (1 + u^2)^(-1), so over |u| <= 16 the (3, 3)
+    # norm cubed is pi^2 / sqrt(3) * 2 arctan(16)
+    g = make_test_field("gaussian", 2, (0.0, 0.0), 1.0)
+    want = (math.pi ** 2 * 2 * math.atan(16.0) / math.sqrt(3.0)) ** (1 / 3)
+    assert want == pytest.approx(2.58083191928953, rel=1e-13)
+    got = mixed_norm(transversal_field(g), 3.0, 3.0, outer_box=((-16.0, 16.0),))
+    assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_parabolic_norm_of_bump_against_converged_value():
+    # frozen: the same norm at m = 1600 for both the transform and the norm,
+    # spec = QuadratureSpec(m=1600);
+    # mixed_norm(parabolic_field(bump, spec), 3, 3, spec=spec, outer_box=((-16, 16),))
+    bump = make_test_field("bump", 2, (0.0, 1.0), 0.4)
+    got = mixed_norm(parabolic_field(bump), 3.0, 3.0, outer_box=((-16.0, 16.0),))
+    assert got == pytest.approx(0.133986667503806, rel=1e-8)
+
+
+@pytest.mark.parametrize("box", [((2.0, -2.0),), ((1.0, 1.0),), ((-1.0, 1.0), (1.0, -1.0))])
+def test_outer_box_without_lo_below_hi_is_refused(box):
+    # a reversed box once gave NaN (numpy only warned) and an empty one 0.0
+    n = len(box) + 1
+    g = make_test_field("gaussian", n, (0.0,) * n, 1.0)
+    bad = rf"outer_box axis {n - 2} needs lo < hi, got \({box[-1][0]}, {box[-1][1]}\)"
+    with pytest.raises(DomainError, match=bad):
+        mixed_norm(transversal_field(g), 3.0, 3.0, outer_box=box)
+    with pytest.raises(DomainError, match=bad):
+        lp_norm(g, 1.5, outer_box=box)
+
+
 def test_singular_weight_refinement_reads_its_own_rows():
     """Outer nodes past the support get r-windows away from r = 0, so only
     some rows are refined under node doubling; each must read its own node."""
@@ -142,14 +176,26 @@ def test_non_finite_field_names_outer_node(norm):
     assert -0.5 < x1 < -0.49
 
 
+def _graded_reference_rule(a, b, m):
+    """The outer rule of data without a support box, built by hand: 13 Gauss
+    panels of max(4, ceil(m/25)) nodes on the edges c +- hw 2^(j-6),
+    j = 0..6, about the centre c of [a, b] of half-width hw."""
+    c, hw = 0.5 * (a + b), 0.5 * (b - a)
+    half = hw * 2.0 ** np.arange(-6, 1)
+    edges = c + np.concatenate([-half[::-1], half])
+    rules = [line_rule(lo, hi, max(4, math.ceil(m / 25))) for lo, hi in zip(edges[:-1], edges[1:])]
+    return np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules])
+
+
 def _profile_branch_reference(prof, q, s, weight_exp, spec, obox):
     """The mixed norm of a profile as its own evaluation path computed it
-    before profiles were read through their half-space field: outer Gauss
-    nodes over obox, inner windows on r_support clipped at 1e-12, and the
-    profile called with the x' rows and the radii (no singular-weight
-    refinement, which the profiles below never reach)."""
+    before profiles were read through their half-space field: the graded
+    outer rule over obox (the profile has no r_box, so its field has no
+    box), inner windows on r_support clipped at 1e-12 with a floor of
+    ceil(m/2) nodes, and the profile called with the x' rows and the radii
+    (no singular-weight refinement, which the profiles below never reach)."""
     k = prof.n - 1
-    XP, W = tensor_rule([line_rule(lo, hi, spec.m) for lo, hi in obox])
+    XP, W = tensor_rule([_graded_reference_rule(lo, hi, spec.m) for lo, hi in obox])
     lo, hi = prof.r_support(XP)
     lo = np.maximum(lo, 1e-12)
     assert np.all(lo >= 0.05 * (hi - lo))
@@ -159,7 +205,7 @@ def _profile_branch_reference(prof, q, s, weight_exp, spec, obox):
         XPrep[...] = XP[idx, None, :]
         return prof.eval_array(XPrep.reshape(-1, k), nodes.ravel()).reshape(nodes.shape)
 
-    inner = _inner_sums(eval_inner, lo, hi, s, weight_exp, spec, 64)
+    inner = _inner_sums(eval_inner, lo, hi, s, weight_exp, spec, math.ceil(spec.m / 2))
     return float(np.dot(W, inner ** (q / s)) ** (1.0 / q))
 
 
@@ -237,6 +283,25 @@ def test_scaling_scan_follows_dilation_law(transform, p):
     assert e == pytest.approx(0.0 if p == 1.5 else 0.5, abs=1e-12)
     assert r[2] / r[1] == pytest.approx(2 ** e, rel=1e-9)
     assert r[1] / r[0] == pytest.approx(2 ** e, rel=1e-9)
+
+
+@pytest.mark.parametrize("transform", ["parabolic", "sonar"])
+def test_scaling_scan_flat_over_twelve_octaves(transform):
+    """The outer boxes of the parabolic and sonar scans have no support box
+    behind them, so they take the graded rule; its edges scale with the box,
+    so at lam = 2^k the admissible ratio is flat to rounding."""
+    domain = "half" if transform == "sonar" else "full"
+    f = make_test_field("bump", 2, (0.0, 1.0), 0.4, domain=domain)
+    lams = [(2.0 ** k, 4.0 ** k if transform == "parabolic" else 2.0 ** k) for k in range(-6, 7)]
+    r = np.array([e.ratio for e in scaling_scan(transform, 1.5, 3.0, 3.0, 2, lams, f)])
+    assert np.max(np.abs(r / r[6] - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("radius", [0.0, -16.0])
+def test_scaling_scan_refuses_outer_radius_not_positive(radius):
+    f = make_test_field("gaussian", 2, (0.0, 0.0), 1.0)
+    with pytest.raises(DomainError, match="outer_box axis 0 needs lo < hi"):
+        scaling_scan("transversal", 1.5, 3.0, 3.0, 2, [(1.0, 1.0)], f, outer_radius=radius)
 
 
 def test_scaling_scan_validation():
