@@ -145,6 +145,13 @@ def _sum_sq(pts, c=None):
     return total
 
 
+def _clip_last(box):
+    """``box`` with its last interval clipped to [0, inf); None stays None."""
+    if box is None:
+        return None
+    return box[:-1] + ((max(box[-1][0], 0.0), max(box[-1][1], 0.0)),)
+
+
 def _box_union(a, b):
     if a is None or b is None:
         return None
@@ -330,6 +337,4 @@ def make_test_field(kind: str, n: int, center, scale: float,
     else:
         raise ConfigError(f"unknown phantom kind {kind!r}")
 
-    if domain == "half":
-        box = box[:-1] + ((max(box[-1][0], 0.0), max(box[-1][1], 0.0)),)
-    return ScalarField(n, func, domain=domain, box=box)
+    return ScalarField(n, func, domain=domain, box=_clip_last(box) if domain == "half" else box)

@@ -44,8 +44,6 @@ _MIXED_WEIGHTS = (None, "profile_weight")
 def _inner_sums(eval_inner, lo, hi, s_exp, weight_exp, spec, min_nodes):
     """Per-outer-node inner integrals of |data|^s * t^weight_exp."""
     width_ref = float(np.max(hi - lo, initial=0.0))
-    if width_ref <= 0:
-        return np.zeros(lo.shape[0])
     counts = tier_counts(lo, hi, spec.m, width_ref, min_nodes=min_nodes)
 
     def integrand(idx, nodes):
@@ -104,12 +102,13 @@ def _iterated_power(data, s_exp, weight_exp, spec, outer_box):
 
     inner = _inner_sums(eval_inner, lo, hi, s_exp, weight_exp, spec, math.ceil(spec.m / 2))
     if weight_exp < 0:
-        # singular-weight guard: double the nodes where the window nears 0
+        # singular-weight guard: double the nodes where the window nears 0,
+        # on a doubled m, since m caps the counts of both passes
         near = np.nonzero(lo < 0.05 * np.maximum(hi - lo, 1e-300))[0]
         if near.size:
             refined = _inner_sums(lambda idx, t: eval_inner(near[idx], t),
-                                  lo[near], hi[near], s_exp, weight_exp, spec,
-                                  2 * math.ceil(spec.m / 2))
+                                  lo[near], hi[near], s_exp, weight_exp,
+                                  spec.with_(m=2 * spec.m), 2 * math.ceil(spec.m / 2))
             base = inner[near]
             scale = float(np.max(np.abs(refined), initial=0.0))
             if scale > 0 and np.max(np.abs(refined - base)) > 1e-4 * scale:
@@ -123,14 +122,14 @@ def _iterated_power(data, s_exp, weight_exp, spec, outer_box):
 def lp_norm(field: ScalarField, p: float, weight=None, spec=None, *,
             outer_box=None) -> float:
     """||field||_p, or the weighted version with t^(1-p) on the half-space."""
+    if not isinstance(field, ScalarField):
+        raise DomainError("lp_norm consumes a ScalarField")
     if p < 1:
         raise DomainError("lp_norm requires p >= 1")
     if weight not in _LP_WEIGHTS:
         raise DomainError(f"unknown weight {weight!r} for lp_norm")
     if weight == "half_space_weight" and field.domain != "half":
         raise DomainError("half_space_weight requires a half-space field")
-    if not isinstance(field, ScalarField):
-        raise DomainError("lp_norm consumes a ScalarField")
     spec = spec if spec is not None else QuadratureSpec.for_dimension(field.n)
     weight_exp = (1.0 - p) if weight == "half_space_weight" else 0.0
     _, W, inner = _iterated_power(field, p, weight_exp, spec, outer_box)
@@ -178,7 +177,12 @@ class ScanEntry:
     ratio: float
 
 
-_SCAN_TRANSFORMS = ("transversal", "parabolic", "sonar")
+#: transform -> builder, outer half-width at lam for radius R, output and input weights
+_SCANS = {
+    "transversal": ("transversal_field", lambda R, l1, l2: R * l1 / l2, None, None),
+    "parabolic": ("parabolic_field", lambda R, l1, l2: R / l1, None, None),
+    "sonar": ("sonar_profile", lambda R, l1, l2: R / l1, "profile_weight", "half_space_weight"),
+}
 
 
 def scaling_scan(transform: str, p: float, q: float, s: float, n: int,
@@ -197,33 +201,23 @@ def scaling_scan(transform: str, p: float, q: float, s: float, n: int,
     otherwise), so for exact power-law families the truncated ratios follow
     the exact power law.
     """
-    if transform not in _SCAN_TRANSFORMS:
+    if transform not in _SCANS:
         raise DomainError(f"unknown transform {transform!r} for scaling_scan")
     if base.box is None:
         raise DomainError("scaling_scan needs a base field with a support box")
     if n != base.n:
         raise DomainError(f"scaling_scan in n = {n} got a base field in n = {base.n}")
     spec = spec if spec is not None else QuadratureSpec.for_dimension(n)
+    name, half_width, out_weight, in_weight = _SCANS[transform]
+    build = globals()[name]  # per call: bench/tracing.py counts scans by swapping it
     entries = []
     for lam in lambdas:
         lam = (float(lam[0]), float(lam[1]))
         scaled = apply(OperatorId("axis_dilate", lam), base)
-        if transform == "transversal":
-            out = transversal_field(scaled, spec)
-            S = outer_radius * lam[0] / lam[1]
-            out_norm = mixed_norm(out, q, s, None, spec, outer_box=((-S, S),) * (n - 1))
-            in_norm = lp_norm(scaled, p, None, spec)
-        elif transform == "parabolic":
-            out = parabolic_field(scaled, spec)
-            S = outer_radius / lam[0]
-            out_norm = mixed_norm(out, q, s, None, spec, outer_box=((-S, S),) * (n - 1))
-            in_norm = lp_norm(scaled, p, None, spec)
-        else:
-            out = sonar_profile(scaled, spec)
-            S = outer_radius / lam[0]
-            out_norm = mixed_norm(out, q, s, "profile_weight", spec,
-                                  outer_box=((-S, S),) * (n - 1))
-            in_norm = lp_norm(scaled, p, "half_space_weight", spec)
+        S = half_width(outer_radius, *lam)
+        out_norm = mixed_norm(build(scaled, spec), q, s, out_weight, spec,
+                              outer_box=((-S, S),) * (n - 1))
+        in_norm = lp_norm(scaled, p, in_weight, spec)
         entries.append(ScanEntry(lam=lam, output_norm=out_norm,
                                  input_norm=in_norm,
                                  ratio=out_norm / in_norm))

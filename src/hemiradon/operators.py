@@ -24,7 +24,6 @@ zero_extend                 extend a half-space field by zero             half->
 restrict_positive           restrict a full-space field to x_n > 0        full->half
 axis_dilate(l1, l2)         psi -> psi(l1 x', l2 x_n)                     domain kept
 dual_dilate(l1, l2)         Psi -> l1^{1-n} Psi((l2/l1) x', l2 x_n)       full->full
-slope_intercept_map         not field-applicable; see slope_intercept_relation
 ==========================  =====================================================
 
 Every coordinate change is one substitution (``_substitute``),
@@ -57,21 +56,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChainError, DomainError
-from .fields import (Point, ScalarField, SphereProfile, _box_dist_sq,
+from .fields import (Point, ScalarField, SphereProfile, _box_dist_sq, _clip_last,
                      _coordinate_major, _sum_sq)
 from .transforms import parabolic_field, sonar_profile, transversal_field
 
-_PLAIN_TAGS = frozenset({
-    "sqrt_pullback", "square_pullback",
-    "parabolic_shear", "parabolic_unshear",
-    "parabolic_shear_scaled", "parabolic_unshear_scaled",
-    "sqrt_pullback_shear", "square_pullback_unshear",
-    "field_to_profile", "profile_to_field",
-    "zero_extend", "restrict_positive", "slope_intercept_map",
-})
 _DILATION_TAGS = frozenset({"axis_dilate", "dual_dilate"})
-TAGS = _PLAIN_TAGS | _DILATION_TAGS
-
 _TRANSFORM_STEPS = ("sonar", "parabolic", "transversal")
 
 
@@ -196,10 +185,6 @@ _SUBSTITUTIONS = {
 def apply(op: OperatorId, field):
     """Apply one operator, returning a new lazily evaluated field or profile."""
     tag = op.tag
-    if tag == "slope_intercept_map":
-        raise ChainError(
-            "the slope-intercept map acts on plane parameters, not on fields; "
-            "use slope_intercept_relation from the transforms module")
     if isinstance(field, SphereProfile):
         if tag != "profile_to_field":
             raise ChainError(f"{tag} consumes a ScalarField, got a SphereProfile")
@@ -209,7 +194,7 @@ def apply(op: OperatorId, field):
     if tag == "profile_to_field":
         raise ChainError(f"{tag} consumes a SphereProfile, got a ScalarField")
     if tag in _COMPOSITES:
-        return apply_chain(_COMPOSITES[tag], field)
+        return apply_chain(tuple(OperatorId(t) for t in _COMPOSITES[tag]), field)
 
     def need(domain):
         if field.domain != domain:
@@ -254,13 +239,6 @@ def apply(op: OperatorId, field):
                        _clip_last(field.box), section_support=section)
 
 
-def _clip_last(box):
-    """``box`` with its last interval clipped to [0, inf); None stays None."""
-    if box is None:
-        return None
-    return box[:-1] + ((max(box[-1][0], 0.0), max(box[-1][1], 0.0)),)
-
-
 def apply_chain(chain, field, spec=None):
     """Run a chain of operators / transform steps left to right.
 
@@ -285,14 +263,16 @@ def apply_chain(chain, field, spec=None):
     return cur
 
 
-#: The composite operators, each defined as the chain it stands for.
+#: The composite operators, each defined as the chain of tags it stands for.
 _COMPOSITES = {
-    "sqrt_pullback_shear": (OperatorId("sqrt_pullback"), OperatorId("zero_extend"),
-                            OperatorId("parabolic_shear")),
-    "square_pullback_unshear": (OperatorId("parabolic_unshear"),
-                                OperatorId("restrict_positive"),
-                                OperatorId("square_pullback")),
+    "sqrt_pullback_shear": ("sqrt_pullback", "zero_extend", "parabolic_shear"),
+    "square_pullback_unshear": ("parabolic_unshear", "restrict_positive", "square_pullback"),
 }
+
+#: Every tag: the substitutions, the composites, the dilations and the three
+#: that ``apply`` implements by hand.
+TAGS = (frozenset(_SUBSTITUTIONS) | frozenset(_COMPOSITES) | _DILATION_TAGS
+        | {"zero_extend", "restrict_positive", "profile_to_field"})
 
 #: profile_to_field after reading the profile as its half-space field.
 _PROFILE_TO_FIELD = (OperatorId("sqrt_pullback"), OperatorId("zero_extend"),

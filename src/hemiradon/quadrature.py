@@ -191,8 +191,8 @@ def tier_counts(lo, hi, m_ref: int, width_ref: float, min_nodes: int = 44):
     The floor keeps narrow windows resolved: a window cut down by a slab
     constraint still holds a full feature of the integrand, so its node
     count must not shrink with its width. A constant floor stops refinement
-    in m there; the 3-D polar charts therefore take m nodes on both axes of
-    every row instead (``transforms._polar_windows``). The quantization lets
+    in m there; the 3-D polar chart therefore takes m nodes on both axes of
+    every row instead (``transforms._polar_chart``). The quantization lets
     a batch of windows collapse to a handful of tensor shapes.
     """
     lo = np.asarray(lo, dtype=float)

@@ -25,7 +25,7 @@ map from window coordinates to integrand values. The parabolic, transversal
 and classical transforms refuse a field without a support box (their domains
 are unbounded and never truncated); the sonar hemisphere is compact, so any
 field has one. Node counts scale with the window width, so the cost tracks
-the geometry instead of the bounding box; the 3-D polar charts take m per axis.
+the geometry instead of the bounding box; the 3-D polar chart takes m per axis.
 The sonar and parabolic transforms are implemented for n in {2, 3}; the
 transversal transform for every n >= 2.
 """
@@ -117,14 +117,17 @@ def _reflections(D, axis):
     return np.eye(D.shape[1]) - 2 * v[:, :, None] * v[:, None, :] / vnorm2[:, None, None]
 
 
-def _polar_windows(rlo, rhi, d, circ, m):
-    """Windows of a (radius or polar cosine) x angle chart in the plane.
+def _polar_chart(field, pole, rlo, rhi, d, circ, m, radial):
+    """Per-row integrals of ``field`` in n = 3 over the (radius or polar
+    cosine) x angle chart of the sonar and parabolic kernels, about the
+    row's ``pole`` (M, 2) in the plane of the first two coordinates.
 
-    The first axis gets [rlo, rhi]. The angle axis gets the arc of
-    directions from the pole toward the disc of radius ``circ`` centred at
-    offset ``d`` (M, 2) from it, or the full circle [0, 2 pi], flagged
-    periodic, when the pole lies inside the disc. Returns lo, hi and counts
-    of shape (M, 2) and the periodic flags.
+    The first axis gets [rlo, rhi]. At its nodes t, ``radial(idx, t)`` gives
+    (rho, height, jac): the chart point at angle a is (pole + rho (cos a,
+    sin a), height), and its value is scaled by the Jacobian jac (None for
+    none). The angle axis gets the arc of the angles whose ray (cos a, sin a)
+    meets the disc of radius ``circ`` about ``d`` (M, 2), or the full circle
+    [0, 2 pi], flagged periodic, when the disc holds the origin.
 
     Every row holds m nodes on both axes. The full circle takes the midpoint
     rule, which converges geometrically on a smooth periodic integrand
@@ -138,10 +141,22 @@ def _polar_windows(rlo, rhi, d, circ, m):
     full = dist <= circ
     alpha = np.arctan2(d[:, 1], d[:, 0])
     halfang = np.arcsin(np.clip(circ / np.maximum(dist, 1e-300), 0, 1))
-    alo = np.where(full, 0.0, alpha - halfang)
-    ahi = np.where(full, 2 * np.pi, alpha + halfang)
-    return (np.column_stack([rlo, alo]), np.column_stack([rhi, ahi]),
-            np.full((len(dist), 2), m), full)
+    lo = np.column_stack([rlo, np.where(full, 0.0, alpha - halfang)])
+    hi = np.column_stack([rhi, np.where(full, 2 * np.pi, alpha + halfang)])
+
+    def chart(idx, nodes):
+        tn, an = nodes
+        rho, height, jac = radial(idx, tn)
+        pts = _grid_points(nodes, 3)
+        for i, trig in enumerate((np.cos, np.sin)):
+            _rank2_fill(pts[..., i], rho, trig(an), pole[idx, i][:, None, None])
+        pts[..., 2] = height
+        vals = _eval_grid(field, pts)
+        if jac is not None:
+            vals *= jac
+        return vals
+
+    return _windowed_sums(lo, hi, np.full((len(dist), 2), m), chart, full)
 
 
 # ---------------------------------------------------------------------------
@@ -245,20 +260,13 @@ def _sonar_batch(phi, XP, R, spec):
         farr = np.clip((dist + circ) / R, 0.0, 1.0)
         chi = np.where(near < 1.0, np.minimum(chi, np.sqrt(np.clip(1 - near ** 2, 0, 1))), clo)
         clo = np.maximum(clo, np.sqrt(np.clip(1 - farr ** 2, 0, 1)))
-    lo, hi, counts, full = _polar_windows(clo, chi, d, circ, spec.m)
 
-    def cap(idx, nodes):
-        cn, an = nodes
+    def cap(idx, cn):
         r = R[idx, None, None]
-        rad = r * np.sqrt(np.clip(1 - cn ** 2, 0, 1))
-        pts = _grid_points(nodes, 3)
-        for i, trig in enumerate((np.cos, np.sin)):
-            _rank2_fill(pts[..., i], rad, trig(an), XP[idx, i][:, None, None])
-        pts[..., 2] = r * cn
-        return _eval_grid(phi, pts)
+        return r * np.sqrt(np.clip(1 - cn ** 2, 0, 1)), r * cn, None
 
-    return _finite("sonar transform", _windowed_sums(lo, hi, counts, cap, full) * R ** 2,
-                   lambda: np.column_stack([XP, R]))
+    out = _polar_chart(phi, XP, clo, chi, d, circ, spec.m, cap)
+    return _finite("sonar transform", out * R ** 2, lambda: np.column_stack([XP, R]))
 
 
 # ---------------------------------------------------------------------------
@@ -321,19 +329,12 @@ def _parabolic_batch(f, X, spec):
     dist = np.linalg.norm(d, axis=1)
     rlo = np.maximum(rlo, np.maximum(dist - circ, 0.0))
     rhi = np.minimum(rhi, dist + circ)
-    lo, hi, counts, full = _polar_windows(rlo, rhi, d, circ, spec.m)
 
-    def disc(idx, nodes):
-        rn, an = nodes
-        pts = _grid_points(nodes, 3)
-        for i, trig in enumerate((np.cos, np.sin)):
-            _rank2_fill(pts[..., i], rn, -trig(an), xp[idx, i][:, None, None])
-        pts[..., 2] = xn[idx][:, None, None] - rn ** 2
-        vals = _eval_grid(f, pts)
-        vals *= rn
-        return vals
+    def disc(idx, rn):
+        # f is read at x' - rn (cos, sin): rho = -rn, the bits of rn * -(cos, sin)
+        return -rn, xn[idx][:, None, None] - rn ** 2, rn
 
-    return _finite("parabolic transform", _windowed_sums(lo, hi, counts, disc, full), X)
+    return _finite("parabolic transform", _polar_chart(f, xp, rlo, rhi, d, circ, spec.m, disc), X)
 
 
 # ---------------------------------------------------------------------------

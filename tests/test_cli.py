@@ -120,6 +120,9 @@ class TestConfigFile:
         assert main(["forward", "--config", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err
+        bad.write_text("m = 40\n = 3\n", encoding="utf-8")
+        assert main(["forward", "--config", str(bad)]) == 2
+        assert "empty key on line 2" in capsys.readouterr().err
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -218,6 +221,12 @@ class TestVerify:
         assert rc == 0
         assert manifest_dict(tmp_path / "manifest.txt")["lam"] == "2,0.5"
 
+    def test_one_lam_dilates_both_axes(self, tmp_path):
+        rc = main(["verify", "--identity", "dilation", "--lam", "2",
+                   "--m", "48", "--points", "0.3,0.4", "--out", str(tmp_path)])
+        assert rc == 0
+        assert manifest_dict(tmp_path / "manifest.txt")["lam"] == "2,2"
+
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("identity", [
         "parabolic_via_transversal", "sonar_via_transversal",
@@ -290,6 +299,12 @@ class TestInvert:
         assert "bp_core_nodes" not in m
         assert main(argv) == 0
         assert (read(tmp_path / "result.csv"), read(tmp_path / "manifest.txt")) == first
+
+    def test_classical_kind_is_refused(self, tmp_path, capsys):
+        # the classical transform is forward only
+        rc = main(["invert", "--kind", "classical", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "key 'kind'" in capsys.readouterr().err
 
     def test_no_cutoff_schedule(self, tmp_path, capsys):
         # the hypersingular integral has no eps cutoffs to configure

@@ -77,6 +77,9 @@ def test_field_algebra_and_box_union():
     assert hi == max(a.box[0][1], b.box[0][1])
     with pytest.raises(DomainError):
         a + make_test_field("gaussian", 3, (0.0, 0.0, 0.0), 1.0)
+    # the union of a box with no box is no box
+    boxless = ScalarField(2, lambda pts: pts[:, 0])
+    assert (a + boxless).box is None and (boxless + a).box is None
 
 
 def test_gaussian_phantom_values():
@@ -136,6 +139,10 @@ def test_make_test_field_validation():
     # scalar centers broadcast to every coordinate
     f = make_test_field("gaussian", 3, 0.0, 1.0)
     assert f.eval((0.0, 0.0, 0.0)) == 1.0
+    # a Point centre is its coordinates
+    g = make_test_field("bump", 2, Point((0.5,), 1.0), 0.4, domain="half")
+    assert g.eval((0.5, 1.0)) == math.exp(-1.0)
+    np.testing.assert_allclose(g.box, ((0.1, 0.9), (0.6, 1.4)), rtol=0, atol=1e-15)
 
 
 def test_sphere_profile_eval():
@@ -147,6 +154,8 @@ def test_sphere_profile_eval():
         prof.eval((1.0,), 0.0)
     with pytest.raises(DomainError):
         prof.eval_array(np.array([[1.0, 2.0]]), np.array([1.0]))
+    with pytest.raises(DomainError, match="profiles require n >= 2"):
+        SphereProfile(1, lambda XP, R: R)
 
 
 def test_sphere_profile_checks_what_its_func_returns():

@@ -50,6 +50,32 @@ def test_lp_norm_validation():
         lp_norm(f, 2.0, "half_space_weight")  # needs a half-space field
 
 
+@pytest.mark.parametrize("weight", [None, "half_space_weight"])
+def test_lp_norm_refuses_what_is_not_a_field(weight):
+    # the type is checked before the weight reads the domain, which a profile
+    # or a number does not have (a raw AttributeError once)
+    gh = make_test_field("gaussian", 2, (0.0, 0.0), 1.0, domain="half")
+    for data in (sonar_profile(gh), 3.0):
+        with pytest.raises(DomainError, match="lp_norm consumes a ScalarField"):
+            lp_norm(data, 1.5, weight)
+
+
+def test_singular_weight_guard_refines_rows_already_at_m():
+    """The guard's second pass doubles m as well as the floor: at m alone,
+    every near row of this norm was already at m, so it was recomputed at m
+    and the check could not fire; the norm read 0.50 % low, silently."""
+    gh = make_test_field("gaussian", 2, (0.0, 0.0), 1.0, domain="half")
+    p = 1.5
+    # int_{x2>0} e^{-p|x|^2} x2^(1-p) dx = sqrt(pi/p) 1/2 p^(-(2-p)/2) Gamma((2-p)/2)
+    want = (math.sqrt(math.pi / p) * 0.5 * p ** (-(2 - p) / 2)
+            * math.gamma((2 - p) / 2)) ** (1 / p)
+    try:
+        got = lp_norm(gh, p, "half_space_weight")
+    except QuadratureError:
+        return
+    assert got == pytest.approx(want, rel=1e-6)
+
+
 def test_mixed_norm_gaussian_closed_form():
     # inner L^s in x_n then outer L^q: (pi/s)^(1/(2s)) (pi/q)^(1/(2q))
     f = make_test_field("gaussian", 2, (0.0, 0.0), 1.0)
@@ -102,6 +128,20 @@ def test_mixed_norm_validation():
         mixed_norm(f, 3.0, 3.0, "profile_weight")  # needs a profile
     with pytest.raises(DomainError):
         mixed_norm(f, 3.0, 3.0, outer_box=((0.0, 1.0), (0.0, 1.0)))
+    with pytest.raises(DomainError, match="unknown weight 'half_space_weight' for mixed_norm"):
+        mixed_norm(f, 3.0, 3.0, "half_space_weight")
+    with pytest.raises(DomainError, match="mixed_norm consumes a ScalarField or SphereProfile"):
+        mixed_norm(3.0, 3.0, 3.0)
+
+
+def test_outer_box_does_not_bound_the_inner_integral():
+    # an outer box bounds x' only: data with neither a box nor a section has
+    # no bound for its last coordinate
+    boxless = ScalarField(2, lambda pts: np.exp(-np.sum(pts ** 2, axis=1)))
+    for norm in (lambda: mixed_norm(boxless, 3.0, 3.0, outer_box=((-1.0, 1.0),)),
+                 lambda: lp_norm(boxless, 1.5, outer_box=((-1.0, 1.0),))):
+        with pytest.raises(DomainError, match="needs a section or a support box"):
+            norm()
 
 
 def test_transversal_norm_of_gaussian_closed_form():
@@ -295,6 +335,24 @@ def test_scaling_scan_flat_over_twelve_octaves(transform):
     lams = [(2.0 ** k, 4.0 ** k if transform == "parabolic" else 2.0 ** k) for k in range(-6, 7)]
     r = np.array([e.ratio for e in scaling_scan(transform, 1.5, 3.0, 3.0, 2, lams, f)])
     assert np.max(np.abs(r / r[6] - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("transform", ["transversal", "sonar", "parabolic"])
+def test_3d_scaling_scan_is_flat_or_follows_its_power(transform):
+    """The n = 3 scans, through both halves of the 3-D polar chart: flat at
+    (4/3, 4, 4), and like lam^gamma at (1.2, 4, 4), gamma = 1/4 for the
+    transversal scan and 1/3 on the parabolic and sonar dilation paths
+    (exponents as in ``test_scaling_scan_follows_dilation_law``)."""
+    n, spec = 3, QuadratureSpec(m=16)
+    if transform == "transversal":
+        f, gamma = make_test_field("gaussian", n, (0.0, 0.0, 0.0), 1.0), 1 / 4
+    else:
+        domain = "half" if transform == "sonar" else "full"
+        f, gamma = make_test_field("bump", n, (0.0, 0.0, 1.0), 0.4, domain=domain), 1 / 3
+    lams = [(lam, lam ** 2 if transform == "parabolic" else lam) for lam in (1.0, 2.0)]
+    for p, e in ((4 / 3, 0.0), (1.2, gamma)):
+        r = [entry.ratio for entry in scaling_scan(transform, p, 4.0, 4.0, n, lams, f, spec)]
+        assert r[1] / r[0] == pytest.approx(2 ** e, rel=1e-9)
 
 
 @pytest.mark.parametrize("radius", [0.0, -16.0])

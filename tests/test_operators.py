@@ -255,6 +255,11 @@ def test_domain_mismatch_raises():
         apply(OperatorId("parabolic_shear"), prof)
     with pytest.raises(ChainError):
         apply(OperatorId("slope_intercept_map"), f)
+    with pytest.raises(ChainError, match="profile_to_field consumes a SphereProfile"):
+        apply(OperatorId("profile_to_field"), f)
+    for tag in ("profile_to_field", "parabolic_shear"):
+        with pytest.raises(ChainError, match=f"cannot apply {tag} to float"):
+            apply(OperatorId(tag), 3.0)
 
 
 def test_apply_chain_composition():
@@ -327,7 +332,7 @@ def test_scaling_exponents_match_iff_admissible():
 
 def test_tag_table_is_closed():
     assert "parabolic_shear" in TAGS
-    assert len(TAGS) == 15
+    assert len(TAGS) == 14
 
 
 # ---------------------------------------------------------------------------

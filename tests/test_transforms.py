@@ -346,6 +346,9 @@ def test_radon_plane_validation():
         RadonPlane((1.0, 1.0), 0.0)
     p = RadonPlane((0.6, 0.8), 0.5)
     assert p.n == 2
+    g = make_test_field("gaussian", 3, (0.0, 0.0, 0.0), 1.0)
+    with pytest.raises(DomainError, match="plane dimension does not match the field"):
+        classical_radon(g, p)
 
 
 def test_classical_radon_gaussian():
