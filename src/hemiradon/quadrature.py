@@ -3,12 +3,12 @@
 All integrals in this package reduce to one of two patterns:
 
 * a fixed tensor-product rule, built by ``tensor_rule`` from per-axis
-  (nodes, weights) pairs: the classical Radon transform over a hyperplane
-  patch, the outer integral of a mixed norm;
+  (nodes, weights) pairs: the outer integral of a norm;
 * a batch of windowed rules, one box of per-axis windows per evaluation
-  point, summed by ``_windowed_sums``: the forward transforms and the inner
-  integral of a mixed norm. Each caller supplies only its geometry (the
-  windows and the map from window coordinates to integrand values).
+  point, summed by ``_windowed_sums``: every forward transform, the
+  classical one included, and the inner integral of a norm. Each caller
+  supplies only its geometry (the windows and the map from window
+  coordinates to integrand values).
 
 Node counts for windowed rules scale with the window width relative to a
 reference width (``tier_counts``), so a thin support slice at an extreme
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import prod
 
 import numpy as np
@@ -160,12 +160,9 @@ def tensor_rule(axes):
     Returns nodes of shape (N, k), N the product of the axis sizes, with the
     first axis varying slowest, and their product weights of shape (N,).
     """
-    grids = np.meshgrid(*[x for x, _ in axes], indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    weights = np.ones(pts.shape[0])
-    for g in np.meshgrid(*[w for _, w in axes], indexing="ij"):
-        weights *= g.ravel()
-    return pts, weights
+    pts = np.stack(np.meshgrid(*[x for x, _ in axes], indexing="ij"), axis=-1)
+    weights = reduce(np.multiply.outer, [w for _, w in axes])
+    return pts.reshape(-1, len(axes)), weights.ravel()
 
 
 def _finite(what, vals, points):

@@ -18,16 +18,18 @@ evaluate it at one point. The parabolic transform integrates over all of
 R^{n-1}: its restriction to |y'| < sqrt(x_n) is the transform of
 ``zero_extend(restrict_positive(f))`` (see ``operators``).
 
-Every windowed transform is one call of the shared kernel
-``quadrature._windowed_sums``: the transform supplies only its geometry, the
-per-point support windows derived from the input field's support box and the
-map from window coordinates to integrand values. The parabolic, transversal
-and classical transforms refuse a field without a support box (their domains
-are unbounded and never truncated); the sonar hemisphere is compact, so any
-field has one. Node counts scale with the window width, so the cost tracks
-the geometry instead of the bounding box; the 3-D polar chart takes m per axis.
+Every transform is one call of the shared kernel ``quadrature._windowed_sums``
+per window: the transform supplies only its geometry, the per-point support
+windows derived from the input field's support box and the map from window
+coordinates to integrand values. The classical kernel charts its plane on the
+transversal kernel's Householder frame and fill (``_frame_fill``); a plane
+that misses the support box reads exactly 0. The parabolic, transversal and
+classical transforms refuse a field without a support box (their domains are
+unbounded and never truncated); the sonar hemisphere is compact, so any field
+has one. Node counts scale with the window width, so the cost tracks the
+geometry instead of the bounding box; the 3-D polar chart takes m per axis.
 The sonar and parabolic transforms are implemented for n in {2, 3}; the
-transversal transform for every n >= 2.
+transversal and classical transforms for every n >= 2.
 """
 
 from __future__ import annotations
@@ -39,8 +41,7 @@ import numpy as np
 from .errors import DomainError
 from .fields import (Point, ScalarField, SphereProfile, _box_dist_sq,
                      _coordinate_major, _finite_points)
-from .quadrature import (QuadratureSpec, _finite, _scratch, _windowed_sums,
-                         line_rule, tensor_rule, tier_counts)
+from .quadrature import QuadratureSpec, _finite, _scratch, _windowed_sums, tier_counts
 
 
 def _default_spec(n: int, spec):
@@ -93,6 +94,18 @@ def _rank2_fill(out, col, row0, row1):
     rhs[:, :1] = row0
     rhs[:, 1:] = row1
     np.matmul(lhs, rhs.reshape(b, 2, -1), out=out.reshape(b, m1, -1))
+
+
+def _frame_fill(pts, x, frame, offset=None):
+    """Fill the first N coordinates of ``pts`` with sum_j x_j frame[:, j] +
+    offset, for the k node arrays ``x``, per-row frame rows ``frame`` (b, k,
+    N) and per-row ``offset`` (b, N): one ``_rank2_fill`` per coordinate."""
+    row = (-1,) + (1,) * len(x)
+    for i in range(frame.shape[-1]):
+        terms = [xj * frame[:, j, i].reshape(row) for j, xj in enumerate(x[1:], 1)]
+        if offset is not None:
+            terms.append(offset[:, i].reshape(row))
+        _rank2_fill(pts[..., i], x[0], frame[:, 0, i].reshape(row), sum(terms[1:], terms[0]))
 
 
 def _eval_grid(field, pts):
@@ -366,13 +379,10 @@ def _transversal_batch(psi, X, spec):
     """Rotated-frame evaluation: the first frame axis is the slope direction,
     so the hyperplane constraint becomes a 1-D slab in that coordinate."""
     _finite_points("transversal transform", X)
-    n = psi.n
-    k = n - 1
-    sig = X[:, :k]
-    tau = X[:, -1]
-    box = psi.box
-    c, h = _center_halfwidth(box[:-1])
-    b2lo, b2hi = box[-1]
+    n, k = psi.n, psi.n - 1
+    sig, tau = X[:, :k], X[:, -1]
+    c, h = _center_halfwidth(psi.box[:-1])
+    b2lo, b2hi = psi.box[-1]
     smag = np.linalg.norm(sig, axis=1)
     live = smag > 1e-300
     if k == 1:
@@ -387,25 +397,18 @@ def _transversal_batch(psi, X, spec):
         # frame-axis support windows of the box via its support function
         mid = basis @ c                                # (M, k) of axis . center
         spread = np.abs(basis) @ h
-    lo = mid - spread
-    hi = mid + spread
+    lo, hi = mid - spread, mid + spread
     with np.errstate(divide="ignore", invalid="ignore"):
-        e1 = (b2lo - tau) / smag
-        e2 = (b2hi - tau) / smag
+        e1, e2 = (b2lo - tau) / smag, (b2hi - tau) / smag
     lo[:, 0] = np.where(live, np.maximum(lo[:, 0], np.minimum(e1, e2)), lo[:, 0])
     hi[:, 0] = np.where(live, np.minimum(hi[:, 0], np.maximum(e1, e2)), hi[:, 0])
     # slope 0: the last slot is constant tau; support check only
     flat_dead = (~live) & ((tau < b2lo) | (tau > b2hi))
     hi[flat_dead, 0] = lo[flat_dead, 0]
 
-    width_ref = 2 * float(np.max(h)) if np.max(h) > 0 else 1.0
-    counts = tier_counts(lo, hi, spec.m, width_ref)
+    counts = tier_counts(lo, hi, spec.m, 2 * float(np.max(h)))
 
     def plane(idx, u):
-        def rows(a):
-            return a[idx].reshape((-1,) + (1,) * k)
-
-        # y' = sum_j u_j basis_j: the frame rotated back to the original axes
         if k == 1:
             pts = _grid_points(u, n)
             u.affine(0, pts[..., 0], sign[idx])
@@ -413,12 +416,10 @@ def _transversal_batch(psi, X, spec):
             return _eval_grid(psi, pts)
         x = list(u)  # node arrays below the point buffer, as in the other charts
         pts = _grid_points(u, n)
-        for i in range(k):
-            rest = x[1] * rows(basis[:, 1, i])
-            for j in range(2, k):
-                rest = rest + x[j] * rows(basis[:, j, i])
-            _rank2_fill(pts[..., i], x[0], rows(basis[:, 0, i]), rest)
-        pts[..., k] = rows(smag) * x[0] + rows(tau)
+        # y' = sum_j u_j basis_j: the frame rotated back to the original axes
+        _frame_fill(pts, x, basis[idx])
+        row = (-1,) + (1,) * k
+        pts[..., k] = smag[idx].reshape(row) * x[0] + tau[idx].reshape(row)
         return _eval_grid(psi, pts)
 
     return _finite("transversal transform", _windowed_sums(lo, hi, counts, plane), X)
@@ -450,28 +451,29 @@ class RadonPlane:
 
 
 def classical_radon(f: ScalarField, plane: RadonPlane, spec=None) -> float:
-    """Integral of f over the hyperplane y . theta = t."""
+    """Integral of f over the hyperplane y . theta = t, charted as t theta +
+    sum_j u_j e_j on the rows e_j of the Householder frame mapping e_n to
+    theta, each u_j on the support interval of f's box along e_j."""
     if plane.n != f.n:
         raise DomainError("plane dimension does not match the field")
     _check_boxed_full(f, "classical Radon transform")
     spec = _default_spec(f.n, spec)
-    theta = np.asarray(plane.theta)
-    B = _reflections(theta[None, :], f.n - 1)[0, :, :-1]  # (n, n-1)
+    n, theta = f.n, np.asarray(plane.theta)
     c, h = _center_halfwidth(f.box)
-    offset = c - plane.t * theta
-    mid = B.T @ offset
-    spread = np.abs(B.T) @ h
-    width_ref = 2 * float(np.max(h))
-    axes = []
-    for j in range(f.n - 1):
-        lo, hi = mid[j] - spread[j], mid[j] + spread[j]
-        if hi <= lo:
-            return 0.0
-        m = int(np.clip(np.ceil(spec.m * (hi - lo) / width_ref), 24, spec.m))
-        axes.append(line_rule(lo, hi, m))
-    U, W = tensor_rule(axes)
-    pts = plane.t * theta[None, :] + U @ B.T
-    return float(np.dot(_finite("classical Radon transform", f.eval_array(pts), pts), W))
+    if abs(theta @ c - plane.t) > np.abs(theta) @ h:  # beyond the box's support function
+        return 0.0
+    frame = _reflections(theta[None, :], n - 1)[:, :-1]  # (1, n - 1, n)
+    offset = plane.t * theta[None, :]
+    mid, spread = frame @ (c - offset[0]), np.abs(frame) @ h
+    lo, hi = mid - spread, mid + spread
+
+    def patch(idx, u):
+        pts = _grid_points(u, n)
+        _frame_fill(pts, list(u), frame[idx], offset[idx])
+        return _finite("classical Radon transform", _eval_grid(f, pts), lambda: pts.reshape(-1, n))
+
+    counts = tier_counts(lo, hi, spec.m, 2 * float(np.max(h)))
+    return float(_windowed_sums(lo, hi, counts, patch)[0])
 
 
 def slope_intercept_relation(f: ScalarField, plane: RadonPlane, spec=None):

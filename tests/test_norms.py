@@ -165,6 +165,20 @@ def test_parabolic_norm_of_bump_against_converged_value():
     assert got == pytest.approx(0.133986667503806, rel=1e-8)
 
 
+def test_3d_parabolic_norm_of_bump_against_converged_value():
+    # frozen converged value: with spec = QuadratureSpec(m=M) for both the
+    # transform and the norm,
+    # mixed_norm(parabolic_field(bump, spec), 4, 4, spec=spec,
+    #            outer_box=((-16, 16), (-16, 16)))
+    # reads 0.0563310 at M = 80 and 0.0563311 at M = 120; M = 24 reads
+    # 0.0563276, outside the tolerance, so the test sees the rule converge
+    bump = make_test_field("bump", 3, (0.0, 0.0, 1.0), 0.4)
+    spec = QuadratureSpec(m=40)
+    got = mixed_norm(parabolic_field(bump, spec), 4.0, 4.0, spec=spec,
+                     outer_box=((-16.0, 16.0), (-16.0, 16.0)))
+    assert got == pytest.approx(0.0563310, rel=1e-5)
+
+
 @pytest.mark.parametrize("box", [((2.0, -2.0),), ((1.0, 1.0),), ((-1.0, 1.0), (1.0, -1.0))])
 def test_outer_box_without_lo_below_hi_is_refused(box):
     # a reversed box once gave NaN (numpy only warned) and an empty one 0.0

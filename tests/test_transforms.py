@@ -391,6 +391,24 @@ def test_classical_radon_3d_normal_just_off_the_last_axis():
     assert got == pytest.approx(exact, rel=1e-13)
 
 
+@pytest.mark.parametrize("theta, t", [((1.0, 0.0), 9.0), ((0.0, 0.6, 0.8), 12.0)])
+def test_classical_radon_of_plane_missing_the_box_is_zero(theta, t):
+    # the plane clears the box +-8 of the unit Gaussian; its projection onto
+    # the plane once read the tail (1.18e-35 in 2-D, 9.1e-63 in 3-D)
+    n = len(theta)
+    f = make_test_field("gaussian", n, (0.0,) * n, 1.0)
+    assert classical_radon(f, RadonPlane(theta, t)) == 0.0
+
+
+def test_classical_radon_4d():
+    # three in-plane axes through the frame fill the transversal kernel shares
+    f = make_test_field("gaussian", 4, (0.0,) * 4, 1.0)
+    theta = np.array([0.3, -0.4, 0.5, 0.7])
+    theta /= np.linalg.norm(theta)
+    got = classical_radon(f, RadonPlane(tuple(theta), 0.6))
+    assert got == pytest.approx(math.pi ** 1.5 * math.exp(-0.36), rel=1e-10)
+
+
 def test_slope_intercept_relation_agrees():
     f = make_test_field("gaussian", 2, (0.3, 0.1), 1.0)
     for ang in (0.4, 1.2, 2.8):
