@@ -26,23 +26,23 @@ axis_dilate(l1, l2)         psi -> psi(l1 x', l2 x_n)                     domain
 dual_dilate(l1, l2)         Psi -> l1^{1-n} Psi((l2/l1) x', l2 x_n)       full->full
 ==========================  =====================================================
 
-Every coordinate change is one substitution (``_substitute``),
-F -> w(x_n, F(a x', phi(x_n) + b|x'|^2)) with a > 0 and phi increasing; the
-support box and section of the result follow from a, b, phi^-1 and F's own
-by one rule. Per tag, (a, b, phi(t), w): the four shears at (a, b) = (1, -1),
-(2, -1), (1, 1) and (1/2, 1/4) with phi(t) = t and w = 1; sqrt_pullback
-(1, 0, sqrt(t), t^{-1/2}); square_pullback (1, 0, t^2, t); axis_dilate
-(l1, 0, l2 t, 1); dual_dilate (l2/l1, 0, l2 t, l1^{1-n}); field_to_profile
-(2, -1, r^2, r), reading x_n as r.
-
-The other tags are chains (``_COMPOSITES``, ``_PROFILE_TO_FIELD``):
-sqrt_pullback_shear is sqrt_pullback, zero_extend, parabolic_shear;
-square_pullback_unshear is parabolic_unshear, restrict_positive,
-square_pullback; profile_to_field reads the profile as its half-space field
-in (x', r) (``SphereProfile.as_field``), then applies sqrt_pullback,
-zero_extend, parabolic_unshear_scaled. Only zero_extend and
-restrict_positive, which change the domain and not the coordinates, have
-code of their own.
+Every tag is one substitution (``_substitute``),
+F -> w(u, F(a x', phi(u) + b|x'|^2)) with u = x_n + c|x'|^2, a > 0 and phi
+increasing; the support box and section of the result follow from a, b, c,
+phi^-1 and F's own by one rule. A profile is read as its half-space field in
+(x', r) (``SphereProfile.as_field``), and a half-space F read on the full
+space gives 0 where u <= 0. Per tag, (a, b, c, phi(t), w):
+- the four shears: (a, b) = (1, -1), (2, -1), (1, 1) and (1/2, 1/4), with
+  c = 0, phi(t) = t and w = 1;
+- sqrt_pullback (1, 0, 0, sqrt(t), u^{-1/2}); square_pullback
+  (1, 0, 0, t^2, u);
+- sqrt_pullback_shear (1, 0, -1, sqrt(t), u^{-1/2}); square_pullback_unshear
+  (1, 1, 0, t^2, u);
+- field_to_profile (2, -1, 0, r^2, r), reading x_n as r; profile_to_field
+  (1/2, 0, 1/4, sqrt(t), u^{-1/2});
+- zero_extend and restrict_positive: the identity, with the last interval
+  clipped at 0;
+- axis_dilate (l1, 0, 0, l2 t, 1); dual_dilate (l2/l1, 0, 0, l2 t, l1^{1-n}).
 
 The (.)_+ convention: powers of a nonpositive argument are exact zeros, so
 the square-root singularities along the critical paraboloids are never
@@ -56,12 +56,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChainError, DomainError
-from .fields import (Point, ScalarField, SphereProfile, _box_dist_sq, _clip_last,
-                     _coordinate_major, _sum_sq)
+from .fields import Point, ScalarField, SphereProfile, _box_dist_sq, _coordinate_major, _sum_sq
 from .transforms import parabolic_field, sonar_profile, transversal_field
 
 _DILATION_TAGS = frozenset({"axis_dilate", "dual_dilate"})
 _TRANSFORM_STEPS = ("sonar", "parabolic", "transversal")
+_CONSUMES = {"full": "a full-space field", "half": "a half-space field",
+             "profile": "a SphereProfile"}
 
 
 @dataclass(frozen=True)
@@ -100,47 +101,77 @@ class IdentityReport:
         return self.max_rel_err <= self.tol
 
 
-def _substitute(field, domain, a, b, phi=None, phi_inv=None, w=None):
-    """F -> w(x_n, F(a x', phi(x_n) + b|x'|^2)) for a > 0 and an increasing
-    phi (None: the identity, for b != 0 only; called as phi(x_n, out=...)),
+def _scaled_sum_sq(XP, k):
+    """k |x'|^2 at the rows of XP, a fresh array."""
+    out = _sum_sq(XP)
+    out *= k
+    return out
+
+
+def _substitute(field, domain, a, b, c, phi, phi_inv, w):
+    """F -> w(u, F(a x', phi(u) + b|x'|^2)), u = x_n + c|x'|^2, for a > 0
+    and an increasing phi (None: the identity; called as phi(u, out=...)),
     as a field on ``domain`` or, for domain "profile", as a profile in
-    (x', r = x_n).
+    (x', r = x_n). A half-space F read on the full space gives 0 where
+    u <= 0.
 
     The box and the section follow F's by one rule: x' runs over F's x' box
-    divided by a, and at x' the last coordinate over phi^-1(s - b|x'|^2) for
-    s in F's section at a x' (F's last box interval without a section)."""
+    divided by a, and at x' the last coordinate over
+    phi^-1(s - b|x'|^2) - c|x'|^2 for s in F's section at a x' (F's last box
+    interval without a section)."""
     n = field.n
 
-    def core(XP, t):
-        shift = None
-        if b:
-            shift = _sum_sq(XP)
-            shift *= b
+    def read(XP, u):
         pts = _coordinate_major(XP.shape[:-1] + (n,))
         np.multiply(XP, a, out=pts[:, :-1])
         last = pts[:, -1]
-        s = t if phi is None else phi(t, out=last)
-        if shift is not None:
-            np.add(s, shift, out=last)
+        s = u if phi is None else phi(u, out=last)
+        if b:
+            np.add(s, _scaled_sum_sq(XP, b), out=last)
+        elif phi is None:
+            last[...] = u
         vals = field.eval_array(pts)
-        return vals if w is None else w(t, vals)
+        return vals if w is None else w(u, vals)
+
+    zero = field.domain == "half" and domain == "full"
+
+    def core(XP, t):
+        u = t
+        if c:
+            u = _scaled_sum_sq(XP, c)
+            u += t
+        if zero:
+            pos = u > 0
+            if not pos.all():
+                out = np.zeros(u.shape[0])
+                if pos.any():
+                    out[pos] = read(XP[pos], u[pos])
+                return out
+        return read(XP, u)
+
+    def bounds(lo, hi, near, far):
+        """The last-coordinate interval at |x'|^2 in [near, far] for s in
+        [lo, hi]."""
+        if b:
+            lo, hi = (lo - b * far, hi - b * near) if b > 0 else (lo - b * near, hi - b * far)
+        if phi_inv is not None:
+            lo, hi = phi_inv(lo), phi_inv(hi)
+        if c:
+            lo, hi = (lo - c * far, hi - c * near) if c > 0 else (lo - c * near, hi - c * far)
+        return lo, hi
 
     box = field.box
     nbox = None
     if box is not None:
         bp = tuple((lo / a, hi / a) for lo, hi in box[:-1])
-        lo, hi = box[-1]
-        if b:
+        near = far = None
+        if b or c:
             near, far = (float(d[0]) for d in _box_dist_sq(np.zeros((1, n - 1)), bp))
-            if b > 0:    # s - b|x'|^2 falls with |x'|
-                near, far = far, near
-            lo, hi = lo - b * near, hi - b * far
-        if phi_inv is not None:
-            lo, hi = phi_inv(lo), phi_inv(hi)
-        nbox = bp + ((lo, hi),)
+        nbox = bp + (bounds(*box[-1], near, far),)
     inner = field.section_support
     section = None
-    if inner is not None or box is not None:
+    # the identity rows leave a box-only field's last interval to its box
+    if inner is not None or (box is not None and (b or phi is not None)):
         def section(XP):
             XP = np.asarray(XP, dtype=float)
             if inner is not None:
@@ -148,12 +179,8 @@ def _substitute(field, domain, a, b, phi=None, phi_inv=None, w=None):
             else:
                 lo = np.full(XP.shape[0], box[-1][0])
                 hi = np.full(XP.shape[0], box[-1][1])
-            if b:
-                shift = b * _sum_sq(XP)
-                lo, hi = lo - shift, hi - shift
-            if phi_inv is not None:
-                lo, hi = phi_inv(lo), phi_inv(hi)
-            return lo, hi
+            sq = _sum_sq(XP) if b or c else None
+            return bounds(lo, hi, sq, sq)
 
     if domain == "profile":
         if nbox is None:
@@ -164,79 +191,57 @@ def _substitute(field, domain, a, b, phi=None, phi_inv=None, w=None):
                        section_support=section)
 
 
-#: consumed domain, produced domain, a, b, phi, phi^-1, w of each fixed
-#: substitution F -> w(x_n, F(a x', phi(x_n) + b|x'|^2)); the dilations
-#: take theirs from lam (``apply``).
+# phi, phi^-1 and w of the pullbacks by sqrt and by the square, and of the
+# domain changes; phi^-1 of sqrt squares a scalar by pow and an array by
+# np.square
+_SQRT = (np.sqrt, lambda s: np.maximum(s, 0.0) ** 2, lambda u, v: v / np.sqrt(u))
+_SQUARE = (np.square, lambda s: np.sqrt(np.maximum(s, 0.0)), lambda u, v: u * v)
+_CLIP = (None, lambda s: np.maximum(s, 0.0), None)
+_LINEAR = (None, None, None)
+
+#: consumed domain, produced domain, a, b, c, phi, phi^-1, w of each fixed
+#: substitution F -> w(u, F(a x', phi(u) + b|x'|^2)), u = x_n + c|x'|^2;
+#: the dilations take theirs from lam (``apply``).
 _SUBSTITUTIONS = {
-    "parabolic_shear": ("full", "full", 1.0, -1.0, None, None, None),
-    "parabolic_shear_scaled": ("full", "full", 2.0, -1.0, None, None, None),
-    "parabolic_unshear": ("full", "full", 1.0, 1.0, None, None, None),
-    "parabolic_unshear_scaled": ("full", "full", 0.5, 0.25, None, None, None),
-    # phi^-1 of sqrt squares a scalar by pow and an array by np.square
-    "sqrt_pullback": ("half", "half", 1.0, 0.0, np.sqrt,
-                      lambda s: np.maximum(s, 0.0) ** 2, lambda t, v: v / np.sqrt(t)),
-    "square_pullback": ("half", "half", 1.0, 0.0, np.square,
-                        lambda s: np.sqrt(np.maximum(s, 0.0)), lambda t, v: t * v),
-    "field_to_profile": ("full", "profile", 2.0, -1.0, np.square,
-                         lambda s: np.sqrt(np.maximum(s, 0.0)), lambda t, v: t * v),
+    "parabolic_shear": ("full", "full", 1.0, -1.0, 0.0, *_LINEAR),
+    "parabolic_shear_scaled": ("full", "full", 2.0, -1.0, 0.0, *_LINEAR),
+    "parabolic_unshear": ("full", "full", 1.0, 1.0, 0.0, *_LINEAR),
+    "parabolic_unshear_scaled": ("full", "full", 0.5, 0.25, 0.0, *_LINEAR),
+    "sqrt_pullback": ("half", "half", 1.0, 0.0, 0.0, *_SQRT),
+    "square_pullback": ("half", "half", 1.0, 0.0, 0.0, *_SQUARE),
+    "sqrt_pullback_shear": ("half", "full", 1.0, 0.0, -1.0, *_SQRT),
+    "square_pullback_unshear": ("full", "half", 1.0, 1.0, 0.0, *_SQUARE),
+    "field_to_profile": ("full", "profile", 2.0, -1.0, 0.0, *_SQUARE),
+    "profile_to_field": ("profile", "full", 0.5, 0.0, 0.25, *_SQRT),
+    "zero_extend": ("half", "full", 1.0, 0.0, 0.0, *_CLIP),
+    "restrict_positive": ("full", "half", 1.0, 0.0, 0.0, *_CLIP),
 }
+
+#: Every tag: the fixed substitutions and the two dilations.
+TAGS = frozenset(_SUBSTITUTIONS) | _DILATION_TAGS
 
 
 def apply(op: OperatorId, field):
     """Apply one operator, returning a new lazily evaluated field or profile."""
     tag = op.tag
-    if isinstance(field, SphereProfile):
-        if tag != "profile_to_field":
-            raise ChainError(f"{tag} consumes a ScalarField, got a SphereProfile")
-        return apply_chain(_PROFILE_TO_FIELD, field.as_field())
-    if not isinstance(field, ScalarField):
+    if not isinstance(field, (ScalarField, SphereProfile)):
         raise ChainError(f"cannot apply {tag} to {type(field).__name__}")
-    if tag == "profile_to_field":
-        raise ChainError(f"{tag} consumes a SphereProfile, got a ScalarField")
-    if tag in _COMPOSITES:
-        return apply_chain(tuple(OperatorId(t) for t in _COMPOSITES[tag]), field)
-
-    def need(domain):
-        if field.domain != domain:
-            raise ChainError(f"{tag} consumes a {domain}-space field, got {field.domain}-space")
-
-    if tag in _SUBSTITUTIONS:
-        consumed, domain, *args = _SUBSTITUTIONS[tag]
-        need(consumed)
-        return _substitute(field, domain, *args)
-
+    got = "profile" if isinstance(field, SphereProfile) else field.domain
     if tag in _DILATION_TAGS:
         l1, l2 = op.lam
-        phi, phi_inv = (lambda t, out: np.multiply(t, l2, out=out)), (lambda s: s / l2)
+        scale = (lambda t, out: np.multiply(t, l2, out=out)), (lambda s: s / l2)
         if tag == "axis_dilate":
-            return _substitute(field, field.domain, l1, 0.0, phi, phi_inv)
-        need("full")
-        pref = l1 ** (1 - field.n)
-        return _substitute(field, "full", l2 / l1, 0.0, phi, phi_inv,
-                           lambda t, v: pref * v)
-
-    if tag == "zero_extend":
-        need("half")
-
-        def func(pts):
-            out = np.zeros(pts.shape[0])
-            pos = pts[:, -1] > 0
-            if pos.any():
-                out[pos] = field.eval_array(pts[pos])
-            return out
-
-        return ScalarField(field.n, func, "full", _clip_last(field.box),
-                           section_support=field.section_support)
-
-    need("full")  # restrict_positive
-    inner_sec = field.section_support
-    section = None
-    if inner_sec is not None:
-        def section(XP):
-            lo, hi = inner_sec(XP)
-            return np.maximum(lo, 0.0), np.maximum(hi, 0.0)
-    return ScalarField(field.n, lambda pts: field.eval_array(pts), "half",
-                       _clip_last(field.box), section_support=section)
+            kept = "half" if got == "half" else "full"
+            row = (kept, kept, l1, 0.0, 0.0, *scale, None)
+        else:
+            pref = l1 ** (1 - field.n)
+            row = ("full", "full", l2 / l1, 0.0, 0.0, *scale, lambda u, v: pref * v)
+    else:
+        row = _SUBSTITUTIONS[tag]
+    consumed, domain, *args = row
+    if got != consumed:
+        raise ChainError(f"{tag} consumes {_CONSUMES[consumed]}, got {_CONSUMES[got]}")
+    return _substitute(field.as_field() if got == "profile" else field, domain, *args)
 
 
 def apply_chain(chain, field, spec=None):
@@ -262,21 +267,6 @@ def apply_chain(chain, field, spec=None):
             raise ChainError(f"unknown chain step {step!r}")
     return cur
 
-
-#: The composite operators, each defined as the chain of tags it stands for.
-_COMPOSITES = {
-    "sqrt_pullback_shear": ("sqrt_pullback", "zero_extend", "parabolic_shear"),
-    "square_pullback_unshear": ("parabolic_unshear", "restrict_positive", "square_pullback"),
-}
-
-#: Every tag: the substitutions, the composites, the dilations and the three
-#: that ``apply`` implements by hand.
-TAGS = (frozenset(_SUBSTITUTIONS) | frozenset(_COMPOSITES) | _DILATION_TAGS
-        | {"zero_extend", "restrict_positive", "profile_to_field"})
-
-#: profile_to_field after reading the profile as its half-space field.
-_PROFILE_TO_FIELD = (OperatorId("sqrt_pullback"), OperatorId("zero_extend"),
-                     OperatorId("parabolic_unshear_scaled"))
 
 #: The preregistered factorization identities, chains in application order.
 CANONICAL_IDENTITIES = {

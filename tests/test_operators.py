@@ -12,6 +12,8 @@ from hemiradon.errors import ChainError, DomainError
 from hemiradon.fields import ScalarField, SphereProfile
 from hemiradon.operators import (
     CANONICAL_IDENTITIES,
+    _DILATION_TAGS,
+    _SUBSTITUTIONS,
     IdentityReport,
     OperatorId,
     TAGS,
@@ -220,6 +222,14 @@ def test_zero_extend_and_restrict():
     assert back.eval((0.0, 1.0)) == pytest.approx(phi.eval((0.0, 1.0)))
     with pytest.raises(DomainError):
         back.eval((0.0, -0.5))
+    # a section reaching below 0 is clipped there, as the box is
+    dipping = ScalarField(2, phi.eval_array, "half",
+                          section_support=lambda XP: (XP[:, 0] - 0.5, XP[:, 0] + 1.0))
+    rows = np.array([[0.0], [1.0]])
+    for tag in ("zero_extend", "restrict_positive"):
+        dipping = apply(OperatorId(tag), dipping)
+        lo, hi = dipping.section_support(rows)
+        assert tuple(lo) == (0.0, 0.5) and tuple(hi) == (1.0, 2.0), tag
 
 
 def test_axis_dilate():
@@ -333,16 +343,17 @@ def test_scaling_exponents_match_iff_admissible():
 def test_tag_table_is_closed():
     assert "parabolic_shear" in TAGS
     assert len(TAGS) == 14
+    assert TAGS == frozenset(_SUBSTITUTIONS) | _DILATION_TAGS
 
 
 # ---------------------------------------------------------------------------
 # support hints
 # ---------------------------------------------------------------------------
 
-def _box_bump(domain):
+def _box_bump(domain, n=3):
     """A smooth bump whose support is exactly its box, so that the hints of
     an operator's output are tight somewhere and a hint too narrow shows."""
-    c = np.array([0.7, -0.3, 1.0])
+    c = np.array([0.7, -0.3][:n - 1] + [1.0])
 
     def func(pts):
         u = (pts - c) / 0.4
@@ -351,10 +362,56 @@ def _box_bump(domain):
         out[inside] = np.exp(-np.sum(1 / (1 - u[inside] ** 2), axis=1))
         return out
 
-    return ScalarField(3, func, domain, tuple((ci - 0.4, ci + 0.4) for ci in c))
+    return ScalarField(n, func, domain, tuple((ci - 0.4, ci + 0.4) for ci in c))
 
 
 _HINT_ROWS = np.array([[0.0, 0.0], [0.5, -0.25], [1.5, 0.75]])
+
+# each tag that was a chain of other tags, and that chain; profile_to_field's
+# chain reads the profile as its half-space field
+_PARTS = {
+    "sqrt_pullback_shear": ("sqrt_pullback", "zero_extend", "parabolic_shear"),
+    "square_pullback_unshear": ("parabolic_unshear", "restrict_positive", "square_pullback"),
+    "profile_to_field": ("sqrt_pullback", "zero_extend", "parabolic_unshear_scaled"),
+}
+
+
+def _sectioned(n, domain):
+    """The probe without a box, its last-axis support given by a section
+    alone, one that reaches below 0."""
+    return ScalarField(n, probe(n, domain).eval_array, domain,
+                       section_support=lambda XP: (XP[:, 0] - 0.5, 1.0 + sum_sq(XP)))
+
+
+@pytest.mark.parametrize("tag", sorted(_PARTS))
+@pytest.mark.parametrize("n", [2, 3])
+def test_fused_substitution_equals_its_parts(tag, n):
+    """Values, box and section of each fused row equal those of the chain it
+    replaced, bit for bit, on the box bump and on a box-less field with a
+    section."""
+    consumed = _SUBSTITUTIONS[tag][0]
+    if consumed == "profile":
+        inputs = [apply(OperatorId("field_to_profile"), _box_bump("full", n)),
+                  SphereProfile(n, lambda XP, R: 1.0 + XP[:, 0] * R + 3.0 * XP[:, -1] + R,
+                                r_support=_sectioned(n, "half").section_support)]
+    else:
+        inputs = [_box_bump(consumed, n), _sectioned(n, consumed)]
+    X = batch(n, half=tag == "square_pullback_unshear")
+    if tag != "square_pullback_unshear":
+        # rows on both sides of u = 0, u = x_n - |x'|^2 or x_n + |x'|^2/4
+        u = X[:, -1] + (-1.0 if tag == "sqrt_pullback_shear" else 0.25) * sum_sq(X[:, :-1])
+        assert 0 < (u > 0).sum() < len(X)
+    rows = _HINT_ROWS[:, :n - 1]
+    for inp in inputs:
+        fused = apply(OperatorId(tag), inp)
+        parts = apply_chain(tuple(OperatorId(t) for t in _PARTS[tag]),
+                            inp.as_field() if consumed == "profile" else inp)
+        assert fused.domain == parts.domain
+        assert_exact(fused.eval_array(X), parts.eval_array(X))
+        assert fused.box == parts.box
+        for got, want in zip(fused.section_support(rows), parts.section_support(rows)):
+            assert_exact(got, want)
+
 
 # box, then section (lo, hi) at _HINT_ROWS, of each shear and composite and
 # of the parabolic and sonar transforms on the bump; the sqrt_pullback_shear
