@@ -226,17 +226,16 @@ def _resolve_phantom(p: Params, n: int, kind_needs_half: bool):
 
 
 def _resolve_recon_cfg(p: Params, n: int):
-    """The reconstruction config. The odd-n route reads stencil_h, the
-    spacing of its difference; the even-n one y_radius, the bound of its
-    hypersingular integral. The key a route does not read is an error."""
-    key, unread = ("stencil_h", "y_radius") if n % 2 else ("y_radius", "stencil_h")
-    if p.get(unread, float) is not None:
-        raise ConfigError(f"key {unread!r}: the n = {n} inversion does not read it")
+    """The reconstruction config. Only the odd-n route reads stencil_h, the
+    spacing of its difference, so the even-n one refuses the key."""
     cfg = ReconstructionConfig.for_dimension(n)
-    val = p.get(key, float)
-    if val is not None:
-        cfg = cfg.with_(**{key: val})
-    p.resolved[key] = getattr(cfg, key)
+    h = p.get("stencil_h", float)
+    if n % 2 == 0 and h is not None:
+        raise ConfigError(f"key 'stencil_h': the n = {n} inversion does not read it")
+    if n % 2:
+        if h is not None:
+            cfg = cfg.with_(stencil_h=h)
+        p.resolved["stencil_h"] = cfg.stencil_h
     p.resolved["bp_direction_nodes"] = cfg.g_spec.m
     return cfg
 
@@ -395,8 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", help="transversal | parabolic | sonar")
     sp.add_argument("--stencil-h", dest="stencil_h",
                     help="spacing of the odd-n Laplacian difference in the data intercept")
-    sp.add_argument("--y-radius", dest="y_radius",
-                    help="hypersingular outer radius (even n only)")
 
     sp = add("verify", "check an operator identity")
     sp.add_argument("--identity", help=" | ".join(_IDENTITY_NAMES))

@@ -152,6 +152,17 @@ def _clip_last(box):
     return box[:-1] + ((max(box[-1][0], 0.0), max(box[-1][1], 0.0)),)
 
 
+def _last_support(field, XP, what):
+    """(lo, hi) arrays bounding ``field``'s last coordinate at the rows of XP
+    (N, n-1): its section there, else its box's last interval; DomainError
+    naming ``what`` when the field declares neither."""
+    if field.section_support is not None:
+        return field.section_support(XP)
+    if field.box is None:
+        raise DomainError(f"{what} needs a section or a support box")
+    return np.full(XP.shape[0], field.box[-1][0]), np.full(XP.shape[0], field.box[-1][1])
+
+
 def _box_union(a, b):
     if a is None or b is None:
         return None

@@ -26,7 +26,8 @@ Mathematics of Computerized Tomography*, 1986, ch. II):
   2 d_(1,1) (``hypersingular_constant``; Samko, *Hypersingular Integrals*,
   2002), which is the 1-D integral (1/pi) integral_0^inf (2h(s) - h(s+t) -
   h(s-t)) / t^2 dt of the data h in s, on q Gauss nodes in panels from 0
-  with t scaled by c, plus its exact tail: 2q+1 reads per direction.
+  out to 8 widths c, stretched per point and direction to the data's
+  declared support, plus its exact tail: 2q+1 reads per direction.
 
 The two methods of ``invert``, ``hypersingular`` and ``laplacian_power``,
 both run it and return the same value: for odd n the ell-th hypersingular
@@ -63,7 +64,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DomainError, QuadratureError
-from .fields import ScalarField, SphereProfile, _as_points_array, _finite_points
+from .fields import ScalarField, SphereProfile, _as_points_array, _finite_points, _last_support
 from .operators import OperatorId, apply_chain
 from .quadrature import QuadratureSpec, _finite, line_rule, octave_edges, panel_rule, sphere_nodes
 
@@ -95,25 +96,15 @@ class ReconstructionConfig:
     stencil_h:
         Spacing, in the data's intercept variable, of the central difference
         that the odd-n inversion applies to the data inside the
-        backprojection (``for_dimension``: 0.01); even n never reads it.
+        backprojection; even n never reads it.
     exponent:
         |y|-power of the kernel of ``hypersingular_apply``, which alone
         reads it; None selects 2n-1, the only power ``invert`` and
         ``reconstruct`` accept.
-    y_radius:
-        Outer radius T of the radial quadrature of the hypersingular
-        integral. In 2-D ``invert`` it is the end of the 1-D integral in
-        tau = t / c, whose tail beyond T is exact once every support point
-        lies within T of the mapped point z (z = x for transversal data):
-        exact recovery needs T at least the distance from z to the far edge
-        of the support. In ``hypersingular_apply`` on a field g the tail
-        beyond it comes from a far-field model of g fitted to its means over
-        spheres of radius 8 to 16 about x, so y_radius should be at least 8
-        there.
     hyper_radial_nodes:
-        Gauss nodes per radial panel of that integral (panels on the octave
-        edges 0, 0.25, 0.5, ..., y_radius): in 2-D ``invert`` the nodes per
-        panel of the 1-D rule.
+        Gauss nodes per radial panel of the hypersingular integral (panels on
+        the octave edges 0, 0.25, 0.5, ..., 8): in 2-D ``invert`` the nodes
+        per panel of the 1-D rule in the intercept.
     bp_stop:
         Slope cutoff of the backprojection: only slopes |z| <= bp_stop
         (|u| <= 2 bp_stop for transversal data) enter, the polar angle
@@ -133,9 +124,8 @@ class ReconstructionConfig:
     """
 
     ell: int = 1
-    stencil_h: float = 0.02
+    stencil_h: float = 0.01
     exponent: float | None = None
-    y_radius: float = 8.0
     hyper_radial_nodes: int = 8
     bp_stop: float = math.inf
     bp_angular_nodes: int = 24
@@ -148,8 +138,6 @@ class ReconstructionConfig:
             raise ConfigError("stencil_h must be positive")
         if self.exponent is not None and not self.exponent > 0:
             raise ConfigError("exponent must be positive when given")
-        if not self.y_radius > _FIRST_EDGE:
-            raise ConfigError(f"y_radius must exceed {_FIRST_EDGE}")
         if min(self.hyper_radial_nodes, self.bp_angular_nodes) < 4:
             raise ConfigError("node counts must be >= 4")
         if not self.bp_stop > 0:
@@ -158,10 +146,9 @@ class ReconstructionConfig:
     @classmethod
     def for_dimension(cls, n: int, **overrides) -> "ReconstructionConfig":
         """Defaults per dimension: ell = n-1 for even n, ell = n for odd n,
-        the stencil spacing, and the polar nodes of the direction grid."""
+        and the polar nodes of the direction grid."""
         params = {
             "ell": n - 1 if n % 2 == 0 else n,
-            "stencil_h": 0.02 if n % 2 == 0 else 0.01,
             # polar nodes of the direction grid. The 3-D rule has converged at
             # 10 rings (m = 160 bump data reads within 4e-6 of 32 rings); more
             # rings amplify the m = 80 data's error by the steepest ring's c^2
@@ -172,14 +159,13 @@ class ReconstructionConfig:
 
     def refined(self) -> "ReconstructionConfig":
         """A uniformly sharper configuration: doubled polar direction nodes
-        and a wider, denser hypersingular integral."""
+        and a denser hypersingular integral."""
         g = self.g_spec
         if g is not None:
             g = g.with_(m=g.m * 2)
         return replace(
             self,
             hyper_radial_nodes=self.hyper_radial_nodes * 3 // 2,
-            y_radius=2 * self.y_radius,
             g_spec=g,
         )
 
@@ -262,23 +248,23 @@ def _checked_cfg(kind, data, cfg) -> ReconstructionConfig:
 
 
 def _radial_rule(cfg):
-    """Gauss panels of ``hyper_radial_nodes`` nodes on the edges 0, 0.25, 0.5, ..., y_radius."""
-    return panel_rule(np.concatenate([[0.0], octave_edges(_FIRST_EDGE, cfg.y_radius)]),
+    """Gauss panels of ``hyper_radial_nodes`` nodes on the edges 0, T/32, T/16, ..., T."""
+    return panel_rule(np.concatenate([[0.0], octave_edges(_RADIUS / 32, _RADIUS)]),
                       cfg.hyper_radial_nodes)
 
 
 def _intercept_rule(k, cfg, c):
     """Offsets in the data's intercept s and weights of (-d^2/ds^2)^k, both
-    broadcasting to (reads, directions), for directions with |grad s| = c.
+    broadcasting to c.shape[:-1] + (reads, directions), for the widths c
+    (..., directions).
 
     k is an integer or 1/2. Integer k: the central difference
     (-1)^j C(2k, k+j) / h^(2k) at the offsets j h, j = -k..k, h = stencil_h;
     k = 0 is the single weight 1. k = 1/2: the 1-D hypersingular integral
     (1/pi) integral_0^inf (2 psi(s) - psi(s+t) - psi(s-t)) / t^2 dt of the
-    data psi, with t = c tau and tau on ``_radial_rule`` up to T = y_radius,
-    so that the panels keep the data's width in classical coordinates: the
-    weight -w_q / (pi c tau_q^2) at each of s + c tau_q and s - c tau_q, and
-    at s their doubled negated sum plus the tail 2 / (pi c T) beyond T,
+    data psi, with t = c tau and tau on ``_radial_rule`` up to T = _RADIUS:
+    the weight -w_q / (pi c tau_q^2) at each of s + c tau_q and s - c tau_q,
+    and at s their doubled negated sum plus the tail 2 / (pi c T) beyond T,
     which is exact once cT covers the data's support about s.
     """
     if k == int(k):
@@ -288,9 +274,10 @@ def _intercept_rule(k, cfg, c):
         return cfg.stencil_h * np.arange(-k, k + 1.0)[:, None], w[:, None]
     tau, wt = _radial_rule(cfg)
     a = wt / tau ** 2
-    offsets = np.concatenate([[0.0], tau, -tau])[:, None] * c[None, :]
-    w = np.concatenate([[2.0 * (a.sum() + 1.0 / cfg.y_radius)], -a, -a])
-    return offsets, w[:, None] / (math.pi * c[None, :])
+    c = c[..., None, :]
+    offsets = np.concatenate([[0.0], tau, -tau])[:, None] * c
+    w = np.concatenate([[2.0 * (a.sum() + 1.0 / _RADIUS)], -a, -a])
+    return offsets, w[:, None] / (math.pi * c)
 
 
 def _bp_batch(data, slope_scale, X, cfg, k=0, names=None) -> np.ndarray:
@@ -304,7 +291,9 @@ def _bp_batch(data, slope_scale, X, cfg, k=0, names=None) -> np.ndarray:
     (-Delta)^k passes inside the integral as c^(2k) (-d^2/ds^2)^k: the data
     is read at the offsets of ``_intercept_rule`` about s and combined with
     its weights. k = 0 is the backprojection itself, an integer k a central
-    difference, k = 1/2 the 1-D hypersingular integral (n = 2).
+    difference, k = 1/2 the 1-D hypersingular integral (n = 2), whose reach
+    T c about s stretches to the far end of the data's section, so that its
+    tail is exact; data that declares no section or box is refused.
     """
     n = X.shape[1]
     names = X if names is None else names
@@ -314,9 +303,13 @@ def _bp_batch(data, slope_scale, X, cfg, k=0, names=None) -> np.ndarray:
     zsq = np.sum(Z * Z, axis=1)
     # the kernel (1 + 4|z|^2)^(-(n-1)/2) times |grad s|^(2k)
     kernel = (1.0 + 4.0 * zsq) ** (k - (n - 1) / 2.0)
-    offsets, weights = _intercept_rule(k, cfg, np.sqrt(1.0 + 4.0 * zsq))
+    c = np.sqrt(1.0 + 4.0 * zsq)
+    half = k != int(k)
+    if half:
+        lo, hi = _last_support(data, U, "2-D inversion")
+    offsets, weights = _intercept_rule(k, cfg, c)
     # du = 2^(n-1) dz
-    Wk = (weights * (2.0 ** (n - 1) * W * kernel)[None, :]).ravel()
+    scale = 2.0 ** (n - 1) * W * kernel
     S, N = offsets.shape[0], Z.shape[0]
     R = N * S                                         # data reads per point
     pref = (2 * np.pi) ** (1 - n)
@@ -328,6 +321,10 @@ def _bp_batch(data, slope_scale, X, cfg, k=0, names=None) -> np.ndarray:
         Xc = X[i0:i0 + step]
         B = Xc.shape[0]
         sec = Xc[:, -1][:, None] - Xc[:, :-1] @ U.T   # (B, N)
+        if half:
+            reach = np.maximum(sec - lo, hi - sec)
+            offsets, weights = _intercept_rule(k, cfg, np.maximum(c, reach / _RADIUS))
+        Wk = np.broadcast_to(weights * scale, (B, S, N)).reshape(B, R, 1)
         sec = (sec[:, None, :] + offsets).ravel()     # (B, S, N)
         ZP = np.broadcast_to(U, (B * S, N, n - 1)).reshape(-1, n - 1)
         vals = data.eval_array(np.concatenate([ZP, sec[:, None]], axis=1))
@@ -340,7 +337,7 @@ def _bp_batch(data, slope_scale, X, cfg, k=0, names=None) -> np.ndarray:
                 f"non-finite data at slope {slope} for point {point}", node=slope)
         # one product per point, so that a point's value does not depend on
         # the batch it came in
-        out[i0:i0 + step] = pref * (vals.reshape(B, 1, R) @ Wk)[:, 0]
+        out[i0:i0 + step] = pref * (vals.reshape(B, 1, R) @ Wk)[:, 0, 0]
     return out
 
 
@@ -428,8 +425,9 @@ _FIT_RADII = np.array([8.0, 16.0])
 #: Directions per ring (n = 2) or polar cosines and azimuths per sphere
 #: (n = 3) of those means.
 _FIT_NODES = 16
-#: Outer edge of the first radial panel of the hypersingular integral.
-_FIRST_EDGE = 0.25
+#: Outer radius T of the radial rule of the hypersingular integral: the far
+#: field is fitted beyond it, and 2-D ``invert`` stretches it to the data.
+_RADIUS = 8.0
 
 
 def _sphere_area(n: int) -> float:
@@ -438,14 +436,13 @@ def _sphere_area(n: int) -> float:
 
 def _hyper_nodes(n: int, cfg, exponent: float):
     """Offsets y over the upper half circle (n = 2) or hemisphere (n = 3) and
-    weights of |y|^(-exponent) dy over the whole ball |y| < y_radius.
+    weights of |y|^(-exponent) dy over the whole ball |y| < T = _RADIUS.
 
-    The radial rule is Gauss panels on the octave edges 0, 0.25, 0.5, ...,
-    y_radius; the directions are the upper half of sphere_nodes(n-1, 2k), a
-    rule that maps onto itself under y -> -y, so the weights integrate an
-    even function of y over the whole ball: k = 8 gives 8 directions on the
-    half circle (n = 2), k = 4 gives 4 polar cosines times 8 azimuths on the
-    hemisphere (n = 3).
+    The radial rule is ``_radial_rule``; the directions are the upper half
+    of sphere_nodes(n-1, 2k), a rule that maps onto itself under y -> -y,
+    so the weights integrate an even function of y over the whole ball:
+    k = 8 gives 8 directions on the half circle (n = 2), k = 4 gives 4 polar
+    cosines times 8 azimuths on the hemisphere (n = 3).
     """
     rn, rw = _radial_rule(cfg)
     dirs, aw = sphere_nodes(n - 1, 16 if n == 2 else 8)
@@ -480,9 +477,9 @@ def hypersingular_apply(g: ScalarField, x, cfg: ReconstructionConfig) -> float:
 
     The kernel is even, so the integrand may be averaged over y and -y: the
     odd Taylor terms of the difference cancel and the limit is the absolutely
-    convergent integral over |y| < y_radius of
+    convergent integral over |y| < T = _RADIUS of
     sum_j C(ell,j) (-1)^j (g(x - jy) + g(x + jy)) / 2 |y|^(-exponent),
-    taken on the rule of ``_hyper_nodes``. Beyond y_radius the j = 0 term is
+    taken on the rule of ``_hyper_nodes``. Beyond T the j = 0 term is
     exact and every j >= 1 term reads the far-field model of ``_far_field``.
     Raises QuadratureError naming x and the offset of the first read at
     which g is not finite.
@@ -503,7 +500,7 @@ def hypersingular_apply(g: ScalarField, x, cfg: ReconstructionConfig) -> float:
     body = W @ (gx + 0.5 * (coef @ pairs))
     # beyond R: the j = 0 term, and each j >= 1 term integrated against the
     # model of the sphere means of g about x, A(j|y|)
-    R = cfg.y_radius
+    R = _RADIUS
     k = np.arange(_FIT_RADII.size)
     tail = _far_field(g, x0) * R ** (n - 1 - 2 * k - e) / (e - n + 1 + 2 * k)
     far = tail @ (coef @ j[:, None] ** (-1.0 - 2 * k))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureError
-from .fields import ScalarField, SphereProfile, _stack_last
+from .fields import ScalarField, SphereProfile, _last_support, _stack_last
 from .operators import OperatorId, apply
 from .quadrature import (QuadratureSpec, _finite, _scratch, _windowed_sums,
                          line_rule, octave_edges, panel_rule, tensor_rule, tier_counts)
@@ -71,8 +71,6 @@ def _iterated_power(data, s_exp, weight_exp, spec, outer_box):
         if data.box is None:
             raise DomainError("norm needs an outer_box or a support box")
         outer_box = data.box[:-1]
-    if data.section_support is None and data.box is None:
-        raise DomainError("norm needs a section or a support box for its inner integral")
     obox = np.asarray(outer_box, dtype=float)
     if obox.shape != (k, 2) or not np.isfinite(obox).all():
         raise DomainError(f"outer_box must be {k} finite (lo, hi) pairs, got {outer_box}")
@@ -87,11 +85,7 @@ def _iterated_power(data, s_exp, weight_exp, spec, outer_box):
             axes.append(panel_rule(0.5 * (a + b) + np.concatenate([-half[::-1], half]),
                                    max(4, math.ceil(spec.m / 25))))
     XP, W = tensor_rule(axes)
-    if data.section_support is not None:
-        lo, hi = data.section_support(XP)
-    else:
-        lo = np.full(XP.shape[0], data.box[-1][0])
-        hi = np.full(XP.shape[0], data.box[-1][1])
+    lo, hi = _last_support(data, XP, "norm")
     if data.domain == "half":
         lo = np.maximum(lo, 1e-12)
 

@@ -56,7 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChainError, DomainError
-from .fields import Point, ScalarField, SphereProfile, _box_dist_sq, _coordinate_major, _sum_sq
+from .fields import (Point, ScalarField, SphereProfile, _box_dist_sq, _coordinate_major,
+                     _last_support, _sum_sq)
 from .transforms import parabolic_field, sonar_profile, transversal_field
 
 _DILATION_TAGS = frozenset({"axis_dilate", "dual_dilate"})
@@ -168,17 +169,12 @@ def _substitute(field, domain, a, b, c, phi, phi_inv, w):
         if b or c:
             near, far = (float(d[0]) for d in _box_dist_sq(np.zeros((1, n - 1)), bp))
         nbox = bp + (bounds(*box[-1], near, far),)
-    inner = field.section_support
     section = None
     # the identity rows leave a box-only field's last interval to its box
-    if inner is not None or (box is not None and (b or phi is not None)):
+    if field.section_support is not None or (box is not None and (b or phi is not None)):
         def section(XP):
             XP = np.asarray(XP, dtype=float)
-            if inner is not None:
-                lo, hi = inner(a * XP)
-            else:
-                lo = np.full(XP.shape[0], box[-1][0])
-                hi = np.full(XP.shape[0], box[-1][1])
+            lo, hi = _last_support(field, a * XP, "substitution")
             sq = _sum_sq(XP) if b or c else None
             return bounds(lo, hi, sq, sq)
 

@@ -373,23 +373,20 @@ class TestInvert:
         assert main(argv + ["--config", str(cfg)]) == 2
         assert "key 'bp_stop'" in capsys.readouterr().err
 
-    def test_y_radius_only_for_even_n(self, tmp_path, capsys):
-        # the odd-n route has no hypersingular integral for y_radius to bound
-        argv = ["invert", "--n", "3", "--m", "40", "--points", "0,0,0",
+    def test_y_radius_is_refused(self, tmp_path, capsys):
+        # the 2-D integral reaches as far as the data's declared support, so
+        # there is no outer radius to set
+        argv = ["invert", "--m", "40", "--points", "0.3,-0.1",
                 "--out", str(tmp_path / "out")]
-        assert main(argv + ["--y-radius", "2"]) == 2
-        assert "key 'y_radius'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as ei:
+            main(argv + ["--y-radius", "9"])
+        assert ei.value.code == 2
+        assert "--y-radius" in capsys.readouterr().err
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("[invert]\ny_radius = 2\n", encoding="utf-8")
+        cfg.write_text("[invert]\ny_radius = 9\n", encoding="utf-8")
         assert main(argv + ["--config", str(cfg)]) == 2
         assert "key 'y_radius'" in capsys.readouterr().err
         assert not (tmp_path / "out" / "result.csv").exists()
-        assert main(argv) == 0
-        assert "y_radius" not in manifest_dict(tmp_path / "out" / "manifest.txt")
-        argv2 = ["invert", "--m", "40", "--points", "0.3,-0.1", "--y-radius", "9",
-                 "--out", str(tmp_path / "out2")]
-        assert main(argv2) == 0
-        assert manifest_dict(tmp_path / "out2" / "manifest.txt")["y_radius"] == "9"
 
     @pytest.mark.parametrize("via", ["flag", "config key"])
     def test_stencil_h_refused_for_even_n(self, tmp_path, capsys, via):

@@ -60,7 +60,8 @@ class TestReconstructionConfig:
         assert c2.ell == 1
         assert c2.bp_stop == math.inf
         assert c2.g_spec.m == 96
-        assert c2.stencil_h == 0.02
+        # one default: only the odd-n route reads the stencil spacing
+        assert c2.stencil_h == 0.01
         c3 = hr.ReconstructionConfig.for_dimension(3)
         assert c3.ell == 3
         assert c3.bp_stop == math.inf
@@ -72,7 +73,6 @@ class TestReconstructionConfig:
         c = hr.ReconstructionConfig.for_dimension(2)
         r = c.refined()
         assert r.hyper_radial_nodes == c.hyper_radial_nodes * 3 // 2
-        assert r.y_radius == 2 * c.y_radius
         assert r.g_spec.m == 2 * c.g_spec.m
 
     @pytest.mark.parametrize("n,ell", [(2, 1), (3, 3)])
@@ -97,6 +97,17 @@ class TestReconstructionConfig:
         r = hr.ReconstructionConfig().refined()
         assert r.g_spec is None
 
+    def test_bare_config_spaces_the_3d_stencil_as_the_default(self):
+        # a ReconstructionConfig() and cfg=None read the 3-D data at the same
+        # stencil spacing (a bare config spaced it at 0.02: 0.95108894
+        # against 0.95113266 at this point)
+        data = hr.transversal_field(hr.make_test_field("gaussian", 3, (0.0,) * 3, 1.0),
+                                    hr.QuadratureSpec(m=40))
+        x = [(0.1, 0.0, 0.2)]
+        bare = hr.reconstruct("transversal", data, x, "laplacian_power",
+                              hr.ReconstructionConfig())
+        assert bare[0] == hr.reconstruct("transversal", data, x, "laplacian_power")[0]
+
     def test_with_overrides_one_field(self):
         c = hr.ReconstructionConfig().with_(ell=3)
         assert c.ell == 3
@@ -105,11 +116,9 @@ class TestReconstructionConfig:
     @pytest.mark.parametrize("kw", [
         {"ell": 0},
         {"ell": 1.5},
-        {"y_radius": 0.25},
         {"bp_stop": math.nan},
         {"stencil_h": 0.0},
         {"exponent": 0.0},
-        {"y_radius": 0.1},
         {"hyper_radial_nodes": 3},
         {"bp_angular_nodes": 2},
         {"bp_stop": 0.0},
@@ -417,6 +426,23 @@ PTS9 = [(a, b) for a in (-0.5, 0.0, 0.5) for b in (-0.5, 0.0, 0.5)]
 PTS11 = [(0.0, 1.0), (0.15, 1.0), (-0.1, 1.1), (0.05, 0.85), (0.12, 1.18)]
 
 
+def gaussian_section(XP):
+    """Section of the transversal data of the unit Gaussian, +-8 sqrt(1 +
+    u^2), which holds it to e^(-64)."""
+    half = 8.0 * np.sqrt(1.0 + np.asarray(XP)[:, 0] ** 2)
+    return -half, half
+
+
+def unit_section(XP):
+    """The section (-8, 8) of exp(-t^2) data at every slope."""
+    return np.full(len(XP), -8.0), np.full(len(XP), 8.0)
+
+
+def r_to_8(XP):
+    """The r-support [0, 8] of exp(-r^2) profiles at every centre."""
+    return np.zeros(len(XP)), np.full(len(XP), 8.0)
+
+
 def counting_data(kind, reads):
     """2-D data of the given kind that records how many values it is asked
     for."""
@@ -425,14 +451,14 @@ def counting_data(kind, reads):
             reads.append(R.size)
             return np.exp(-R ** 2)
 
-        return hr.SphereProfile(2, prof)
+        return hr.SphereProfile(2, prof, r_support=r_to_8)
 
     def psi(p):
         reads.append(p.shape[0])
         a = 1.0 + p[:, 0] ** 2
         return a ** -0.5 * np.exp(-p[:, 1] ** 2 / a)
 
-    return hr.ScalarField(2, psi)
+    return hr.ScalarField(2, psi, section_support=gaussian_section)
 
 
 class TestHalfPowerInBackprojection:
@@ -463,7 +489,7 @@ class TestHalfPowerInBackprojection:
             return np.where((p[:, 0] == u0) & (np.abs(p[:, 1] - s0) > 3.0),
                             np.nan, vals)
 
-        data = hr.ScalarField(2, psi)
+        data = hr.ScalarField(2, psi, section_support=unit_section)
         with pytest.raises(QuadratureError,
                            match=r"slope .* point \(0\.3, -0\.1\)") as ei:
             hr.invert("transversal", data, (0.3, -0.1))
@@ -478,10 +504,11 @@ class TestHalfPowerInBackprojection:
         # asked for, not the point z the data is read about
         if kind == "sonar":
             data = hr.SphereProfile(2, lambda XP, R: np.where(
-                np.abs(XP[:, 0]) > 1.0, np.nan, np.exp(-R ** 2)))
+                np.abs(XP[:, 0]) > 1.0, np.nan, np.exp(-R ** 2)), r_support=r_to_8)
         else:
             data = hr.ScalarField(2, lambda p: np.where(
-                np.abs(p[:, 0]) > 1.0, np.nan, np.exp(-p[:, 1] ** 2)))
+                np.abs(p[:, 0]) > 1.0, np.nan, np.exp(-p[:, 1] ** 2)),
+                section_support=unit_section)
         with pytest.raises(QuadratureError,
                            match=rf"slope .* point \({x[0]}, {x[1]}\)$") as ei:
             hr.invert(kind, data, x)
@@ -497,6 +524,42 @@ class TestHalfPowerInBackprojection:
         got = hr.reconstruct("transversal", hr.transversal_field(g2), pts)
         want = np.exp(-np.sum(np.asarray(pts) ** 2, axis=1))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("scale", [2.0, 3.0, 5.0])
+    def test_wide_gaussian(self, scale):
+        # the 1-D integral reaches as far as the data's section about each
+        # intercept, not a fixed 8 intercept widths, whose tail read 7.1e-7,
+        # 1.6e-4 and 6.9e-3 off at scales 2, 3 and 5
+        f = hr.make_test_field("gaussian", 2, (0.0, 0.0), scale)
+        pts = [(0.0, 0.0), (0.5, -0.5), (2.0, 1.0)]
+        got = hr.reconstruct("transversal", hr.transversal_field(f), pts)
+        np.testing.assert_allclose(got, f.eval_array(np.asarray(pts)), rtol=1e-9, atol=0)
+
+    def test_parabolic_unit_gaussian_at_cli_points(self):
+        # the default invert --kind parabolic: the unit Gaussian's parabolic
+        # data reaches past 8 intercept widths at steep slopes (3.7e-7 when
+        # the integral stopped there)
+        f = hr.make_test_field("gaussian", 2, (0.0, 0.0), 1.0)
+        pts = np.array([(a, b) for a in (-0.5, 0.0, 0.5) for b in (-0.5, 0.0, 0.5)])
+        got = hr.reconstruct("parabolic", hr.parabolic_field(f), pts)
+        want = f.eval_array(pts)
+        assert np.max(np.abs(got - want)) / np.max(want) < 1e-7
+
+    @pytest.mark.parametrize("kind", ["transversal", "sonar"])
+    def test_data_without_support_is_refused(self, kind):
+        # with neither a section nor a box the integral has no known reach;
+        # the backprojection and the 3-D inversion read only near s
+        if kind == "sonar":
+            data = hr.SphereProfile(2, lambda XP, R: np.exp(-R ** 2))
+            x = (0.1, 0.5)
+        else:
+            data = hr.ScalarField(2, lambda p: np.exp(-p[:, 1] ** 2))
+            x = (0.1, 0.2)
+        with pytest.raises(DomainError, match="needs a section or a support box"):
+            hr.reconstruct(kind, data, [x])
+        assert math.isfinite(hr.backprojection(kind, data, x))
+        data3 = hr.ScalarField(3, transversal_gaussian_3d)
+        assert math.isfinite(hr.reconstruct("transversal", data3, [(0.1, 0.0, 0.2)])[0])
 
     @pytest.mark.parametrize("kind,pts,tol", [
         # the g route's own default errors: 4.3e-8 at criterion 9's points,
