@@ -294,7 +294,7 @@ class TestInvert:
         assert main(argv) == 0
         first = (read(tmp_path / "result.csv"), read(tmp_path / "manifest.txt"))
         m = manifest_dict(tmp_path / "manifest.txt")
-        assert m["bp_direction_nodes"] == "96"
+        assert m["bp_direction_nodes"] == "56"
         assert "bp_stop" not in m
         assert "bp_core_nodes" not in m
         assert main(argv) == 0

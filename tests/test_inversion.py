@@ -59,7 +59,7 @@ class TestReconstructionConfig:
         c2 = hr.ReconstructionConfig.for_dimension(2)
         assert c2.ell == 1
         assert c2.bp_stop == math.inf
-        assert c2.g_spec.m == 96
+        assert c2.g_spec.m == 56
         # one default: only the odd-n route reads the stencil spacing
         assert c2.stencil_h == 0.01
         c3 = hr.ReconstructionConfig.for_dimension(3)
@@ -107,6 +107,20 @@ class TestReconstructionConfig:
         bare = hr.reconstruct("transversal", data, x, "laplacian_power",
                               hr.ReconstructionConfig())
         assert bare[0] == hr.reconstruct("transversal", data, x, "laplacian_power")[0]
+
+    def test_bare_config_runs_the_default_method_in_3d(self):
+        # an unset ell takes the dimension's order, n = 3 for odd n, in
+        # reconstruct and in hypersingular_apply (a bare config took ell = 1,
+        # which the hypersingular method refuses for n = 3)
+        data = hr.ScalarField(3, transversal_gaussian_3d)
+        x = [(0.1, 0.0, 0.2)]
+        bare = hr.reconstruct("transversal", data, x, cfg=hr.ReconstructionConfig())
+        assert bare[0] == hr.reconstruct("transversal", data, x)[0]
+        g = gaussian_backprojection(3)
+        dim = hr.ReconstructionConfig.for_dimension(3)
+        assert hr.hypersingular_apply(g, x[0], hr.ReconstructionConfig(exponent=5.0)) == \
+            hr.hypersingular_apply(g, x[0], dim.with_(exponent=5.0))
+        assert dim.ell == 3 and hr.ReconstructionConfig().ell is None
 
     def test_with_overrides_one_field(self):
         c = hr.ReconstructionConfig().with_(ell=3)
@@ -180,7 +194,8 @@ class TestBackprojection:
         np.testing.assert_allclose(got, want, rtol=1e-7, atol=0)
 
     def test_non_finite_data_names_slope_and_point(self):
-        Z, _ = _slope_grid(2, 96, math.inf, 24)
+        # box-less data: the backprojection reads the base grid of 56
+        Z, _ = _slope_grid(2, 56, math.inf, 24)
         u0 = 2.0 * float(Z[5, 0])                   # transversal reads 2Z
 
         def psi(p):
@@ -471,16 +486,20 @@ class TestHalfPowerInBackprojection:
     ])
     def test_reads_per_point(self, kind, pts):
         # (-Delta)^(1/2) g is a 1-D hypersingular integral of the data in its
-        # intercept: 1 + 2 x 48 reads for each of the 96 directions, not 801
-        # reads of a 96-direction g (76,896)
+        # intercept: 1 + 2 x 48 reads for each direction, not 801 reads of g
+        # at each direction. The data reaches past 8 intercept widths from
+        # every point: 64 directions for the transversal section
+        # +-8 sqrt(1 + u^2), the cap 2 x 56 for the sheared or squared ones
+        directions = {"transversal": 64, "parabolic": 112, "sonar": 112}[kind]
         reads = []
         hr.reconstruct(kind, counting_data(kind, reads), pts)
-        assert sum(reads) == len(pts) * 96 * (1 + 2 * 48)
+        assert sum(reads) == len(pts) * directions * (1 + 2 * 48)
 
     def test_non_finite_data_names_slope_and_output_point(self):
         # NaN only far out in the intercept at one slope: the 1-D integral
-        # reaches it from the output point itself
-        Z, _ = _slope_grid(2, 96, math.inf, 24)
+        # reaches it from the output point itself; the section (-8, 8) reaches
+        # past 8 widths from the point, which reads 64 directions
+        Z, _ = _slope_grid(2, 64, math.inf, 24)
         u0 = 2.0 * float(Z[5, 0])
         s0 = -0.1 - u0 * 0.3                        # intercept at (0.3, -0.1)
 
@@ -513,8 +532,9 @@ class TestHalfPowerInBackprojection:
                            match=rf"slope .* point \({x[0]}, {x[1]}\)$") as ei:
             hr.invert(kind, data, x)
         assert abs(ei.value.node[0]) > 1.0
-        # the slope of the caller's data, z, not the u = 2z it is read at
-        assert ei.value.node[0] in _slope_grid(2, 96, math.inf, 24)[0][:, 0]
+        # the slope of the caller's data, z, not the u = 2z it is read at, on
+        # the 112 directions (the cap 2 x 56) the sheared data gets
+        assert ei.value.node[0] in _slope_grid(2, 112, math.inf, 24)[0][:, 0]
 
     def test_gaussian_far_from_its_centre(self):
         # the 1-D integral reaches T = 8 intercept widths, so no far-field
@@ -590,6 +610,80 @@ class TestHalfPowerInBackprojection:
                                for z in Z]) / (2 * math.pi)
         new = hr.reconstruct(kind, data, pts)
         np.testing.assert_allclose(new, old, rtol=tol, atol=0)
+
+
+def section_of_half_width(w):
+    """The section (-w, w) at every slope."""
+    return lambda XP: (np.full(len(XP), -w), np.full(len(XP), w))
+
+
+class TestPolarCounts:
+    @pytest.mark.parametrize("half_width,directions", [
+        # within 8 intercept widths of the point: the base 56
+        (4.0, 56), (8.0, 56),
+        # a = 1.5 at u = 0: 56 + 8 ceil(56 x 0.5 / 8); a = 5 is capped at 2m
+        (12.0, 88), (40.0, 112),
+    ])
+    def test_data_reaching_past_8_widths_reads_more_directions(self, half_width, directions):
+        reads = []
+
+        def psi(p):
+            reads.append(p.shape[0])
+            return np.exp(-p[:, 1] ** 2)
+
+        data = hr.ScalarField(2, psi, section_support=section_of_half_width(half_width))
+        hr.reconstruct("transversal", data, [(0.0, 0.0)])
+        assert sum(reads) == directions * (1 + 2 * 48)
+        # the backprojection, one read per direction, takes the same count
+        reads.clear()
+        hr.backprojection("transversal", data, (0.0, 0.0))
+        assert sum(reads) == directions
+
+    def test_point_bits_do_not_depend_on_far_points_in_its_call(self):
+        # far points read more directions than the near one; all five share
+        # one data read, and each value keeps the bits it has alone
+        reads = []
+        data = counting_data("transversal", reads)
+        near, far = (0.3, 0.2), [(6.0, 1.0), (0.5, 9.0)]
+        alone = hr.reconstruct("transversal", data, [near])[0]
+        far_alone = hr.reconstruct("transversal", data, far)
+        reads.clear()
+        mixed = hr.reconstruct("transversal", data, far + [near] + far)
+        assert len(reads) == 1
+        assert sum(reads) > 5 * 64 * (1 + 2 * 48)
+        assert mixed[2] == alone
+        np.testing.assert_array_equal(mixed[[0, 1]], far_alone)
+        np.testing.assert_array_equal(mixed[[3, 4]], far_alone)
+
+    @pytest.mark.parametrize("kind,tol", [
+        # transversal: the values move by 1e-13 between any two counts from
+        # 48 to 224, the rounding of the contraction, which is 3-4 % of
+        # the data's 3.1e-12 error
+        ("transversal", 0.05), ("parabolic", 0.03), ("sonar", 0.03)])
+    def test_doubling_the_base_count_moves_values_far_less_than_their_error(self, kind, tol):
+        # the benchmark's recon2d design: |x| in [0.49, 0.5] for the
+        # transversal Gaussian, the bump centre (0, 1) plus offsets of at
+        # most 0.005 for the others (12 points of seed 0). Sonar data from
+        # m = 800 charts: at the default m = 200 the arc's 44-node floor
+        # moves a read by more than the direction rule (ROADMAP item 15)
+        rng = np.random.default_rng(0)
+        ang = rng.uniform(0.0, 2 * np.pi, 12)
+        unit = np.column_stack([np.cos(ang), np.sin(ang)])
+        if kind == "transversal":
+            f = hr.make_test_field("gaussian", 2, (0.0, 0.0), 1.0)
+            data = hr.transversal_field(f)
+            P = rng.uniform(0.49, 0.5, 12)[:, None] * unit
+        else:
+            f = hr.make_test_field("bump", 2, (0.0, 1.0), 0.4,
+                                   domain="half" if kind == "sonar" else "full")
+            data = (hr.sonar_profile(f, hr.QuadratureSpec(m=800)) if kind == "sonar"
+                    else hr.parabolic_field(f))
+            P = (0.0, 1.0) + 0.005 * rng.uniform(size=12)[:, None] ** 0.5 * unit
+        cfg = hr.ReconstructionConfig.for_dimension(2)
+        base = hr.reconstruct(kind, data, P, cfg=cfg)
+        double = hr.reconstruct(kind, data, P, cfg=cfg.with_(g_spec=hr.QuadratureSpec(m=112)))
+        err = np.max(np.abs(base - f.eval_array(P)))
+        assert np.max(np.abs(base - double)) <= tol * err
 
 
 class TestBatchedReconstruct:
